@@ -86,7 +86,7 @@ def main() -> None:
     "--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table",
     show_default=True, help="Output format.",
 )
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for tree expansion.")
+@click.option("--threads", type=int, default=1, show_default=True, help="Accepted for compatibility; enumeration is serial.")
 @click.option("--stats", is_flag=True, help="Print an enumeration report to stderr.")
 @click.option("--maximal-only", is_flag=True, help="Only inclusion-maximal members.")
 @click.option("--max-nodes", type=int, default=DEFAULT_MAX_NODES, show_default=True, help="Abort beyond this many nodes.")
@@ -134,7 +134,7 @@ def cmd_tree(frobenius: str, fmt: str, max_nodes: int) -> None:
     F = _to_int(frobenius, "frobenius")
     try:
         tree = enumerate_ar(F, max_nodes=max_nodes)
-    except (InvalidFrobeniusError, ScaleLimitError) as exc:
+    except (InvalidFrobeniusError, ScaleLimitError, ValueError) as exc:
         raise CliError(str(exc))
     if fmt == "dot":
         click.echo(serialize.tree_dot(tree))

@@ -127,6 +127,11 @@ def refinement_candidates(seq: Iterable[int] | ArfSequence, i: int, a: int) -> b
         raise InvalidRefinementError(f"position {i} out of range 1..{len(xs)}")
     if a < 2 or a >= xs[i - 1]:
         raise InvalidRefinementError(f"split value {a} out of range 2..{xs[i - 1] - 1}")
+    return _split_keeps_axioms(xs, i, a)
+
+
+def _split_keeps_axioms(xs: tuple[int, ...], i: int, a: int) -> bool:
+    """``refinement_candidates`` on a plain tuple, for callers that keep i and a in range."""
     if i == 1:
         return 2 * a <= xs[0]
     prefix = xs[i - 2 :: -1]
@@ -156,7 +161,7 @@ def iter_refinements(seq: Iterable[int] | ArfSequence) -> Iterator[tuple[int, in
 def admits_proper_refinement(seq: Iterable[int] | ArfSequence) -> bool:
     xs = _as_terms(seq)
     return any(
-        refinement_candidates(xs, i, a)
+        _split_keeps_axioms(xs, i, a)
         for i, x in enumerate(xs, start=1)
         for a in range(2, x - 1)
     )

@@ -4,49 +4,57 @@ The family of Arf semigroups with Frobenius number F is closed under
 intersection and under removing the multiplicity, and has the minimum
 {0, F+1, ->}.  Hanging every member below the one obtained by removing its
 multiplicity therefore yields a tree rooted at that minimum, and walking the
-tree upwards enumerates the whole family: the children of S are the sets
-S ∪ {x} where x is a special gap below the multiplicity, x differs from F,
-and the extension has maximal embedding dimension.
+tree upwards enumerates the whole family.
 
-Per-node Apery tables (modulus F+1, a member of every node) and minimal
-generating sets are maintained incrementally along edges instead of being
-recomputed from scratch.
+The walk runs on difference sequences (see ``sequences``).  A member's
+sequence x_1 <= ... <= x_n totals F+1 and ends in its multiplicity, and
+removing the multiplicity merges the last two terms.  So the children of a
+node are the valid splits (a, x_n - a) of its last term, each adjoining the
+element x_n - a, and the inclusion-maximal members are the nodes whose
+sequence admits no proper refinement.
+
+Per-node minimal generators and Apery tables are computed on first access
+and cached.  The Apery/MED-adjunction view (``med_adjunction_test``,
+``apery_after_adjoin``, ``msg_after_adjoin``) describes the same edges and
+is kept as an independent cross-check of the walk.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
-from .core import (
-    AperyTable,
-    GeneratorSet,
-    NumericalSemigroup,
-    special_gaps_from_apery,
-)
+from .core import AperyTable, GeneratorSet, NumericalSemigroup
 from .errors import (
     ContradictionError,
     InconsistentTableError,
-    InternalInvariantError,
     InvalidAdjunctionError,
     InvalidFrobeniusError,
     NotInCovarietyError,
     ScaleLimitError,
 )
+from .sequences import _split_keeps_axioms, admits_proper_refinement
 
 DEFAULT_MAX_NODES = 10**7
 
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One enumerated semigroup with its cached generator and Apery data."""
+    """One enumerated semigroup; generator and Apery data are computed on first access."""
 
     semigroup: NumericalSemigroup
-    generators: GeneratorSet
-    apery: AperyTable
     parent: int  # index of the parent node, -1 for the root
     depth: int
+
+    @cached_property
+    def generators(self) -> GeneratorSet:
+        return self.semigroup.minimal_generators()
+
+    @cached_property
+    def apery(self) -> AperyTable:
+        """Apery table modulo F+1, a member of every node."""
+        return self.semigroup.apery_set(self.semigroup.frobenius + 1)
 
 
 @dataclass(frozen=True)
@@ -75,20 +83,16 @@ class CovarietyTree:
         return tuple(counts)
 
     def maximal_indices(self) -> list[int]:
-        """Indices of the inclusion-maximal semigroups.
+        """Indices of the inclusion-maximal semigroups, in node order.
 
-        Children strictly contain their parents, so a maximal element must be
-        a leaf, and a leaf is maximal unless some other leaf strictly
-        contains it.
+        A member is maximal exactly when its difference sequence admits no
+        proper refinement.
         """
-        has_child = {node.parent for node in self.nodes if node.parent >= 0}
-        leaves = [i for i in range(len(self.nodes)) if i not in has_child]
-        out = []
-        for i in leaves:
-            S = self.nodes[i].semigroup
-            if not any(j != i and S.issubset(self.nodes[j].semigroup) for j in leaves):
-                out.append(i)
-        return out
+        return [
+            i
+            for i, node in enumerate(self.nodes)
+            if not admits_proper_refinement(node.semigroup.difference_sequence())
+        ]
 
     def maximal_semigroups(self) -> list[NumericalSemigroup]:
         return [self.nodes[i].semigroup for i in self.maximal_indices()]
@@ -121,11 +125,6 @@ def is_member_ar(S: NumericalSemigroup, frobenius: int) -> bool:
     return not S.is_natural() and S.frobenius == frobenius and S.is_arf()
 
 
-def _med_pair_test(S: NumericalSemigroup, gens: GeneratorSet, x: int) -> bool:
-    # a + b - x must stay inside for every pair of minimal generators
-    return all(a + b - x in S for a, b in combinations_with_replacement(gens.gens, 2))
-
-
 def med_adjunction_test(S: NumericalSemigroup, x: int) -> bool:
     """Does adjoining the special gap x (below the multiplicity) keep maximal
     embedding dimension?
@@ -140,7 +139,8 @@ def med_adjunction_test(S: NumericalSemigroup, x: int) -> bool:
         raise InvalidAdjunctionError(f"{x} is not below the multiplicity {S.multiplicity()}")
     if x not in S.special_gaps():
         raise InvalidAdjunctionError(f"{x} is not a special gap of {S!r}")
-    return _med_pair_test(S, S.minimal_generators(), x)
+    pairs = combinations_with_replacement(S.minimal_generators().gens, 2)
+    return all(a + b - x in S for a, b in pairs)
 
 
 def apery_after_adjoin(ap: AperyTable, x: int) -> AperyTable:
@@ -175,87 +175,52 @@ def msg_after_adjoin(gens: GeneratorSet, x: int) -> GeneratorSet:
     return GeneratorSet(tuple(sorted([x, *best.values()])))
 
 
-def _expand(node: TreeNode, frobenius: int) -> list[tuple[NumericalSemigroup, GeneratorSet, AperyTable]]:
-    """All children of a node, ascending in the adjoined element."""
-    S, gens, ap = node.semigroup, node.generators, node.apery
-    m = gens.multiplicity
-    out = []
-    for x in special_gaps_from_apery(ap):
-        if x < m and x != frobenius and _med_pair_test(S, gens, x):
-            out.append((S.adjoin(x), msg_after_adjoin(gens, x), apery_after_adjoin(ap, x)))
-    return out
+def _splits(xs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Sequences of the children of xs: its last term m split as (a, m - a),
+    ascending in the new multiplicity m - a."""
+    n, m = len(xs), xs[-1]
+    return [xs[:-1] + (a, m - a) for a in range(m // 2, 1, -1) if _split_keeps_axioms(xs, n, a)]
 
 
 def children(S: NumericalSemigroup) -> list[NumericalSemigroup]:
     """The children of S in the tree for F = F(S), ascending in multiplicity."""
     if S.is_natural() or not S.is_arf():
         raise NotInCovarietyError(f"{S!r} is not an Arf semigroup with positive Frobenius number")
-    node = TreeNode(
-        semigroup=S,
-        generators=S.minimal_generators(),
-        apery=S.apery_set(S.frobenius + 1),
-        parent=-1,
-        depth=0,
-    )
-    return [child for child, _, _ in _expand(node, S.frobenius)]
+    return [S.adjoin(ys[-1]) for ys in _splits(S.difference_sequence())]
 
 
 def enumerate_ar(
     frobenius: int,
     threads: int = 1,
     max_nodes: int = DEFAULT_MAX_NODES,
-    check_duplicates: bool = False,
 ) -> CovarietyTree:
     """Breadth-first enumeration of every Arf semigroup with the given Frobenius number.
 
-    Nodes are emitted in canonical order: by depth, then lexicographically by
-    small-element set.  The order (and hence every export) is identical for
-    any thread count; workers only expand immutable frontier nodes and the
-    merge is a deterministic sort.
+    Each level is expanded by splitting the last term of every node's
+    difference sequence (see the module docstring).  Nodes are emitted in
+    canonical order: by depth, then lexicographically by small-element set,
+    which within a level is the order of the reversed sequences.
 
-    ``max_nodes`` bounds the tree size (``ScaleLimitError`` beyond it) and
-    ``check_duplicates`` enables a redundant uniqueness assertion.
+    ``threads`` is validated and accepted for compatibility but has no
+    effect: enumeration is serial.  ``max_nodes`` (at least 1) bounds the
+    tree size, the root included; ``ScaleLimitError`` is raised beyond it.
     """
     if frobenius < 1:
         raise InvalidFrobeniusError(f"frobenius must be >= 1, got {frobenius}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    root_sg = NumericalSemigroup.delta(frobenius)
-    nodes = [
-        TreeNode(
-            semigroup=root_sg,
-            generators=root_sg.minimal_generators(),
-            apery=root_sg.apery_set(frobenius + 1),
-            parent=-1,
-            depth=0,
-        )
-    ]
-    frontier = [0]
-    pool = (
-        concurrent.futures.ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    )
-    try:
-        while frontier:
-            batch = [nodes[i] for i in frontier]
-            if pool is None:
-                expansions = [_expand(node, frobenius) for node in batch]
-            else:
-                expansions = list(pool.map(_expand, batch, [frobenius] * len(batch)))
-            merged = [
-                (child, parent_idx)
-                for parent_idx, result in zip(frontier, expansions)
-                for child in result
-            ]
-            merged.sort(key=lambda item: item[0][0].small_elements())
-            frontier = []
-            for (sg, gens, ap), parent_idx in merged:
-                if len(nodes) >= max_nodes:
-                    raise ScaleLimitError(f"enumeration exceeded max_nodes={max_nodes}")
-                frontier.append(len(nodes))
-                nodes.append(TreeNode(sg, gens, ap, parent_idx, nodes[parent_idx].depth + 1))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    if check_duplicates and len({node.semigroup for node in nodes}) != len(nodes):
-        raise InternalInvariantError("duplicate semigroup produced by tree expansion")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+    nodes = [TreeNode(NumericalSemigroup.delta(frobenius), -1, 0)]
+    level = [(frobenius + 1,)]  # sequences of the last level, which starts at index `first`
+    first, depth = 0, 0
+    while level:
+        merged = [(ys, first + k) for k, xs in enumerate(level) for ys in _splits(xs)]
+        merged.sort(key=lambda item: item[0][::-1])
+        first, depth, level = len(nodes), depth + 1, []
+        for ys, parent in merged:
+            if len(nodes) >= max_nodes:
+                raise ScaleLimitError(f"enumeration exceeded max_nodes={max_nodes}")
+            nodes.append(TreeNode(nodes[parent].semigroup.adjoin(ys[-1]), parent, depth))
+            level.append(ys)
     return CovarietyTree(frobenius, tuple(nodes))

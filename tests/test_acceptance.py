@@ -155,3 +155,25 @@ def test_09_threaded_enumeration_is_byte_identical():
         assert single.exit_code == 0 and threaded.exit_code == 0
         assert threaded.stdout == single.stdout
     assert len(run_cli("enumerate", "30", "--format", "csv").stdout.strip().splitlines()) == 151
+
+
+def test_10_tree_walk_sequence_generator_and_oracle_agree():
+    started = time.perf_counter()
+    for F in [*range(1, 41), 60]:
+        tree = enumerate_ar(F)
+        seqs = arf_sequences_with_total(F + 1)
+        assert len(tree) == len(seqs)
+        assert set(tree.semigroups()) == {semigroup_of_sequence(q) for q in seqs}
+        for child_i, parent_i in tree.edges():
+            child = tree.nodes[child_i].semigroup.difference_sequence()
+            parent = tree.nodes[parent_i].semigroup.difference_sequence()
+            assert child[:-2] == parent[:-1] and child[-2] + child[-1] == parent[-1]
+        free = {semigroup_of_sequence(q) for q in refinement_free_sequences(F)}
+        assert set(tree.maximal_semigroups()) == free
+        if F <= 14:
+            brute = [S for S in brute_all_semigroups(F) if brute_is_arf(S)]
+            assert set(tree.semigroups()) == set(brute)
+            # inclusion-maximal by definition, independent of the refinement test
+            maximal = {S for S in brute if not any(S != T and S.issubset(T) for T in brute)}
+            assert free == maximal
+    assert time.perf_counter() - started < 30.0

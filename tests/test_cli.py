@@ -326,3 +326,12 @@ class TestBadInput:
         res = run("check", "abc")
         assert res.stdout == ""
         assert "integer" in res.stderr
+
+    def test_max_nodes_below_one_is_refused(self):
+        for args in (("enumerate", "1", "--max-nodes", "0"),
+                     ("enumerate", "2", "--max-nodes", "-5"),
+                     ("tree", "1", "--max-nodes", "0")):
+            res = run(*args)
+            assert res.exit_code == 2, args
+            assert res.stdout == ""
+            assert "max_nodes must be >= 1" in res.stderr

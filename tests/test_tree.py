@@ -21,6 +21,7 @@ from arfsemigroups import (
     maximal_elements,
     med_adjunction_test,
     msg_after_adjoin,
+    special_gaps_from_apery,
 )
 
 # |Ar(F)| for F = 1..12, frozen from the brute-force oracle
@@ -86,6 +87,31 @@ class TestIncrementalTables:
                 assert child.depth == parent.depth + 1
 
 
+class TestAdjunctionRouteCrossCheck:
+    """The Apery/MED-adjunction view of the tree, checked against the sequence walk."""
+
+    def test_adjunction_route_agrees_with_the_walk_up_to_f30(self):
+        for F in range(1, 31):
+            tree = enumerate_ar(F)
+            kids = {i: [] for i in range(len(tree))}
+            for child_i, parent_i in tree.edges():
+                kids[parent_i].append(child_i)
+            for i, node in enumerate(tree.nodes):
+                S, m = node.semigroup, node.semigroup.multiplicity()
+                adjoined = [tree.nodes[c].semigroup.multiplicity() for c in kids[i]]
+                expected = [
+                    x
+                    for x in special_gaps_from_apery(S.apery_set(F + 1))
+                    if x < m and x != F and med_adjunction_test(S, x)
+                ]
+                assert adjoined == expected, (F, S)
+                assert children(S) == [tree.nodes[c].semigroup for c in kids[i]]
+                for c, x in zip(kids[i], adjoined):
+                    child = tree.nodes[c]
+                    assert msg_after_adjoin(node.generators, x) == child.generators
+                    assert apery_after_adjoin(node.apery, x) == child.apery
+
+
 class TestChildren:
     def test_children_of_root(self):
         got = [c.minimal_generators().gens for c in children(NumericalSemigroup.delta(5))]
@@ -147,9 +173,6 @@ class TestEnumeration:
         for threads in (2, 4):
             assert enumerate_ar(14, threads=threads) == single
 
-    def test_duplicate_assertion_mode(self):
-        assert len(enumerate_ar(12, check_duplicates=True)) == 12
-
     def test_limits(self):
         with pytest.raises(InvalidFrobeniusError):
             enumerate_ar(0)
@@ -157,6 +180,16 @@ class TestEnumeration:
             enumerate_ar(5, max_nodes=3)
         with pytest.raises(ValueError):
             enumerate_ar(5, threads=0)
+        for F, cap in ((1, 0), (2, -5), (5, 0)):
+            with pytest.raises(ValueError):
+                enumerate_ar(F, max_nodes=cap)
+
+    @pytest.mark.parametrize("F", [5, 12, 20])
+    def test_max_nodes_counts_the_root(self, F):
+        size = len(enumerate_ar(F))
+        assert len(enumerate_ar(F, max_nodes=size)) == size
+        with pytest.raises(ScaleLimitError):
+            enumerate_ar(F, max_nodes=size - 1)
 
     def test_intersections_stay_inside(self):
         for F in range(1, 11):
