@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     EmptyInputError,
@@ -26,16 +25,21 @@ from .errors import (
     ScaleLimitError,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 # from_generators sieves membership up to min(gens) * max(gens); beyond this
 # many bits the masks stop being desk-scale.
 _SIEVE_LIMIT = 1 << 26
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
+    """Positions of the set bits of a nonnegative mask, ascending, in one linear pass."""
+    digits = bin(mask)[:1:-1]  # least significant digit first, without "0b"
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _closure_mask(gens: Iterable[int], bound: int) -> int:
@@ -282,31 +286,48 @@ class NumericalSemigroup:
             s += 1
         return AperyTable(n, tuple(entries))  # type: ignore[arg-type]
 
-    def pseudo_frobenius(self) -> tuple[int, ...]:
-        """Gaps z with z + s a member for every positive member s."""
+    def _pseudo_frobenius_mask(self) -> int:
         if self.is_natural():
             raise NoGapsError("the naturals have no pseudo-Frobenius numbers")
-        ap = self.apery_set(self.multiplicity())
-        return pseudo_frobenius_from_apery(ap)
+        # a gap x is pseudo-Frobenius iff no x + s is a gap for a positive
+        # member s <= F (sums with larger s exceed F and are members anyway)
+        low = (1 << (self.frobenius + 1)) - 1
+        gaps = ~self.mask & low
+        blocked = 0
+        for s in _iter_bits(self.mask & low & ~1):
+            blocked |= gaps >> s
+        return gaps & ~blocked
+
+    def pseudo_frobenius(self) -> tuple[int, ...]:
+        """Gaps z with z + s a member for every positive member s.
+
+        Read off the gap mask G over [0, F]: the bits of G that no shift
+        ``G >> s`` by a positive small element s covers.
+        """
+        return tuple(_iter_bits(self._pseudo_frobenius_mask()))
 
     def semigroup_type(self) -> int:
-        return len(self.pseudo_frobenius())
+        """Number of pseudo-Frobenius numbers."""
+        return self._pseudo_frobenius_mask().bit_count()
 
     def special_gaps(self) -> tuple[int, ...]:
-        """Gaps whose adjunction leaves the set additively closed."""
+        """Gaps whose adjunction leaves the set additively closed.
+
+        These are the pseudo-Frobenius numbers x with 2x a member.
+        """
         if self.is_natural():
             raise NoGapsError("the naturals have no gaps")
-        return special_gaps_from_apery(self.apery_set(self.multiplicity()))
+        return tuple(x for x in self.pseudo_frobenius() if 2 * x in self)
 
     # -- structural predicates ----------------------------------------------
 
     def is_med(self) -> bool:
-        """True when the embedding dimension equals the multiplicity."""
-        if self.is_natural():
-            return True
-        ap = self.apery_set(self.multiplicity())
-        expected = tuple(sorted(set(ap.entries) - {0} | {self.multiplicity()}))
-        return self.minimal_generators().gens == expected
+        """True when the embedding dimension equals the multiplicity.
+
+        The minimal generators lie in {m} and the nonzero Apery elements
+        modulo m, m values in all, so equal sizes mean equal sets.
+        """
+        return self.embedding_dim() == self.multiplicity()
 
     def is_arf(self) -> bool:
         """True when x + y - z is a member for all members x >= y >= z.
@@ -409,6 +430,7 @@ class NumericalSemigroup:
 def pseudo_frobenius_from_apery(ap: AperyTable) -> tuple[int, ...]:
     """Pseudo-Frobenius numbers read off any Apery table.
 
+    The independent route that the tests check ``pseudo_frobenius`` against.
     w is maximal in the table exactly when w + w' falls outside the table for
     every nonzero entry w'; the pseudo-Frobenius numbers are those maxima
     shifted down by the modulus.
@@ -420,7 +442,10 @@ def pseudo_frobenius_from_apery(ap: AperyTable) -> tuple[int, ...]:
 
 
 def special_gaps_from_apery(ap: AperyTable) -> tuple[int, ...]:
-    """Special gaps read off any Apery table: pseudo-Frobenius x with 2x a member."""
+    """Special gaps read off any Apery table: pseudo-Frobenius x with 2x a member.
+
+    The independent route that the tests check ``special_gaps`` against.
+    """
     pf = pseudo_frobenius_from_apery(ap)
     pf_set = set(pf)
     return tuple(x for x in pf if 2 * x not in pf_set)
@@ -432,6 +457,8 @@ def med_frobenius_genus_formula(gens: Iterable[int]) -> tuple[int, Fraction]:
     Input must be the minimal generating set; returns
     ``(n_e - n_1, (n_2 + ... + n_e)/n_1 - (n_1 - 1)/2)``.
     """
+    from fractions import Fraction
+
     ns = sorted({int(g) for g in gens})
     S = NumericalSemigroup.from_generators(ns)
     if S.is_natural():

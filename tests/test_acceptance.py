@@ -112,8 +112,17 @@ def test_07_structural_properties_hold_on_every_node_up_to_f12():
                 assert (A & B) in universe
         for child_i, parent_i in tree.edges():
             child = tree.nodes[child_i]
-            assert child.apery == child.semigroup.apery_set(F + 1)
-            assert child.generators == child.semigroup.minimal_generators()
+            S, m = child.semigroup, child.semigroup.multiplicity()
+            # least member of each residue class mod F+1, by membership alone
+            residues = [min(x for x in range(i, 2 * F + 2, F + 1) if x in S) for i in range(F + 1)]
+            assert child.apery.entries == tuple(residues)
+            # members in [m, F+m] that are not a sum of two positive members
+            atoms = [
+                x
+                for x in range(m, F + m + 1)
+                if x in S and not any(a in S and x - a in S for a in range(1, x))
+            ]
+            assert child.generators.gens == tuple(atoms)
 
 
 def _nondecreasing_tuples(total, minimum=2):

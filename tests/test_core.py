@@ -1,6 +1,7 @@
 """Unit tests for the canonical semigroup representation and its operations."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,13 @@ from arfsemigroups import (
     NotMedError,
     NumericalSemigroup,
     ScaleLimitError,
+    brute_all_semigroups,
+    enumerate_ar,
     med_frobenius_genus_formula,
+    pseudo_frobenius_from_apery,
+    special_gaps_from_apery,
 )
+from arfsemigroups.core import _iter_bits
 
 
 def sg(*gens):
@@ -173,6 +179,60 @@ class TestGapInvariants:
         for gens in [(2, 7), (5, 7, 9), (4, 6, 21, 23), (3, 7, 8)]:
             S = sg(*gens)
             assert S.frobenius in S.special_gaps()
+
+
+def assert_gap_invariants_match_apery_route(S):
+    """Bitmask pseudo-Frobenius numbers, special gaps and MED against Apery tables."""
+    m = S.multiplicity()
+    for n in (m, S.frobenius + 1):  # any nonzero member gives the same answer
+        ap = S.apery_set(n)
+        assert S.pseudo_frobenius() == pseudo_frobenius_from_apery(ap), (S, n)
+        assert S.special_gaps() == special_gaps_from_apery(ap), (S, n)
+    assert S.semigroup_type() == len(S.pseudo_frobenius())
+    # MED by definition: the minimal generators are m and the nonzero Apery elements mod m
+    expected = tuple(sorted(set(S.apery_set(m).entries) - {0} | {m}))
+    assert S.is_med() == (S.minimal_generators().gens == expected), S
+
+
+class TestBitmaskInvariantsAgainstApery:
+    def test_every_tree_node_up_to_f30(self):
+        for F in range(1, 31):
+            for S in enumerate_ar(F).semigroups():
+                assert_gap_invariants_match_apery_route(S)
+
+    def test_oracle_family_up_to_f14(self):
+        for F in range(1, 15):
+            for S in brute_all_semigroups(F):
+                assert_gap_invariants_match_apery_route(S)
+
+
+@given(st.lists(st.integers(min_value=2, max_value=60), min_size=1, max_size=5))
+def test_random_generators_gap_invariants_match_apery_route(gens):
+    assume(math.gcd(*gens) == 1)
+    S = NumericalSemigroup.from_generators(gens)
+    assert_gap_invariants_match_apery_route(S)
+
+
+def _lowest_bit_loop(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask &= mask - 1
+
+
+class TestIterBits:
+    def test_matches_the_lowest_bit_loop(self):
+        rng = random.Random(7)
+        masks = [0, 1, *(1 << k for k in (1, 2, 63, 64, 65, 1000))]
+        masks += [(1 << k) - 1 for k in (1, 2, 63, 64, 65, 1000)]
+        masks += [rng.getrandbits(k) for k in (3, 64, 200, 5000) for _ in range(5)]
+        # a sparse 2^20-bit mask keeps the reference loop (O(bits) per element) quick
+        wide = 1 << ((1 << 20) - 1)
+        for _ in range(500):
+            wide |= 1 << rng.randrange(1 << 20)
+        masks.append(wide)
+        for mask in masks:
+            assert list(_iter_bits(mask)) == list(_lowest_bit_loop(mask))
 
 
 class TestPredicates:

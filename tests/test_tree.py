@@ -32,6 +32,21 @@ def sg(*gens):
     return NumericalSemigroup.from_generators(gens)
 
 
+def apery_by_membership(S, n):
+    """Least member of each residue class mod n, found by membership tests alone."""
+    return tuple(min(x for x in range(i, S.frobenius + n + 1, n) if x in S) for i in range(n))
+
+
+def generators_by_membership(S):
+    """Members in [m, F+m] that are not a sum of two positive members."""
+    m = S.multiplicity()
+    return tuple(
+        x
+        for x in range(m, S.frobenius + m + 1)
+        if x in S and not any(a in S and x - a in S for a in range(1, x))
+    )
+
+
 class TestMedAdjunction:
     def test_worked_examples(self):
         assert not med_adjunction_test(sg(5, 8, 9, 12), 4)
@@ -82,8 +97,8 @@ class TestIncrementalTables:
             for child_i, parent_i in tree.edges():
                 child, parent = tree.nodes[child_i], tree.nodes[parent_i]
                 assert child.semigroup.remove_multiplicity() == parent.semigroup
-                assert child.apery == child.semigroup.apery_set(F + 1)
-                assert child.generators == child.semigroup.minimal_generators()
+                assert child.apery.entries == apery_by_membership(child.semigroup, F + 1)
+                assert child.generators.gens == generators_by_membership(child.semigroup)
                 assert child.depth == parent.depth + 1
 
 
