@@ -10,25 +10,13 @@ brute-force oracle for cross-checking.
 from .closure import (
     ClosureResult,
     ar_closure,
-    ar_rank,
     count_rank_one,
     minimal_ar_generators,
     rank_one_catalog,
 )
-from .core import (
-    AperyTable,
-    GeneratorSet,
-    NumericalSemigroup,
-    med_frobenius_genus_formula,
-    pseudo_frobenius_from_apery,
-    special_gaps_from_apery,
-)
+from .core import AperyTable, GeneratorSet, NumericalSemigroup
 from .errors import (
-    ContradictionError,
     EmptyInputError,
-    InconsistentTableError,
-    InternalInvariantError,
-    InvalidAdjunctionError,
     InvalidFrobeniusError,
     InvalidRefinementError,
     InvalidSequenceError,
@@ -37,7 +25,6 @@ from .errors import (
     NotArfError,
     NotCofiniteError,
     NotInCovarietyError,
-    NotMedError,
     ScaleLimitError,
     SemigroupError,
 )
@@ -59,12 +46,9 @@ from .tree import (
     CovarietyTree,
     EnumerationReport,
     TreeNode,
-    apery_after_adjoin,
     children,
     enumerate_ar,
     is_member_ar,
-    med_adjunction_test,
-    msg_after_adjoin,
 )
 
 __version__ = "0.1.0"
@@ -73,14 +57,10 @@ __all__ = [
     "AperyTable",
     "ArfSequence",
     "ClosureResult",
-    "ContradictionError",
     "CovarietyTree",
     "EmptyInputError",
     "EnumerationReport",
     "GeneratorSet",
-    "InconsistentTableError",
-    "InternalInvariantError",
-    "InvalidAdjunctionError",
     "InvalidFrobeniusError",
     "InvalidRefinementError",
     "InvalidSequenceError",
@@ -89,16 +69,13 @@ __all__ = [
     "NotArfError",
     "NotCofiniteError",
     "NotInCovarietyError",
-    "NotMedError",
     "NumericalSemigroup",
     "ScaleLimitError",
     "SemigroupError",
     "TreeNode",
     "admits_proper_refinement",
-    "apery_after_adjoin",
     "apply_refinement",
     "ar_closure",
-    "ar_rank",
     "arf_sequences_with_total",
     "brute_all_semigroups",
     "brute_is_arf",
@@ -108,16 +85,11 @@ __all__ = [
     "is_member_ar",
     "iter_refinements",
     "maximal_elements",
-    "med_adjunction_test",
-    "med_frobenius_genus_formula",
     "minimal_ar_generators",
-    "msg_after_adjoin",
-    "pseudo_frobenius_from_apery",
     "rank_one_catalog",
     "refinement_candidates",
     "refinement_free_sequences",
     "semigroup_of_sequence",
     "sequence_of_semigroup",
-    "special_gaps_from_apery",
     "validate_sequence",
 ]

@@ -15,7 +15,7 @@ import time
 import click
 
 from . import serialize
-from .closure import ar_closure, ar_rank, count_rank_one, minimal_ar_generators, rank_one_catalog
+from .closure import ar_closure, count_rank_one, minimal_ar_generators, rank_one_catalog
 from .core import NumericalSemigroup
 from .errors import (
     EmptyInputError,
@@ -174,16 +174,17 @@ def cmd_check(generators: str, fmt: str) -> None:
             )
         )
         return
+    gens = S.minimal_generators()
     click.echo(
         serialize.render_pairs(
             [
                 ("frobenius", S.frobenius),
                 ("multiplicity", S.multiplicity()),
-                ("embedding_dim", S.embedding_dim()),
+                ("embedding_dim", len(gens)),
                 ("genus", S.genus()),
                 ("small_count", S.small_count()),
-                ("type", _fmt(None if S.is_natural() else S.semigroup_type())),
-                ("min_generators", _fmt(S.minimal_generators().gens)),
+                ("type", _fmt(None if pf is None else len(pf))),
+                ("min_generators", _fmt(gens.gens)),
                 ("small_elements", _fmt(S.small_elements())),
                 ("pseudo_frobenius", _fmt(pf)),
                 ("special_gaps", _fmt(sg)),

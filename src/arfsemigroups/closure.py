@@ -20,6 +20,7 @@ from typing import Iterable
 
 from .core import NumericalSemigroup, _closure_mask, _iter_bits
 from .errors import InvalidFrobeniusError, NotInCovarietyError, ScaleLimitError
+from .tree import is_member_ar
 
 # the fixpoint walks all member pairs of a bitmask over [0, F]
 _HULL_LIMIT = 1 << 20
@@ -78,15 +79,11 @@ def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:
     still an Arf semigroup (its Frobenius number is unchanged by removing
     x < F).  Raises ``NotInCovarietyError`` for non-Arf input.
     """
-    if S.is_natural() or not S.is_arf():
+    if not is_member_ar(S, S.frobenius):
         raise NotInCovarietyError(f"{S!r} is not an Arf semigroup with positive Frobenius number")
     return tuple(
         x for x in S.minimal_generators() if x < S.frobenius and S.remove(x).is_arf()
     )
-
-
-def ar_rank(S: NumericalSemigroup) -> int:
-    return len(minimal_ar_generators(S))
 
 
 def rank_one_catalog(frobenius: int) -> list[NumericalSemigroup]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     EmptyInputError,
@@ -21,12 +21,8 @@ from .errors import (
     NoGapsError,
     NotAMemberError,
     NotCofiniteError,
-    NotMedError,
     ScaleLimitError,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # from_generators sieves membership up to min(gens) * max(gens); beyond this
 # many bits the masks stop being desk-scale.
@@ -86,10 +82,6 @@ class GeneratorSet:
 
     def __contains__(self, x: object) -> bool:
         return x in self.gens
-
-    @property
-    def multiplicity(self) -> int:
-        return self.gens[0]
 
 
 @dataclass(frozen=True)
@@ -224,9 +216,6 @@ class NumericalSemigroup:
             return ()
         return tuple(_iter_bits(~self.mask & ((1 << (self.frobenius + 1)) - 1)))
 
-    def members_upto(self, bound: int) -> tuple[int, ...]:
-        return tuple(x for x in range(bound + 1) if x in self)
-
     # -- basic invariants ---------------------------------------------------
 
     def multiplicity(self) -> int:
@@ -266,7 +255,8 @@ class NumericalSemigroup:
         ext = self.mask | (((1 << (bound - F - 1)) - 1) << (F + 2))
         positive = ext & ~1
         sums = 0
-        for a in _iter_bits(positive):
+        # the smaller summand of a sum within F+m is at most (F+m)/2
+        for a in _iter_bits(positive & ((2 << ((F + m) // 2)) - 1)):
             sums |= positive << a
         sums &= (1 << (bound + 1)) - 1
         return GeneratorSet(tuple(_iter_bits(positive & ~sums & ((1 << (F + m + 1)) - 1))))
@@ -383,15 +373,6 @@ class NumericalSemigroup:
             return NumericalSemigroup.delta(self.frobenius + 1)
         return NumericalSemigroup(self.frobenius, self.mask & ~(1 << m))
 
-    def associated_chain(self) -> list[NumericalSemigroup]:
-        """Repeatedly strip the multiplicity until {0, F+1, ->} is reached."""
-        if self.is_natural():
-            raise NoGapsError("the naturals have no associated chain")
-        chain = [self]
-        while chain[-1].multiplicity() != self.frobenius + 1:
-            chain.append(chain[-1].remove_multiplicity())
-        return chain
-
     # -- set algebra ----------------------------------------------------------
 
     def _extended_mask(self, frobenius: int) -> int:
@@ -425,46 +406,3 @@ class NumericalSemigroup:
             return "NumericalSemigroup.natural()"
         smalls = ", ".join(str(s) for s in self.small_elements())
         return f"NumericalSemigroup(F={self.frobenius}, members={{{smalls}, {self.frobenius + 1}, ->}})"
-
-
-def pseudo_frobenius_from_apery(ap: AperyTable) -> tuple[int, ...]:
-    """Pseudo-Frobenius numbers read off any Apery table.
-
-    The independent route that the tests check ``pseudo_frobenius`` against.
-    w is maximal in the table exactly when w + w' falls outside the table for
-    every nonzero entry w'; the pseudo-Frobenius numbers are those maxima
-    shifted down by the modulus.
-    """
-    entries = set(ap.entries)
-    nonzero = entries - {0}
-    maxima = (w for w in nonzero if all(w + wp not in entries for wp in nonzero))
-    return tuple(sorted(w - ap.modulus for w in maxima))
-
-
-def special_gaps_from_apery(ap: AperyTable) -> tuple[int, ...]:
-    """Special gaps read off any Apery table: pseudo-Frobenius x with 2x a member.
-
-    The independent route that the tests check ``special_gaps`` against.
-    """
-    pf = pseudo_frobenius_from_apery(ap)
-    pf_set = set(pf)
-    return tuple(x for x in pf if 2 * x not in pf_set)
-
-
-def med_frobenius_genus_formula(gens: Iterable[int]) -> tuple[int, Fraction]:
-    """Closed-form Frobenius number and genus for a maximal-embedding-dimension semigroup.
-
-    Input must be the minimal generating set; returns
-    ``(n_e - n_1, (n_2 + ... + n_e)/n_1 - (n_1 - 1)/2)``.
-    """
-    from fractions import Fraction
-
-    ns = sorted({int(g) for g in gens})
-    S = NumericalSemigroup.from_generators(ns)
-    if S.is_natural():
-        raise NoGapsError("the formula is undefined for the naturals")
-    if S.minimal_generators().gens != tuple(ns) or not S.is_med():
-        raise NotMedError(f"{ns} is not the minimal generating set of a MED semigroup")
-    frob = ns[-1] - ns[0]
-    genus = Fraction(sum(ns[1:]), ns[0]) - Fraction(ns[0] - 1, 2)
-    return frob, genus

@@ -1,9 +1,7 @@
 """Exception types raised by the library.
 
 Every domain error derives from :class:`SemigroupError` so callers can catch
-the whole family with one clause; programming errors (broken invariants that
-indicate a caller bug rather than bad input) derive from
-:class:`InternalInvariantError`.
+the whole family with one clause.
 """
 
 
@@ -27,16 +25,8 @@ class NoGapsError(SemigroupError):
     """The operation needs a gap (the semigroup is all of the naturals)."""
 
 
-class NotMedError(SemigroupError):
-    """The semigroup does not have maximal embedding dimension."""
-
-
 class NotArfError(SemigroupError):
     """The semigroup does not satisfy the Arf condition."""
-
-
-class InvalidAdjunctionError(SemigroupError):
-    """The element being adjoined is not a special gap below the multiplicity."""
 
 
 class NotInCovarietyError(SemigroupError):
@@ -57,15 +47,3 @@ class InvalidRefinementError(SemigroupError):
 
 class ScaleLimitError(SemigroupError):
     """The request exceeds the size bounds this implementation supports."""
-
-
-class InternalInvariantError(AssertionError):
-    """An invariant that should be unconditionally true was violated (caller bug)."""
-
-
-class InconsistentTableError(InternalInvariantError):
-    """An incremental Apery update did not find the entry it must replace."""
-
-
-class ContradictionError(InternalInvariantError):
-    """A residue class guaranteed to be covered by a minimal generator is missing."""

@@ -13,27 +13,16 @@ node are the valid splits (a, x_n - a) of its last term, each adjoining the
 element x_n - a, and the inclusion-maximal members are the nodes whose
 sequence admits no proper refinement.
 
-Per-node minimal generators and Apery tables are computed on first access
-and cached.  The Apery/MED-adjunction view (``med_adjunction_test``,
-``apery_after_adjoin``, ``msg_after_adjoin``) describes the same edges and
-is kept as an independent cross-check of the walk.
+Per-node minimal generators are computed on first access and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
 
-from .core import AperyTable, GeneratorSet, NumericalSemigroup
-from .errors import (
-    ContradictionError,
-    InconsistentTableError,
-    InvalidAdjunctionError,
-    InvalidFrobeniusError,
-    NotInCovarietyError,
-    ScaleLimitError,
-)
+from .core import GeneratorSet, NumericalSemigroup
+from .errors import InvalidFrobeniusError, NotInCovarietyError, ScaleLimitError
 from .sequences import _split_keeps_axioms, admits_proper_refinement
 
 DEFAULT_MAX_NODES = 10**7
@@ -41,7 +30,7 @@ DEFAULT_MAX_NODES = 10**7
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One enumerated semigroup; generator and Apery data are computed on first access."""
+    """One enumerated semigroup; its minimal generators are computed on first access."""
 
     semigroup: NumericalSemigroup
     parent: int  # index of the parent node, -1 for the root
@@ -50,11 +39,6 @@ class TreeNode:
     @cached_property
     def generators(self) -> GeneratorSet:
         return self.semigroup.minimal_generators()
-
-    @cached_property
-    def apery(self) -> AperyTable:
-        """Apery table modulo F+1, a member of every node."""
-        return self.semigroup.apery_set(self.semigroup.frobenius + 1)
 
 
 @dataclass(frozen=True)
@@ -125,56 +109,6 @@ def is_member_ar(S: NumericalSemigroup, frobenius: int) -> bool:
     return not S.is_natural() and S.frobenius == frobenius and S.is_arf()
 
 
-def med_adjunction_test(S: NumericalSemigroup, x: int) -> bool:
-    """Does adjoining the special gap x (below the multiplicity) keep maximal
-    embedding dimension?
-
-    Decided by checking a + b - x ∈ S over all pairs of minimal generators.
-    Preconditions (x a special gap, x < m(S)) are enforced with
-    ``InvalidAdjunctionError``.
-    """
-    if S.is_natural():
-        raise InvalidAdjunctionError("the naturals admit no adjunction")
-    if x >= S.multiplicity():
-        raise InvalidAdjunctionError(f"{x} is not below the multiplicity {S.multiplicity()}")
-    if x not in S.special_gaps():
-        raise InvalidAdjunctionError(f"{x} is not a special gap of {S!r}")
-    pairs = combinations_with_replacement(S.minimal_generators().gens, 2)
-    return all(a + b - x in S for a, b in pairs)
-
-
-def apery_after_adjoin(ap: AperyTable, x: int) -> AperyTable:
-    """Table for S ∪ {x} from the table for S: the entry x+n becomes x.
-
-    Requires x to be a special gap of S; a missing x+n entry means the caller
-    broke that precondition.
-    """
-    target = x + ap.modulus
-    if target not in ap.entries:
-        raise InconsistentTableError(f"{target} is not an entry of the table (x={x})")
-    return AperyTable(ap.modulus, tuple(x if w == target else w for w in ap.entries))
-
-
-def msg_after_adjoin(gens: GeneratorSet, x: int) -> GeneratorSet:
-    """Minimal generators of S ∪ {x} for a MED adjunction below the multiplicity.
-
-    The result is {x} plus, for each nonzero residue i mod x, the least old
-    generator congruent to i.  Every residue class must be represented;
-    a gap in the classes means the preconditions were violated.
-    """
-    if not 1 <= x < gens.multiplicity:
-        raise InvalidAdjunctionError(f"{x} is not below the multiplicity {gens.multiplicity}")
-    best: dict[int, int] = {}
-    for a in gens:
-        r = a % x
-        if r and (r not in best or a < best[r]):
-            best[r] = a
-    if len(best) != x - 1:
-        missing = sorted(set(range(1, x)) - set(best))
-        raise ContradictionError(f"residue classes {missing} mod {x} have no generator")
-    return GeneratorSet(tuple(sorted([x, *best.values()])))
-
-
 def _splits(xs: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Sequences of the children of xs: its last term m split as (a, m - a),
     ascending in the new multiplicity m - a."""
@@ -184,7 +118,7 @@ def _splits(xs: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def children(S: NumericalSemigroup) -> list[NumericalSemigroup]:
     """The children of S in the tree for F = F(S), ascending in multiplicity."""
-    if S.is_natural() or not S.is_arf():
+    if not is_member_ar(S, S.frobenius):
         raise NotInCovarietyError(f"{S!r} is not an Arf semigroup with positive Frobenius number")
     return [S.adjoin(ys[-1]) for ys in _splits(S.difference_sequence())]
 

@@ -10,15 +10,19 @@ import time
 
 from click.testing import CliRunner
 
-from arfsemigroups import (
+from apery_route import (
     apery_after_adjoin,
+    apery_by_membership,
+    generators_by_membership,
+    med_frobenius_genus_formula,
+)
+from arfsemigroups import (
     ar_closure,
     arf_sequences_with_total,
     brute_all_semigroups,
     brute_is_arf,
     count_rank_one,
     enumerate_ar,
-    med_frobenius_genus_formula,
     refinement_candidates,
     refinement_free_sequences,
     semigroup_of_sequence,
@@ -112,17 +116,9 @@ def test_07_structural_properties_hold_on_every_node_up_to_f12():
                 assert (A & B) in universe
         for child_i, parent_i in tree.edges():
             child = tree.nodes[child_i]
-            S, m = child.semigroup, child.semigroup.multiplicity()
-            # least member of each residue class mod F+1, by membership alone
-            residues = [min(x for x in range(i, 2 * F + 2, F + 1) if x in S) for i in range(F + 1)]
-            assert child.apery.entries == tuple(residues)
-            # members in [m, F+m] that are not a sum of two positive members
-            atoms = [
-                x
-                for x in range(m, F + m + 1)
-                if x in S and not any(a in S and x - a in S for a in range(1, x))
-            ]
-            assert child.generators.gens == tuple(atoms)
+            S = child.semigroup
+            assert S.apery_set(F + 1).entries == apery_by_membership(S, F + 1)
+            assert child.generators.gens == generators_by_membership(S)
 
 
 def _nondecreasing_tuples(total, minimum=2):

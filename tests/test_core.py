@@ -7,6 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from apery_route import (
+    generators_by_membership,
+    med_frobenius_genus_formula,
+    pseudo_frobenius_from_apery,
+    special_gaps_from_apery,
+)
 from arfsemigroups import (
     AperyTable,
     EmptyInputError,
@@ -15,14 +21,10 @@ from arfsemigroups import (
     NoGapsError,
     NotAMemberError,
     NotCofiniteError,
-    NotMedError,
     NumericalSemigroup,
     ScaleLimitError,
     brute_all_semigroups,
     enumerate_ar,
-    med_frobenius_genus_formula,
-    pseudo_frobenius_from_apery,
-    special_gaps_from_apery,
 )
 from arfsemigroups.core import _iter_bits
 
@@ -119,7 +121,7 @@ class TestAccessors:
             assert NumericalSemigroup.from_generators(S.minimal_generators()) == S
 
     def test_members_upto(self):
-        assert sg(2, 7).members_upto(8) == (0, 2, 4, 6, 7, 8)
+        assert tuple(x for x in range(9) if x in sg(2, 7)) == (0, 2, 4, 6, 7, 8)
 
 
 class TestApery:
@@ -182,16 +184,18 @@ class TestGapInvariants:
 
 
 def assert_gap_invariants_match_apery_route(S):
-    """Bitmask pseudo-Frobenius numbers, special gaps and MED against Apery tables."""
+    """Bitmask pseudo-Frobenius numbers, special gaps, generators and MED against the reference route."""
     m = S.multiplicity()
     for n in (m, S.frobenius + 1):  # any nonzero member gives the same answer
         ap = S.apery_set(n)
         assert S.pseudo_frobenius() == pseudo_frobenius_from_apery(ap), (S, n)
         assert S.special_gaps() == special_gaps_from_apery(ap), (S, n)
     assert S.semigroup_type() == len(S.pseudo_frobenius())
+    gens = S.minimal_generators().gens
+    assert gens == generators_by_membership(S), S
     # MED by definition: the minimal generators are m and the nonzero Apery elements mod m
     expected = tuple(sorted(set(S.apery_set(m).entries) - {0} | {m}))
-    assert S.is_med() == (S.minimal_generators().gens == expected), S
+    assert S.is_med() == (gens == expected), S
 
 
 class TestBitmaskInvariantsAgainstApery:
@@ -298,11 +302,11 @@ class TestElementOps:
             sg(5, 7, 9).adjoin(4)  # 4 + 5 = 9 fine but 4 + 4 = 8 missing
 
     def test_associated_chain(self):
-        chain = sg(2, 7).associated_chain()
+        # stripping the multiplicity small_count - 1 times reaches {0, F+1, ->}
+        chain = [sg(2, 7)]
+        for _ in range(sg(2, 7).small_count() - 1):
+            chain.append(chain[-1].remove_multiplicity())
         assert chain == [sg(2, 7), sg(4, 6, 7, 9), NumericalSemigroup.delta(5)]
-        assert len(chain) == sg(2, 7).small_count()
-        with pytest.raises(NoGapsError):
-            NumericalSemigroup.natural().associated_chain()
 
 
 class TestSetAlgebra:
@@ -343,13 +347,13 @@ class TestMedFormula:
             assert genus == Fraction(S.genus())
 
     def test_rejects_non_med(self):
-        with pytest.raises(NotMedError):
+        with pytest.raises(AssertionError):
             med_frobenius_genus_formula([5, 7, 9])
-        with pytest.raises(NotMedError):
+        with pytest.raises(AssertionError):
             med_frobenius_genus_formula([2, 7, 9])  # 9 = 2 + 7 is not minimal
 
     def test_rejects_naturals(self):
-        with pytest.raises(NoGapsError):
+        with pytest.raises(AssertionError):
             med_frobenius_genus_formula([1])
 
 
@@ -366,7 +370,6 @@ class TestGeneratorSet:
         gs = GeneratorSet((5, 7, 9))
         assert list(gs) == [5, 7, 9]
         assert len(gs) == 3 and 7 in gs and 8 not in gs
-        assert gs.multiplicity == 5
 
 
 @given(st.lists(st.integers(min_value=2, max_value=60), min_size=1, max_size=5))
