@@ -14,7 +14,7 @@ from .closure import (
     minimal_ar_generators,
     rank_one_catalog,
 )
-from .core import AperyTable, GeneratorSet, NumericalSemigroup
+from .core import NumericalSemigroup
 from .errors import (
     EmptyInputError,
     InvalidFrobeniusError,
@@ -54,13 +54,11 @@ from .tree import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AperyTable",
     "ArfSequence",
     "ClosureResult",
     "CovarietyTree",
     "EmptyInputError",
     "EnumerationReport",
-    "GeneratorSet",
     "InvalidFrobeniusError",
     "InvalidRefinementError",
     "InvalidSequenceError",

@@ -151,14 +151,15 @@ def cmd_tree(frobenius: str, fmt: str, max_nodes: int) -> None:
 def cmd_check(generators: str, fmt: str) -> None:
     """Report the invariants of the semigroup generated by GENERATORS."""
     S = _build_semigroup(generators)
+    gens = S.minimal_generators()
     if S.is_natural():
         pf = sg = seq = valid = None
     else:
         pf = S.pseudo_frobenius()
-        sg = S.special_gaps()
+        sg = tuple(x for x in pf if 2 * x in S)  # the special gaps
         seq = S.difference_sequence()
         valid = validate_sequence(seq)
-    med, arf = S.is_med(), S.is_arf()
+    med, arf = len(gens) == S.multiplicity(), S.is_arf()
     if fmt == "json":
         click.echo(
             serialize.dumps(
@@ -174,7 +175,6 @@ def cmd_check(generators: str, fmt: str) -> None:
             )
         )
         return
-    gens = S.minimal_generators()
     click.echo(
         serialize.render_pairs(
             [
@@ -184,7 +184,7 @@ def cmd_check(generators: str, fmt: str) -> None:
                 ("genus", S.genus()),
                 ("small_count", S.small_count()),
                 ("type", _fmt(None if pf is None else len(pf))),
-                ("min_generators", _fmt(gens.gens)),
+                ("min_generators", _fmt(gens)),
                 ("small_elements", _fmt(S.small_elements())),
                 ("pseudo_frobenius", _fmt(pf)),
                 ("special_gaps", _fmt(sg)),
@@ -373,7 +373,7 @@ def seq_semigroup(terms: str, fmt: str) -> None:
                     ("multiplicity", S.multiplicity()),
                     ("genus", S.genus()),
                     ("type", S.semigroup_type()),
-                    ("min_generators", _fmt(S.minimal_generators().gens)),
+                    ("min_generators", _fmt(S.minimal_generators())),
                     ("small_elements", _fmt(S.small_elements())),
                 ]
             )

@@ -58,64 +58,6 @@ def _closure_mask(gens: Iterable[int], bound: int) -> int:
 
 
 @dataclass(frozen=True)
-class GeneratorSet:
-    """A strictly increasing tuple of positive generators.
-
-    Producers guarantee minimality (no generator is a sum of other members of
-    the generated semigroup); the constructor only checks the cheap shape
-    invariants.
-    """
-
-    gens: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.gens:
-            raise EmptyInputError("a generator set cannot be empty")
-        if self.gens[0] < 1 or any(a >= b for a, b in zip(self.gens, self.gens[1:])):
-            raise ValueError(f"generators must be strictly increasing and positive: {self.gens}")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.gens)
-
-    def __len__(self) -> int:
-        return len(self.gens)
-
-    def __contains__(self, x: object) -> bool:
-        return x in self.gens
-
-
-@dataclass(frozen=True)
-class AperyTable:
-    """Residue-class minima of a semigroup modulo a nonzero member.
-
-    ``entries[i]`` is the least member congruent to ``i`` modulo ``modulus``.
-    """
-
-    modulus: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        if len(self.entries) != self.modulus:
-            raise ValueError(f"expected {self.modulus} entries, got {len(self.entries)}")
-        if self.entries[0] != 0:
-            raise ValueError("entry for residue 0 must be 0")
-        for i, w in enumerate(self.entries):
-            if w % self.modulus != i:
-                raise ValueError(f"entry {w} is not congruent to {i} mod {self.modulus}")
-
-    def as_set(self) -> tuple[int, ...]:
-        return tuple(sorted(self.entries))
-
-    def __len__(self) -> int:
-        return self.modulus
-
-    def __contains__(self, x: object) -> bool:
-        return x in self.entries
-
-
-@dataclass(frozen=True)
 class NumericalSemigroup:
     """An additively closed, cofinite subset of the naturals containing 0."""
 
@@ -242,14 +184,14 @@ class NumericalSemigroup:
 
     # -- generators ---------------------------------------------------------
 
-    def minimal_generators(self) -> GeneratorSet:
+    def minimal_generators(self) -> tuple[int, ...]:
         """The unique minimal system of generators.
 
         Candidates live in [m, F+m]: anything larger is m plus a member above
         the Frobenius number.
         """
         if self.is_natural():
-            return GeneratorSet((1,))
+            return (1,)
         F, m = self.frobenius, self.multiplicity()
         bound = F + m + 1
         ext = self.mask | (((1 << (bound - F - 1)) - 1) << (F + 2))
@@ -259,12 +201,12 @@ class NumericalSemigroup:
         for a in _iter_bits(positive & ((2 << ((F + m) // 2)) - 1)):
             sums |= positive << a
         sums &= (1 << (bound + 1)) - 1
-        return GeneratorSet(tuple(_iter_bits(positive & ~sums & ((1 << (F + m + 1)) - 1))))
+        return tuple(_iter_bits(positive & ~sums & ((1 << (F + m + 1)) - 1)))
 
     # -- Apery sets and gap invariants ---------------------------------------
 
-    def apery_set(self, n: int) -> AperyTable:
-        """Least member of each residue class modulo ``n`` (``n`` must be a nonzero member)."""
+    def apery_set(self, n: int) -> tuple[int, ...]:
+        """Least member of each residue class mod ``n``, by residue (``n`` a nonzero member)."""
         if n < 1 or n not in self:
             raise NotAMemberError(f"{n} is not a nonzero member")
         entries: list[int | None] = [None] * n
@@ -274,7 +216,7 @@ class NumericalSemigroup:
                 entries[s % n] = s
                 found += 1
             s += 1
-        return AperyTable(n, tuple(entries))  # type: ignore[arg-type]
+        return tuple(entries)  # type: ignore[arg-type]
 
     def _pseudo_frobenius_mask(self) -> int:
         if self.is_natural():
@@ -388,9 +330,6 @@ class NumericalSemigroup:
             return self
         F = max(self.frobenius, other.frobenius)
         return NumericalSemigroup(F, self._extended_mask(F) & other._extended_mask(F))
-
-    def __and__(self, other: NumericalSemigroup) -> NumericalSemigroup:
-        return self.intersect(other)
 
     def issubset(self, other: NumericalSemigroup) -> bool:
         if other.is_natural():

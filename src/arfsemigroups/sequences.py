@@ -56,8 +56,15 @@ def validate_sequence(seq: Iterable[int] | "ArfSequence") -> bool:
         return False
     if any(b < a for a, b in zip(xs, xs[1:])):
         return False
-    # axiom 2: walk predecessors nearest-first
-    return all(_arrow_member(xs[i], xs[i - 1 :: -1]) for i in range(1, len(xs)))
+    # axiom 2 on prefix sums P_i = x_1 + ... + x_i: x_{i+1} is a consecutive
+    # suffix sum P_i - P_j of its predecessors iff P_i - x_{i+1} is a P_j, j < i
+    total, earlier = xs[0], {0}
+    for x in xs[1:]:
+        if x <= total and total - x not in earlier:
+            return False
+        earlier.add(total)
+        total += x
+    return True
 
 
 @dataclass(frozen=True)
@@ -104,10 +111,10 @@ def sequence_of_semigroup(S: NumericalSemigroup) -> ArfSequence:
     """Inverse of ``semigroup_of_sequence``; requires an Arf semigroup."""
     if S.is_natural():
         raise NoGapsError("the naturals have no associated sequence")
-    xs = S.difference_sequence()
-    if not validate_sequence(xs):
-        raise NotArfError(f"{S!r} is not an Arf semigroup")
-    return ArfSequence(xs)
+    try:
+        return ArfSequence(S.difference_sequence())
+    except InvalidSequenceError:
+        raise NotArfError(f"{S!r} is not an Arf semigroup") from None
 
 
 def refinement_candidates(seq: Iterable[int] | ArfSequence, i: int, a: int) -> bool:

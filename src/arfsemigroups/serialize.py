@@ -64,7 +64,7 @@ def _node_row(tree: CovarietyTree, index: int) -> list[Any]:
 def tree_table(tree: CovarietyTree, indices: Iterable[int]) -> str:
     header = ["depth", "frobenius", "multiplicity", "genus", "type", "generators"]
     rows = [
-        _node_row(tree, i) + [",".join(str(g) for g in tree.nodes[i].generators)]
+        _node_row(tree, i) + [",".join(map(str, tree.nodes[i].semigroup.minimal_generators()))]
         for i in indices
     ]
     return render_table(header, rows)
@@ -74,7 +74,7 @@ def tree_csv(tree: CovarietyTree, indices: Iterable[int]) -> str:
     lines = [CSV_HEADER]
     for i in indices:
         row = _node_row(tree, i)
-        gens = ";".join(str(g) for g in tree.nodes[i].generators)
+        gens = ";".join(map(str, tree.nodes[i].semigroup.minimal_generators()))
         lines.append(",".join(str(c) for c in row) + "," + gens)
     return "\n".join(lines)
 
@@ -82,7 +82,7 @@ def tree_csv(tree: CovarietyTree, indices: Iterable[int]) -> str:
 def tree_json_obj(tree: CovarietyTree) -> dict[str, Any]:
     return {
         "frobenius": tree.frobenius,
-        "root": tree.root,
+        "root": 0,
         "nodes": [semigroup_dict(node.semigroup) for node in tree.nodes],
         "edges": [list(edge) for edge in tree.edges()],
     }

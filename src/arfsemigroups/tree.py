@@ -12,16 +12,13 @@ removing the multiplicity merges the last two terms.  So the children of a
 node are the valid splits (a, x_n - a) of its last term, each adjoining the
 element x_n - a, and the inclusion-maximal members are the nodes whose
 sequence admits no proper refinement.
-
-Per-node minimal generators are computed on first access and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .core import GeneratorSet, NumericalSemigroup
+from .core import NumericalSemigroup
 from .errors import InvalidFrobeniusError, NotInCovarietyError, ScaleLimitError
 from .sequences import _split_keeps_axioms, admits_proper_refinement
 
@@ -30,15 +27,11 @@ DEFAULT_MAX_NODES = 10**7
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One enumerated semigroup; its minimal generators are computed on first access."""
+    """One enumerated semigroup and its place in the tree."""
 
     semigroup: NumericalSemigroup
     parent: int  # index of the parent node, -1 for the root
     depth: int
-
-    @cached_property
-    def generators(self) -> GeneratorSet:
-        return self.semigroup.minimal_generators()
 
 
 @dataclass(frozen=True)
@@ -46,8 +39,7 @@ class CovarietyTree:
     """The tree of all Arf semigroups with Frobenius number ``frobenius``."""
 
     frobenius: int
-    nodes: tuple[TreeNode, ...]
-    root: int = 0
+    nodes: tuple[TreeNode, ...]  # the root {0, F+1, ->} comes first
 
     def __len__(self) -> int:
         return len(self.nodes)

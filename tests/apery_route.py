@@ -12,7 +12,7 @@ disagreement with it.  Preconditions are plain asserts.
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from arfsemigroups import AperyTable, GeneratorSet, NumericalSemigroup
+from arfsemigroups import NumericalSemigroup
 
 
 def med_adjunction_test(S, x):
@@ -23,15 +23,18 @@ def med_adjunction_test(S, x):
     assert not S.is_natural(), "the naturals admit no adjunction"
     assert x < S.multiplicity(), f"{x} is not below the multiplicity {S.multiplicity()}"
     assert x in S.special_gaps(), f"{x} is not a special gap of {S!r}"
-    pairs = combinations_with_replacement(S.minimal_generators().gens, 2)
+    pairs = combinations_with_replacement(S.minimal_generators(), 2)
     return all(a + b - x in S for a, b in pairs)
 
 
 def apery_after_adjoin(ap, x):
-    """Table for S with the special gap x adjoined, from the table for S: the entry x+n becomes x."""
-    target = x + ap.modulus
-    assert target in ap.entries, f"{target} is not an entry of the table (x={x})"
-    return AperyTable(ap.modulus, tuple(x if w == target else w for w in ap.entries))
+    """Table for S with the special gap x adjoined, from the table for S: the entry x+n becomes x.
+
+    A table mod n is the tuple of the least members of the residue classes, indexed by residue.
+    """
+    target = x + len(ap)
+    assert target in ap, f"{target} is not an entry of the table (x={x})"
+    return tuple(x if w == target else w for w in ap)
 
 
 def msg_after_adjoin(gens, x):
@@ -40,14 +43,14 @@ def msg_after_adjoin(gens, x):
     The result is {x} plus, for each nonzero residue i mod x, the least old
     generator congruent to i; every residue class must be represented.
     """
-    assert 1 <= x < gens.gens[0], f"{x} is not below the multiplicity {gens.gens[0]}"
+    assert 1 <= x < gens[0], f"{x} is not below the multiplicity {gens[0]}"
     best = {}
     for a in gens:
         r = a % x
         if r and (r not in best or a < best[r]):
             best[r] = a
     assert len(best) == x - 1, f"residue classes {sorted(set(range(1, x)) - set(best))} mod {x} have no generator"
-    return GeneratorSet(tuple(sorted([x, *best.values()])))
+    return tuple(sorted([x, *best.values()]))
 
 
 def pseudo_frobenius_from_apery(ap):
@@ -57,10 +60,10 @@ def pseudo_frobenius_from_apery(ap):
     every nonzero entry w'; the pseudo-Frobenius numbers are those maxima
     shifted down by the modulus.
     """
-    entries = set(ap.entries)
+    entries = set(ap)
     nonzero = entries - {0}
     maxima = (w for w in nonzero if all(w + wp not in entries for wp in nonzero))
-    return tuple(sorted(w - ap.modulus for w in maxima))
+    return tuple(sorted(w - len(ap) for w in maxima))
 
 
 def special_gaps_from_apery(ap):
@@ -79,7 +82,7 @@ def med_frobenius_genus_formula(gens):
     ns = sorted({int(g) for g in gens})
     S = NumericalSemigroup.from_generators(ns)
     assert not S.is_natural(), "the formula is undefined for the naturals"
-    assert S.minimal_generators().gens == tuple(ns) and S.is_med(), (
+    assert S.minimal_generators() == tuple(ns) and S.is_med(), (
         f"{ns} is not the minimal generating set of a MED semigroup"
     )
     return ns[-1] - ns[0], Fraction(sum(ns[1:]), ns[0]) - Fraction(ns[0] - 1, 2)

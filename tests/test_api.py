@@ -1,15 +1,15 @@
 """The public names of the package, frozen."""
 
+from dataclasses import fields
+
 import arfsemigroups
 
 PUBLIC = [
-    "AperyTable",
     "ArfSequence",
     "ClosureResult",
     "CovarietyTree",
     "EmptyInputError",
     "EnumerationReport",
-    "GeneratorSet",
     "InvalidFrobeniusError",
     "InvalidRefinementError",
     "InvalidSequenceError",
@@ -43,9 +43,12 @@ PUBLIC = [
     "validate_sequence",
 ]
 
-# the Apery/MED-adjunction route lives in tests/apery_route.py; its errors are asserts there
+# the Apery/MED-adjunction route lives in tests/apery_route.py; its errors are asserts there;
+# minimal_generators() and apery_set() return plain tuples
 REMOVED = [
+    "AperyTable",
     "ContradictionError",
+    "GeneratorSet",
     "InconsistentTableError",
     "InternalInvariantError",
     "InvalidAdjunctionError",
@@ -68,3 +71,12 @@ def test_all_is_the_frozen_list():
 
 def test_removed_names_are_gone():
     assert [name for name in REMOVED if hasattr(arfsemigroups, name)] == []
+
+
+def test_results_are_plain_values():
+    S = arfsemigroups.NumericalSemigroup.from_generators([5, 7, 9])
+    assert type(S.minimal_generators()) is tuple and type(S.apery_set(5)) is tuple
+    assert [f.name for f in fields(arfsemigroups.TreeNode)] == ["semigroup", "parent", "depth"]
+    assert [f.name for f in fields(arfsemigroups.CovarietyTree)] == ["frobenius", "nodes"]
+    assert not hasattr(arfsemigroups.TreeNode, "generators")
+    assert not hasattr(arfsemigroups.NumericalSemigroup, "__and__")

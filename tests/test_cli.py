@@ -1,9 +1,12 @@
 """End-to-end tests of the arfsg command line."""
 
 import json
+from collections import Counter
 
+import pytest
 from click.testing import CliRunner
 
+from arfsemigroups import NumericalSemigroup
 from arfsemigroups.cli import main
 
 F5_CSV = """\
@@ -168,6 +171,27 @@ class TestCheck:
         assert obj["semigroup"]["type"] is None
         assert obj["pseudo_frobenius"] is None
         assert obj["sequence_valid"] is None
+
+    def test_derived_rows_match_the_library(self):
+        # check reads special gaps off the pseudo-Frobenius numbers and MED off the generators
+        for gens in [(6, 7, 8, 9, 10, 11), (5, 7, 9), (4, 6, 7, 9), (5, 8, 9, 12), (97, 101)]:
+            S = NumericalSemigroup.from_generators(gens)
+            got = json.loads(run("check", ",".join(map(str, gens)), "--format", "json").stdout)
+            assert got["special_gaps"] == list(S.special_gaps()), gens
+            assert got["is_med"] == S.is_med(), gens
+
+    # json builds each once more inside serialize.semigroup_dict
+    @pytest.mark.parametrize("fmt, builds", [("table", 1), ("json", 2)])
+    def test_invariants_are_built_once(self, monkeypatch, fmt, builds):
+        counts = Counter()
+        for name in ("_pseudo_frobenius_mask", "minimal_generators"):
+            def counted(S, _name=name, _method=getattr(NumericalSemigroup, name)):
+                counts[_name] += 1
+                return _method(S)
+
+            monkeypatch.setattr(NumericalSemigroup, name, counted)
+        assert run("check", "97,101", "--format", fmt).exit_code == 0
+        assert counts == {"_pseudo_frobenius_mask": builds, "minimal_generators": builds}
 
 
 class TestClosure:

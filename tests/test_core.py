@@ -14,9 +14,7 @@ from apery_route import (
     special_gaps_from_apery,
 )
 from arfsemigroups import (
-    AperyTable,
     EmptyInputError,
-    GeneratorSet,
     InvalidFrobeniusError,
     NoGapsError,
     NotAMemberError,
@@ -100,14 +98,14 @@ class TestAccessors:
     def test_invariants_delta5(self):
         d = NumericalSemigroup.delta(5)
         assert (d.multiplicity(), d.embedding_dim(), d.genus(), d.small_count()) == (6, 6, 5, 1)
-        assert d.minimal_generators().gens == (6, 7, 8, 9, 10, 11)
+        assert d.minimal_generators() == (6, 7, 8, 9, 10, 11)
 
     def test_naturals(self):
         N = NumericalSemigroup.natural()
         assert N.multiplicity() == 1
         assert N.genus() == 0
         assert N.small_count() == 0
-        assert N.minimal_generators().gens == (1,)
+        assert N.minimal_generators() == (1,)
         assert N.small_elements() == () and N.gaps() == ()
 
     def test_gap_count_complements_small_count(self):
@@ -127,15 +125,15 @@ class TestAccessors:
 class TestApery:
     def test_apery_5_7_9(self):
         ap = sg(5, 7, 9).apery_set(5)
-        assert ap.as_set() == (0, 7, 9, 16, 18)
-        assert ap.entries == (0, 16, 7, 18, 9)  # indexed by residue
+        assert tuple(sorted(ap)) == (0, 7, 9, 16, 18)
+        assert ap == (0, 16, 7, 18, 9)  # indexed by residue
 
     def test_apery_any_member_modulus(self):
         S = sg(5, 7, 9)
         ap = S.apery_set(7)
         assert len(ap) == 7
-        assert all(w % 7 == i for i, w in enumerate(ap.entries))
-        assert all(w in S and (w - 7) not in S for w in ap.entries if w)
+        assert all(w % 7 == i for i, w in enumerate(ap))
+        assert all(w in S and (w - 7) not in S for w in ap if w)
 
     def test_apery_nonmember_rejected(self):
         with pytest.raises(NotAMemberError):
@@ -144,15 +142,7 @@ class TestApery:
             sg(5, 7, 9).apery_set(0)
 
     def test_apery_naturals(self):
-        assert NumericalSemigroup.natural().apery_set(1).as_set() == (0,)
-
-    def test_table_validation(self):
-        with pytest.raises(ValueError):
-            AperyTable(3, (0, 5, 2))  # 5 is not congruent to 1 mod 3
-        with pytest.raises(ValueError):
-            AperyTable(3, (3, 1, 2))  # residue 0 entry must be 0
-        with pytest.raises(ValueError):
-            AperyTable(2, (0,))
+        assert NumericalSemigroup.natural().apery_set(1) == (0,)
 
 
 class TestGapInvariants:
@@ -191,10 +181,10 @@ def assert_gap_invariants_match_apery_route(S):
         assert S.pseudo_frobenius() == pseudo_frobenius_from_apery(ap), (S, n)
         assert S.special_gaps() == special_gaps_from_apery(ap), (S, n)
     assert S.semigroup_type() == len(S.pseudo_frobenius())
-    gens = S.minimal_generators().gens
+    gens = S.minimal_generators()
     assert gens == generators_by_membership(S), S
     # MED by definition: the minimal generators are m and the nonzero Apery elements mod m
-    expected = tuple(sorted(set(S.apery_set(m).entries) - {0} | {m}))
+    expected = tuple(sorted(set(S.apery_set(m)) - {0} | {m}))
     assert S.is_med() == (gens == expected), S
 
 
@@ -311,16 +301,16 @@ class TestElementOps:
 
 class TestSetAlgebra:
     def test_intersection(self):
-        assert (sg(3, 7, 8) & sg(2, 7)) == NumericalSemigroup.delta(5)
+        assert sg(3, 7, 8).intersect(sg(2, 7)) == NumericalSemigroup.delta(5)
         A, B = sg(2, 7), sg(3, 4)
-        inter = A & B
+        inter = A.intersect(B)
         assert inter.frobenius == max(A.frobenius, B.frobenius)
         assert inter.small_elements() == (0, 4)
 
     def test_intersection_with_naturals(self):
         S = sg(5, 7, 9)
         N = NumericalSemigroup.natural()
-        assert (S & N) == S and (N & S) == S
+        assert S.intersect(N) == S and N.intersect(S) == S
 
     def test_issubset(self):
         assert NumericalSemigroup.delta(5).issubset(sg(2, 7))
@@ -357,21 +347,6 @@ class TestMedFormula:
             med_frobenius_genus_formula([1])
 
 
-class TestGeneratorSet:
-    def test_shape_validation(self):
-        with pytest.raises(EmptyInputError):
-            GeneratorSet(())
-        with pytest.raises(ValueError):
-            GeneratorSet((3, 3))
-        with pytest.raises(ValueError):
-            GeneratorSet((5, 3))
-
-    def test_container_protocol(self):
-        gs = GeneratorSet((5, 7, 9))
-        assert list(gs) == [5, 7, 9]
-        assert len(gs) == 3 and 7 in gs and 8 not in gs
-
-
 @given(st.lists(st.integers(min_value=2, max_value=60), min_size=1, max_size=5))
 def test_random_generators_baseline_invariants(gens):
     assume(math.gcd(*gens) == 1)
@@ -383,14 +358,15 @@ def test_random_generators_baseline_invariants(gens):
     assert S.frobenius not in S
 
 
+# a single generator >= 2 never has gcd 1, so both lists start at two elements
 @given(
-    st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=4),
-    st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=4),
+    st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=4),
+    st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=4),
 )
 def test_random_intersection_frobenius_is_max(a, b):
     assume(math.gcd(*a) == 1 and math.gcd(*b) == 1)
     A = NumericalSemigroup.from_generators(a)
     B = NumericalSemigroup.from_generators(b)
-    inter = A & B
+    inter = A.intersect(B)
     assert inter.frobenius == max(A.frobenius, B.frobenius)
     assert inter.issubset(A) and inter.issubset(B)

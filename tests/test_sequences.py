@@ -1,5 +1,7 @@
 """Tests for sequence validation, conversion, refinements and maximal members."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,6 +25,33 @@ from arfsemigroups import (
     sequence_of_semigroup,
     validate_sequence,
 )
+
+
+def validate_by_axiom_walk(xs):
+    """The axioms read literally: each term walks its predecessors nearest-first,
+    looking for a consecutive suffix sum equal to it, or exceeds their total."""
+    if xs[0] < 2 or any(b < a for a, b in zip(xs, xs[1:])):
+        return False
+    for i in range(1, len(xs)):
+        total = 0
+        for t in reversed(xs[:i]):
+            total += t
+            if total == xs[i]:
+                break
+        else:
+            if xs[i] <= total:
+                return False
+    return True
+
+
+def compositions(total):
+    """Every tuple of positive integers summing to ``total``."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first, *rest)
 
 
 class TestValidation:
@@ -54,6 +83,28 @@ class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             validate_sequence(())
+
+    def test_matches_axiom_walk_on_every_composition_up_to_14(self):
+        checked = 0
+        for total in range(1, 15):
+            for xs in compositions(total):
+                assert validate_sequence(xs) == validate_by_axiom_walk(xs), xs
+                checked += 1
+        assert checked == 2**14 - 1
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(min_value=-3, max_value=40), min_size=1, max_size=12),
+            st.lists(st.integers(min_value=-3, max_value=40), min_size=1, max_size=12).map(sorted),
+        )
+    )
+    def test_matches_axiom_walk_on_random_terms(self, xs):
+        assert validate_sequence(xs) == validate_by_axiom_walk(xs)
+
+    def test_linear_time(self):
+        started = time.perf_counter()
+        assert validate_sequence((2,) * 200_000)
+        assert time.perf_counter() - started < 2.0
 
     def test_arf_sequence_type(self):
         q = ArfSequence((2, 2, 4))
@@ -162,7 +213,7 @@ class TestGeneration:
         assert (2, 2, 2, 8) not in frees
 
     def test_maximal_elements(self):
-        got = {S.minimal_generators().gens for S in maximal_elements(5)}
+        got = {S.minimal_generators() for S in maximal_elements(5)}
         assert got == {(2, 7), (3, 7, 8)}
         assert maximal_elements(1) == [NumericalSemigroup.delta(1)]
         f13 = {S.small_elements() for S in maximal_elements(13)}
