@@ -20,11 +20,13 @@ from .core import NumericalSemigroup
 from .errors import (
     EmptyInputError,
     InvalidFrobeniusError,
+    InvalidSequenceError,
     NotCofiniteError,
     NotInCovarietyError,
     ScaleLimitError,
 )
 from .sequences import (
+    ArfSequence,
     admits_proper_refinement,
     iter_refinements,
     semigroup_of_sequence,
@@ -159,7 +161,7 @@ def cmd_check(generators: str, fmt: str) -> None:
         sg = tuple(x for x in pf if 2 * x in S)  # the special gaps
         seq = S.difference_sequence()
         valid = validate_sequence(seq)
-    med, arf = len(gens) == S.multiplicity(), S.is_arf()
+    med, arf = len(gens) == S.multiplicity(), valid is not False  # the naturals are Arf
     if fmt == "json":
         click.echo(
             serialize.dumps(
@@ -322,30 +324,30 @@ def seq_validate(terms: str, fmt: str) -> None:
     xs = _int_list(terms, "term")
     if not xs:
         raise CliError("at least one term is required")
-    if validate_sequence(xs):
-        free = not admits_proper_refinement(xs)
-        S = semigroup_of_sequence(xs)
+    try:
+        S = semigroup_of_sequence(ArfSequence(xs))  # the one validation
+    except InvalidSequenceError:
         if fmt == "json":
-            click.echo(serialize.dumps(serialize.sequence_obj(xs, True, free, S)))
+            click.echo(serialize.dumps(serialize.sequence_obj(xs, False)))
         else:
-            click.echo(
-                serialize.render_pairs(
-                    [
-                        ("sequence", _fmt(xs)),
-                        ("valid", "true"),
-                        ("refinement_free", _fmt(free)),
-                        ("total", sum(xs)),
-                        ("frobenius", S.frobenius),
-                        ("semigroup", serialize.generator_label(S)),
-                    ]
-                )
-            )
-        return
+            click.echo(serialize.render_pairs([("sequence", _fmt(xs)), ("valid", "false")]))
+        sys.exit(1)
+    free = not admits_proper_refinement(xs)
     if fmt == "json":
-        click.echo(serialize.dumps(serialize.sequence_obj(xs, False)))
+        click.echo(serialize.dumps(serialize.sequence_obj(xs, True, free, S)))
     else:
-        click.echo(serialize.render_pairs([("sequence", _fmt(xs)), ("valid", "false")]))
-    sys.exit(1)
+        click.echo(
+            serialize.render_pairs(
+                [
+                    ("sequence", _fmt(xs)),
+                    ("valid", "true"),
+                    ("refinement_free", _fmt(free)),
+                    ("total", sum(xs)),
+                    ("frobenius", S.frobenius),
+                    ("semigroup", serialize.generator_label(S)),
+                ]
+            )
+        )
 
 
 @seq_group.command("semigroup")
@@ -359,10 +361,11 @@ def seq_semigroup(terms: str, fmt: str) -> None:
     xs = _int_list(terms, "term")
     if not xs:
         raise CliError("at least one term is required")
-    if not validate_sequence(xs):
+    try:
+        S = semigroup_of_sequence(ArfSequence(xs))
+    except InvalidSequenceError:
         click.echo(f"{','.join(str(x) for x in xs)} violates the sequence axioms", err=True)
         sys.exit(1)
-    S = semigroup_of_sequence(xs)
     if fmt == "json":
         click.echo(serialize.dumps(serialize.semigroup_dict(S)))
     else:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import NumericalSemigroup, _closure_mask, _iter_bits
+from .core import NumericalSemigroup, _closed, _closure_mask, _iter_bits
 from .errors import InvalidFrobeniusError, NotInCovarietyError, ScaleLimitError
 from .tree import is_member_ar
 
@@ -68,7 +68,7 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
         blocked = bool((cur >> frobenius) & 1)
     if blocked:
         return ClosureResult(frobenius, xs, False, None, tuple(stages))
-    hull = NumericalSemigroup(frobenius, cur | (1 << (frobenius + 1)))
+    hull = _closed(frobenius, cur | (1 << (frobenius + 1)))  # the z = 0 terms closed cur under +
     return ClosureResult(frobenius, xs, True, hull, tuple(stages))
 
 
@@ -91,11 +91,8 @@ def rank_one_catalog(frobenius: int) -> list[NumericalSemigroup]:
     for each m with 2 <= m < F not dividing F.  Ascending in m."""
     if frobenius < 2:
         raise InvalidFrobeniusError(f"frobenius must be >= 2, got {frobenius}")
-    return [
-        NumericalSemigroup.from_small_elements(frobenius, range(0, frobenius, m))
-        for m in range(2, frobenius)
-        if frobenius % m
-    ]
+    top = 1 << (frobenius + 1)  # the multiples of m up to F miss F and are closed
+    return [_closed(frobenius, _closure_mask([m], frobenius) | top) for m in range(2, frobenius) if frobenius % m]
 
 
 def _divisor_count(n: int) -> int:

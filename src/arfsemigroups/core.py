@@ -24,9 +24,10 @@ from .errors import (
     ScaleLimitError,
 )
 
-# from_generators sieves membership up to min(gens) * max(gens); beyond this
-# many bits the masks stop being desk-scale.
-_SIEVE_LIMIT = 1 << 26
+# from_generators sieves membership up to min(gens) * max(gens).  Budget: every accepted
+# input runs `arfsg check --format json` within 2 s.  The worst, 361,363, took 0.9 s (511,513
+# at 2^18: 2.6 s; CPython 3.11, shared 2-core Xeon); the cost is quadratic in the bound.
+_SIEVE_LIMIT = 1 << 17
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -57,9 +58,22 @@ def _closure_mask(gens: Iterable[int], bound: int) -> int:
             return reach
 
 
+def _closed(frobenius: int, mask: int) -> NumericalSemigroup:
+    """A semigroup on a mask that is valid and additively closed by construction, unchecked."""
+    S = object.__new__(NumericalSemigroup)
+    object.__setattr__(S, "frobenius", frobenius)
+    object.__setattr__(S, "mask", mask)
+    return S
+
+
 @dataclass(frozen=True)
 class NumericalSemigroup:
-    """An additively closed, cofinite subset of the naturals containing 0."""
+    """An additively closed, cofinite subset of the naturals containing 0.
+
+    Only masks from outside (this constructor, ``from_small_elements``) get
+    the full closure check, quadratic in F; derived values are closed by
+    construction and skip it.
+    """
 
     frobenius: int
     mask: int
@@ -77,30 +91,26 @@ class NumericalSemigroup:
             raise ValueError("mask must contain 0 and frobenius+1 but not frobenius")
         if mask >> (F + 2):
             raise ValueError("mask has bits beyond frobenius+1")
-        low = top - 1  # bits 0..F
-        rest = mask & low & ~1
-        while rest:
-            a = (rest & -rest).bit_length() - 1
-            # sums above F are implicit members, so only bits <= F matter
-            if (mask << a) & ~mask & low:
-                missing = (mask << a) & ~mask & low
+        low = top - 1  # bits 0..F: sums above F are implicit members
+        for a in _iter_bits(mask & low & ~1):
+            missing = (mask << a) & ~mask & low
+            if missing:
                 b = (missing & -missing).bit_length() - 1
                 raise ValueError(f"not additively closed: {a} + {b - a} = {b} is missing")
-            rest &= rest - 1
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def natural(cls) -> NumericalSemigroup:
         """The full set of nonnegative integers."""
-        return cls(-1, 1)
+        return _closed(-1, 1)
 
     @classmethod
     def delta(cls, frobenius: int) -> NumericalSemigroup:
         """{0, F+1, ->}: the smallest semigroup with the given Frobenius number."""
         if frobenius < 1:
             raise InvalidFrobeniusError(f"frobenius must be >= 1, got {frobenius}")
-        return cls(frobenius, 1 | (1 << (frobenius + 1)))
+        return _closed(frobenius, 1 | (1 << (frobenius + 1)))
 
     @classmethod
     def from_generators(cls, gens: Iterable[int]) -> NumericalSemigroup:
@@ -124,7 +134,7 @@ class NumericalSemigroup:
         reach = _closure_mask(gs, bound)
         gaps = ~reach & ((1 << (bound + 1)) - 1)
         F = gaps.bit_length() - 1
-        return cls(F, reach & ((1 << (F + 2)) - 1))
+        return _closed(F, reach & ((1 << (F + 2)) - 1))
 
     @classmethod
     def from_small_elements(cls, frobenius: int, smalls: Iterable[int]) -> NumericalSemigroup:
@@ -147,15 +157,11 @@ class NumericalSemigroup:
         return self.frobenius == -1
 
     def small_elements(self) -> tuple[int, ...]:
-        """Members strictly below the Frobenius number, ascending."""
-        if self.is_natural():
-            return ()
+        """Members strictly below the Frobenius number, ascending (none for the naturals)."""
         return tuple(_iter_bits(self.mask & ~(1 << (self.frobenius + 1))))
 
     def gaps(self) -> tuple[int, ...]:
         """Nonmembers, ascending (finitely many by cofiniteness)."""
-        if self.is_natural():
-            return ()
         return tuple(_iter_bits(~self.mask & ((1 << (self.frobenius + 1)) - 1)))
 
     # -- basic invariants ---------------------------------------------------
@@ -169,14 +175,10 @@ class NumericalSemigroup:
 
     def genus(self) -> int:
         """Number of gaps."""
-        if self.is_natural():
-            return 0
         return self.frobenius + 1 - self.small_count()
 
     def small_count(self) -> int:
         """Number of members below the Frobenius number."""
-        if self.is_natural():
-            return 0
         return self.mask.bit_count() - 1
 
     def embedding_dim(self) -> int:
@@ -286,24 +288,32 @@ class NumericalSemigroup:
         """S with the special gap ``x`` added.
 
         Adjoining the Frobenius number itself shrinks the Frobenius number to
-        the next gap down (or yields the naturals).
+        the next gap down (or yields the naturals).  ``ValueError`` if x is not special.
         """
         if x in self or x < 1:
             raise NotAMemberError(f"{x} is not a gap")
         mask = self.mask | (1 << x)
         if x != self.frobenius:
-            return NumericalSemigroup(self.frobenius, mask)
+            # S is closed, so only a sum x + s with s a positive member can be a gap
+            if ((mask & ~1) << x) & ~mask & ((1 << (self.frobenius + 1)) - 1):
+                raise ValueError(f"not additively closed: {x} plus a member is a gap")
+            return _closed(self.frobenius, mask)
         gaps = ~mask & ((1 << (self.frobenius + 2)) - 1)
         if not gaps:
             return NumericalSemigroup.natural()
         F = gaps.bit_length() - 1
-        return NumericalSemigroup(F, mask & ((1 << (F + 2)) - 1))
+        return _closed(F, mask & ((1 << (F + 2)) - 1))
 
     def remove(self, x: int) -> NumericalSemigroup:
-        """S without the minimal generator ``x`` (requires 0 < x <= F, so F survives)."""
+        """S without the minimal generator ``x`` (requires 0 < x <= F, so F survives);
+        ``ValueError`` if x is a sum of two positive members."""
         if x < 1 or x > self.frobenius or x not in self:
             raise NotAMemberError(f"{x} is not a member in [1, frobenius]")
-        return NumericalSemigroup(self.frobenius, self.mask & ~(1 << x))
+        below = self.mask & ((1 << x) - 1) & ~1  # the positive members below x
+        # x = a + (x - a) iff bit a is set in `below` and in its mirror image k -> x - k
+        if below & int(f"{below:0{x + 1}b}"[::-1], 2):
+            raise ValueError(f"not additively closed: {x} is a sum of two members")
+        return _closed(self.frobenius, self.mask & ~(1 << x))
 
     def remove_multiplicity(self) -> NumericalSemigroup:
         """S without its least positive element (always a minimal generator)."""
@@ -313,7 +323,7 @@ class NumericalSemigroup:
         if m == self.frobenius + 1:
             # {0, F+1, ->} loses F+1 and becomes {0, F+2, ->}
             return NumericalSemigroup.delta(self.frobenius + 1)
-        return NumericalSemigroup(self.frobenius, self.mask & ~(1 << m))
+        return _closed(self.frobenius, self.mask & ~(1 << m))
 
     # -- set algebra ----------------------------------------------------------
 
@@ -329,7 +339,7 @@ class NumericalSemigroup:
         if other.is_natural():
             return self
         F = max(self.frobenius, other.frobenius)
-        return NumericalSemigroup(F, self._extended_mask(F) & other._extended_mask(F))
+        return _closed(F, self._extended_mask(F) & other._extended_mask(F))
 
     def issubset(self, other: NumericalSemigroup) -> bool:
         if other.is_natural():

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _closed
 from .errors import (
     EmptyInputError,
     InvalidFrobeniusError,
@@ -95,16 +95,16 @@ def semigroup_of_sequence(seq: Iterable[int] | ArfSequence) -> NumericalSemigrou
     """The Arf semigroup {0, x_n, x_n + x_{n-1}, ..., x_n + ... + x_1, ->}.
 
     The total of the sequence is F+1.  Invalid input raises
-    ``InvalidSequenceError``.
+    ``InvalidSequenceError``; an ``ArfSequence`` was validated when built.
     """
     xs = _as_terms(seq)
-    if not validate_sequence(xs):
+    if not isinstance(seq, ArfSequence) and not validate_sequence(xs):
         raise InvalidSequenceError(f"{xs} violates the sequence axioms")
-    run, smalls = 0, [0]
+    run, mask = 0, 1
     for x in reversed(xs):
         run += x
-        smalls.append(run)
-    return NumericalSemigroup.from_small_elements(run - 1, smalls[:-1])
+        mask |= 1 << run
+    return _closed(run - 1, mask)
 
 
 def sequence_of_semigroup(S: NumericalSemigroup) -> ArfSequence:

@@ -91,10 +91,6 @@ class EnumerationReport:
     maximal_count: int
     wall_seconds: float
 
-    def __post_init__(self):
-        if self.node_count != sum(self.depth_counts):
-            raise ValueError("node count must equal the sum of the per-depth counts")
-
 
 def is_member_ar(S: NumericalSemigroup, frobenius: int) -> bool:
     """True iff S is an Arf semigroup whose Frobenius number is ``frobenius``."""

@@ -43,6 +43,36 @@ PUBLIC = [
     "validate_sequence",
 ]
 
+# the public surface of NumericalSemigroup: its fields and its public methods and constructors;
+# the unchecked constructor for values closed by construction is the private core._closed
+SEMIGROUP_FIELDS = ["frobenius", "mask"]
+SEMIGROUP_PUBLIC = [
+    "adjoin",
+    "apery_set",
+    "delta",
+    "difference_sequence",
+    "embedding_dim",
+    "from_generators",
+    "from_small_elements",
+    "gaps",
+    "genus",
+    "intersect",
+    "is_arf",
+    "is_med",
+    "is_natural",
+    "issubset",
+    "minimal_generators",
+    "multiplicity",
+    "natural",
+    "pseudo_frobenius",
+    "remove",
+    "remove_multiplicity",
+    "semigroup_type",
+    "small_count",
+    "small_elements",
+    "special_gaps",
+]
+
 # the Apery/MED-adjunction route lives in tests/apery_route.py; its errors are asserts there;
 # minimal_generators() and apery_set() return plain tuples
 REMOVED = [
@@ -80,3 +110,12 @@ def test_results_are_plain_values():
     assert [f.name for f in fields(arfsemigroups.CovarietyTree)] == ["frobenius", "nodes"]
     assert not hasattr(arfsemigroups.TreeNode, "generators")
     assert not hasattr(arfsemigroups.NumericalSemigroup, "__and__")
+
+
+def test_semigroup_surface_is_frozen():
+    NumericalSemigroup = arfsemigroups.NumericalSemigroup
+    assert [f.name for f in fields(NumericalSemigroup)] == SEMIGROUP_FIELDS
+    assert [name for name in dir(NumericalSemigroup) if not name.startswith("_")] == SEMIGROUP_PUBLIC
+    S = NumericalSemigroup.from_generators([5, 7, 9])
+    public = sorted(SEMIGROUP_FIELDS + SEMIGROUP_PUBLIC)
+    assert [name for name in dir(S) if not name.startswith("_")] == public

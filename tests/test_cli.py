@@ -1,13 +1,16 @@
 """End-to-end tests of the arfsg command line."""
 
 import json
+import time
 from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
-from arfsemigroups import NumericalSemigroup
+from arfsemigroups import NumericalSemigroup, cli, sequences
 from arfsemigroups.cli import main
+from arfsemigroups.core import _SIEVE_LIMIT
+from full_check import count_full_checks
 
 F5_CSV = """\
 depth,frobenius,multiplicity,genus,type,generators
@@ -35,6 +38,16 @@ def run(*args):
 
 def pairs(text):
     return dict(line.split() for line in text.strip().splitlines())
+
+
+def count_validations(monkeypatch, counts):
+    """Count validate_sequence calls, both the CLI's and the sequence module's own."""
+    def counted(seq, _validate=sequences.validate_sequence):
+        counts["validate_sequence"] += 1
+        return _validate(seq)
+
+    monkeypatch.setattr(cli, "validate_sequence", counted)
+    monkeypatch.setattr(sequences, "validate_sequence", counted)
 
 
 class TestEnumerate:
@@ -184,14 +197,32 @@ class TestCheck:
     @pytest.mark.parametrize("fmt, builds", [("table", 1), ("json", 2)])
     def test_invariants_are_built_once(self, monkeypatch, fmt, builds):
         counts = Counter()
-        for name in ("_pseudo_frobenius_mask", "minimal_generators"):
+        for name in ("_pseudo_frobenius_mask", "minimal_generators", "difference_sequence"):
             def counted(S, _name=name, _method=getattr(NumericalSemigroup, name)):
                 counts[_name] += 1
                 return _method(S)
 
             monkeypatch.setattr(NumericalSemigroup, name, counted)
+        count_validations(monkeypatch, counts)
         assert run("check", "97,101", "--format", fmt).exit_code == 0
-        assert counts == {"_pseudo_frobenius_mask": builds, "minimal_generators": builds}
+        # is_arf is the sequence_valid value, so the sequence is built and validated once
+        assert counts == {
+            "_pseudo_frobenius_mask": builds,
+            "minimal_generators": builds,
+            "difference_sequence": 1,
+            "validate_sequence": 1,
+        }
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_sieve_limit_boundary(self, fmt):
+        assert 256 * 512 == _SIEVE_LIMIT
+        res = run("check", "256,257,512", "--format", fmt)
+        assert res.exit_code == 0
+        started = time.perf_counter()
+        res = run("check", "3,43691", "--format", fmt)  # 3 * 43691 = _SIEVE_LIMIT + 1
+        assert time.perf_counter() - started < 1
+        assert res.exit_code == 2
+        assert "membership sieve would need 131073 bits (limit 131072)" in res.stderr
 
 
 class TestClosure:
@@ -277,6 +308,14 @@ class TestRankOne:
 
 
 class TestSeq:
+    @pytest.mark.parametrize("command", ["validate", "semigroup"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_sequences_are_validated_once(self, monkeypatch, command, fmt):
+        counts = Counter()
+        count_validations(monkeypatch, counts)
+        assert run("seq", command, "2,2,2,8", "--format", fmt).exit_code == 0
+        assert counts == {"validate_sequence": 1}
+
     def test_validate_ok(self):
         res = run("seq", "validate", "2,2,2,8")
         assert res.exit_code == 0
@@ -333,6 +372,24 @@ class TestSeq:
         obj = json.loads(run("seq", "refinements", "2,2,2,2,2,2,2", "--format", "json").stdout)
         assert obj["refinement_free"] is True
         assert obj["refinements"] == []
+
+
+# derived values are closed by construction and skip the constructor's full closure check
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("enumerate", "20"),
+        ("closure", "100", "--set", "7"),
+        ("minimal-gens", "4,6,9,11"),
+        ("check", "97,101", "--format", "json"),
+        ("seq", "semigroup", "2,2,2,8"),
+        ("rank-one", "12"),
+    ],
+)
+def test_no_full_check_on_derived_values(monkeypatch, args):
+    calls = count_full_checks(monkeypatch)
+    assert run(*args).exit_code == 0
+    assert calls == [0]
 
 
 class TestBadInput:

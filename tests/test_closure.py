@@ -4,6 +4,7 @@ from functools import reduce
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from arfsemigroups import (
     InvalidFrobeniusError,
@@ -17,6 +18,7 @@ from arfsemigroups import (
     rank_one_catalog,
 )
 from arfsemigroups.closure import _HULL_LIMIT
+from full_check import assert_checked
 
 
 def sg(*gens):
@@ -154,6 +156,13 @@ class TestRankOne:
                 m = S.multiplicity()
                 assert S.genus() == F - F // m
 
+    def test_catalog_passes_the_full_check(self):
+        for F in range(2, 41):
+            for S in rank_one_catalog(F):
+                assert_checked(S)
+                m = S.multiplicity()
+                assert S == NumericalSemigroup.from_small_elements(F, range(0, F, m))
+
     def test_counts(self):
         assert count_rank_one(360) == 336
         assert count_rank_one(12) == 6
@@ -165,3 +174,15 @@ class TestRankOne:
             rank_one_catalog(1)
         with pytest.raises(InvalidFrobeniusError):
             count_rank_one(1)
+
+
+@given(st.data())
+def test_random_hulls_pass_the_full_check(data):
+    F = data.draw(st.integers(min_value=1, max_value=80))
+    X = data.draw(st.lists(st.integers(min_value=1, max_value=F - 1 or 1), max_size=4))
+    res = ar_closure(X, F)
+    if res.is_ar_set:
+        assert_checked(res.closure)
+        assert res.closure.is_arf() and all(x in res.closure for x in X)
+    else:
+        assert res.closure is None

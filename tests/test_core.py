@@ -25,6 +25,7 @@ from arfsemigroups import (
     enumerate_ar,
 )
 from arfsemigroups.core import _iter_bits
+from full_check import assert_checked, count_full_checks, full_check_accepts
 
 
 def sg(*gens):
@@ -80,6 +81,16 @@ class TestConstruction:
             NumericalSemigroup(5, 0b1000001 | (1 << 5))  # frobenius bit set
         with pytest.raises(ValueError):
             NumericalSemigroup(5, 0b1000110)  # 1,2 in but 3=1+2 missing
+
+    def test_full_check_runs_only_on_masks_from_outside(self, monkeypatch):
+        calls = count_full_checks(monkeypatch)
+        S = NumericalSemigroup.from_generators([301, 303])  # F = 90,599
+        NumericalSemigroup.natural(), NumericalSemigroup.delta(S.frobenius)
+        assert calls == [0]
+        NumericalSemigroup(13, sg(5, 7, 9).mask)
+        assert calls == [1]
+        NumericalSemigroup.from_small_elements(13, [0, 5, 7, 9, 10, 12])
+        assert calls == [2]
 
     def test_membership(self):
         S = sg(5, 7, 9)
@@ -253,6 +264,12 @@ class TestPredicates:
             NumericalSemigroup.natural().difference_sequence()
 
 
+def small_family():
+    """Every tree node for F <= 20 and every oracle semigroup for F <= 12."""
+    family = [S for F in range(1, 21) for S in enumerate_ar(F).semigroups()]
+    return family + [S for F in range(1, 13) for S in brute_all_semigroups(F)]
+
+
 class TestElementOps:
     def test_remove_multiplicity(self):
         assert sg(2, 7).remove_multiplicity() == sg(4, 6, 7, 9)
@@ -290,6 +307,39 @@ class TestElementOps:
             sg(2, 7).adjoin(2)
         with pytest.raises(ValueError):
             sg(5, 7, 9).adjoin(4)  # 4 + 5 = 9 fine but 4 + 4 = 8 missing
+
+    def test_adjoin_and_remove_reject_exactly_what_the_full_check_rejects(self):
+        cases = 0
+        for S in small_family():
+            F = S.frobenius
+            for x in S.gaps():
+                if x == F:  # adjoining F always stays closed
+                    assert_checked(S.adjoin(x))
+                    continue
+                accepted = full_check_accepts(F, S.mask | (1 << x))
+                try:
+                    T = S.adjoin(x)
+                except ValueError:
+                    assert not accepted, (S, x)
+                else:
+                    assert accepted and T == NumericalSemigroup(F, S.mask | (1 << x)), (S, x)
+                cases += 1
+            for x in S.small_elements()[1:]:
+                accepted = full_check_accepts(F, S.mask & ~(1 << x))
+                try:
+                    T = S.remove(x)
+                except ValueError:
+                    assert not accepted, (S, x)
+                else:
+                    assert accepted and T == NumericalSemigroup(F, S.mask & ~(1 << x)), (S, x)
+                cases += 1
+        assert cases == 7022
+
+    def test_remove_multiplicity_chains_pass_the_full_check(self):
+        for S in small_family() + [NumericalSemigroup.natural()]:
+            for _ in range(S.small_count() + 1):  # down to {0, F+1, ->} and one step past it
+                S = S.remove_multiplicity()
+                assert_checked(S)
 
     def test_associated_chain(self):
         # stripping the multiplicity small_count - 1 times reaches {0, F+1, ->}
@@ -351,6 +401,7 @@ class TestMedFormula:
 def test_random_generators_baseline_invariants(gens):
     assume(math.gcd(*gens) == 1)
     S = NumericalSemigroup.from_generators(gens)
+    assert_checked(S)
     assert S.genus() + S.small_count() == S.frobenius + 1
     assert S.embedding_dim() <= S.multiplicity()
     assert NumericalSemigroup.from_generators(S.minimal_generators()) == S
@@ -368,5 +419,7 @@ def test_random_intersection_frobenius_is_max(a, b):
     A = NumericalSemigroup.from_generators(a)
     B = NumericalSemigroup.from_generators(b)
     inter = A.intersect(B)
+    for S in (A, B, inter):
+        assert_checked(S)
     assert inter.frobenius == max(A.frobenius, B.frobenius)
     assert inter.issubset(A) and inter.issubset(B)

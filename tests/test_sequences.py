@@ -25,6 +25,7 @@ from arfsemigroups import (
     sequence_of_semigroup,
     validate_sequence,
 )
+from full_check import assert_checked
 
 
 def validate_by_axiom_walk(xs):
@@ -137,6 +138,14 @@ class TestConversion:
             sequence_of_semigroup(NumericalSemigroup.from_generators([5, 7, 9]))
         with pytest.raises(NoGapsError):
             sequence_of_semigroup(NumericalSemigroup.natural())
+
+    def test_semigroups_of_sequences_pass_the_full_check(self):
+        # an ArfSequence was validated when built, so its conversion skips validation
+        for total in range(2, 21):
+            for q in arf_sequences_with_total(total):
+                S = semigroup_of_sequence(q)
+                assert_checked(S)
+                assert semigroup_of_sequence(q.terms) == S
 
     def test_round_trip_exhaustive_small_totals(self):
         for total in range(2, 21):

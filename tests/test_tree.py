@@ -11,7 +11,6 @@ from apery_route import (
     special_gaps_from_apery,
 )
 from arfsemigroups import (
-    EnumerationReport,
     InvalidFrobeniusError,
     NotInCovarietyError,
     NumericalSemigroup,
@@ -23,6 +22,7 @@ from arfsemigroups import (
     is_member_ar,
     maximal_elements,
 )
+from full_check import assert_checked
 
 # |Ar(F)| for F = 1..12, frozen from the brute-force oracle
 EXPECTED_COUNTS = [1, 1, 2, 2, 4, 3, 7, 6, 10, 9, 17, 12]
@@ -138,6 +138,13 @@ class TestChildren:
 
 
 class TestEnumeration:
+    def test_nodes_and_children_pass_the_full_check(self):
+        for F in range(1, 31):
+            for S in enumerate_ar(F).semigroups():
+                assert_checked(S)
+                for child in children(S):
+                    assert_checked(child)
+
     def test_f5_exact_canonical_order(self):
         tree = enumerate_ar(5)
         assert [n.semigroup.minimal_generators() for n in tree.nodes] == [
@@ -214,8 +221,6 @@ class TestEnumeration:
         assert report.depth_counts == (1, 2, 1)
         assert report.maximal_count == 2
         assert report.wall_seconds == 0.5
-        with pytest.raises(ValueError):
-            EnumerationReport(5, 4, (1, 2), 2, 0.0)
 
 
 class TestMembership:
