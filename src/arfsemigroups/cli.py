@@ -394,10 +394,11 @@ def seq_refinements(terms: str, fmt: str) -> None:
     xs = _int_list(terms, "term")
     if not xs:
         raise CliError("at least one term is required")
-    if not validate_sequence(xs):
+    try:
+        refined = list(iter_refinements(ArfSequence(xs)))  # the one validation
+    except InvalidSequenceError:
         click.echo(f"{','.join(str(x) for x in xs)} violates the sequence axioms", err=True)
         sys.exit(1)
-    refined = list(iter_refinements(xs))
     if fmt == "json":
         click.echo(
             serialize.dumps(

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import NumericalSemigroup, _closed, _closure_mask, _iter_bits
-from .errors import InvalidFrobeniusError, NotInCovarietyError, ScaleLimitError
-from .tree import is_member_ar
+from .errors import InvalidFrobeniusError, ScaleLimitError
+from .tree import _require_member_ar
 
 # the fixpoint walks all member pairs of a bitmask over [0, F]
 _HULL_LIMIT = 1 << 20
@@ -79,8 +79,7 @@ def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:
     still an Arf semigroup (its Frobenius number is unchanged by removing
     x < F).  Raises ``NotInCovarietyError`` for non-Arf input.
     """
-    if not is_member_ar(S, S.frobenius):
-        raise NotInCovarietyError(f"{S!r} is not an Arf semigroup with positive Frobenius number")
+    _require_member_ar(S)
     return tuple(
         x for x in S.minimal_generators() if x < S.frobenius and S.remove(x).is_arf()
     )

@@ -11,7 +11,9 @@ The admissible sequences satisfy two axioms:
 Splitting a term ``x_i`` into an adjacent pair ``(a, x_i - a)`` that keeps the
 axioms is called a proper refinement; sequences with no proper refinement and
 total F+1 correspond exactly to the maximal members of the covariety of Arf
-semigroups with Frobenius number F.
+semigroups with Frobenius number F.  Whether a split keeps the axioms is
+decided by set lookups on the partial sums of the sequence (``_split_ok``),
+not by walking its prefix.
 """
 
 from __future__ import annotations
@@ -37,16 +39,6 @@ def _as_terms(seq: Iterable[int] | "ArfSequence") -> tuple[int, ...]:
     if not xs:
         raise EmptyInputError("a sequence needs at least one term")
     return xs
-
-
-def _arrow_member(target: int, terms: Iterable[int]) -> bool:
-    """target is one of the consecutive partial sums of ``terms``, or beyond all of them."""
-    total = 0
-    for t in terms:
-        total += t
-        if target == total:
-            return True
-    return target > total
 
 
 def validate_sequence(seq: Iterable[int] | "ArfSequence") -> bool:
@@ -89,6 +81,13 @@ class ArfSequence:
 
     def __getitem__(self, i: int) -> int:
         return self.terms[i]
+
+
+def _unchecked(terms: tuple[int, ...]) -> ArfSequence:
+    """An ``ArfSequence`` on terms that are valid by construction, unvalidated."""
+    q = object.__new__(ArfSequence)
+    object.__setattr__(q, "terms", terms)
+    return q
 
 
 def semigroup_of_sequence(seq: Iterable[int] | ArfSequence) -> NumericalSemigroup:
@@ -134,18 +133,44 @@ def refinement_candidates(seq: Iterable[int] | ArfSequence, i: int, a: int) -> b
         raise InvalidRefinementError(f"position {i} out of range 1..{len(xs)}")
     if a < 2 or a >= xs[i - 1]:
         raise InvalidRefinementError(f"split value {a} out of range 2..{xs[i - 1] - 1}")
-    return _split_keeps_axioms(xs, i, a)
+    total = v = sum(xs)
+    above: set[int] = set()
+    for x in xs[: i - 1]:
+        above.add(v)
+        v -= x
+    return _split_ok(above, total, v, xs[i - 1], a)
 
 
-def _split_keeps_axioms(xs: tuple[int, ...], i: int, a: int) -> bool:
-    """``refinement_candidates`` on a plain tuple, for callers that keep i and a in range."""
-    if i == 1:
-        return 2 * a <= xs[0]
-    prefix = xs[i - 2 :: -1]
-    if not _arrow_member(a, prefix):
-        return False
-    d = xs[i - 1] - 2 * a
-    return d == 0 or _arrow_member(d, prefix)
+def _split_ok(above: set[int], total: int, v: int, x: int, a: int) -> bool:
+    """Is (a, x - a) a valid split of the term x whose upper end is v?
+
+    The bottom-up partial sums 0, x_n, x_n + x_{n-1}, ..., up to the total,
+    are the members up to F+1 of a valid sequence's semigroup.  Term x_i
+    spans two consecutive ones, u < v, and the consecutive suffix sums of
+    x_{i-1}, ..., x_1 are the differences s - v with s a partial sum above v
+    (``above``).  So t is such a sum, or beyond their total, iff v + t is in
+    ``above`` or past ``total``: one set lookup per candidate.
+    """
+    t, w = v + a, v + x - 2 * a
+    return (t > total or t in above) and (w == v or w > total or w in above)
+
+
+def _valid_splits(xs: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """(i, a) for every valid split, by position and then split value.
+
+    A split value above x_i / 2 leaves x_i - 2a < 0, which no sequence of
+    positive terms accepts, so only a <= x_i / 2 is tried.  The partial sums
+    above each term are gathered from the top down, so a search that stops
+    at the first split costs no more than the terms it has passed.
+    """
+    total = v = sum(xs)
+    above: set[int] = set()
+    for i, x in enumerate(xs, start=1):
+        for a in range(2, x // 2 + 1):
+            if _split_ok(above, total, v, x, a):
+                yield i, a
+        above.add(v)
+        v -= x
 
 
 def apply_refinement(seq: Iterable[int] | ArfSequence, i: int, a: int) -> ArfSequence:
@@ -157,29 +182,31 @@ def apply_refinement(seq: Iterable[int] | ArfSequence, i: int, a: int) -> ArfSeq
 
 
 def iter_refinements(seq: Iterable[int] | ArfSequence) -> Iterator[tuple[int, int, ArfSequence]]:
-    """All valid single splits as (position, split value, refined sequence)."""
+    """All valid single splits as (position, split value, refined sequence).
+
+    A valid split of a valid sequence is valid, so then the refined
+    sequences are built unchecked; any other input has them validated.
+    """
     xs = _as_terms(seq)
-    for i, x in enumerate(xs, start=1):
-        for a in range(2, x - 1):
-            if refinement_candidates(xs, i, a):
-                yield i, a, ArfSequence(xs[: i - 1] + (a, x - a) + xs[i:])
+    build = _unchecked if isinstance(seq, ArfSequence) or validate_sequence(xs) else ArfSequence
+    for i, a in _valid_splits(xs):
+        yield i, a, build(xs[: i - 1] + (a, xs[i - 1] - a) + xs[i:])
 
 
 def admits_proper_refinement(seq: Iterable[int] | ArfSequence) -> bool:
-    xs = _as_terms(seq)
-    return any(
-        _split_keeps_axioms(xs, i, a)
-        for i, x in enumerate(xs, start=1)
-        for a in range(2, x - 1)
-    )
+    return next(_valid_splits(_as_terms(seq)), None) is not None
 
 
 def arf_sequences_with_total(total: int) -> list[ArfSequence]:
     """Every valid sequence summing to ``total``, in lexicographic order.
 
-    Depth-first extension: after a prefix with running sum r, the next term is
-    either one of the suffix partial sums of the prefix (all at most r) or any
-    value in (r, total - r], and the branch dies once r exceeds total.
+    Depth-first extension: after a prefix with running sum r, the next term y
+    is one of the suffix partial sums of the prefix (all at most r) or any
+    value above r.  Terms never decrease, so with rest = total - r what
+    remains after y is 0 or at least y: y <= rest / 2 or y == rest.  Only
+    such y are tried; the branches this prunes hold no valid sequence.  Every
+    term chosen keeps both axioms, so the output is built without
+    re-validation.
     """
     if total < 2:
         return []
@@ -187,19 +214,22 @@ def arf_sequences_with_total(total: int) -> list[ArfSequence]:
     prefix: list[int] = []
 
     def extend(run: int) -> None:
-        if run == total:
-            out.append(ArfSequence(tuple(prefix)))
+        rest = total - run
+        if not rest:
+            out.append(_unchecked(tuple(prefix)))
             return
-        if prefix:
-            candidates = []
-            acc = 0
-            for t in reversed(prefix):
-                acc += t
-                if run + acc <= total:
-                    candidates.append(acc)
-            candidates.extend(range(run + 1, total - run + 1))
-        else:
-            candidates = range(2, total + 1)
+        half = rest // 2
+        candidates = []
+        acc = 0
+        for t in reversed(prefix):
+            acc += t
+            if acc > rest:
+                break
+            if acc <= half or acc == rest:
+                candidates.append(acc)
+        candidates.extend(range(max(run + 1, 2), half + 1))
+        if rest > run:
+            candidates.append(rest)
         for y in candidates:
             prefix.append(y)
             extend(run + y)

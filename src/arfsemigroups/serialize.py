@@ -58,7 +58,8 @@ def render_pairs(pairs: Iterable[tuple[str, Any]]) -> str:
 def _node_row(tree: CovarietyTree, index: int) -> list[Any]:
     node = tree.nodes[index]
     S = node.semigroup
-    return [node.depth, S.frobenius, S.multiplicity(), S.genus(), S.semigroup_type()]
+    m = S.multiplicity()
+    return [node.depth, S.frobenius, m, S.genus(), m - 1]  # tree nodes are Arf, so MED: type m - 1
 
 
 def tree_table(tree: CovarietyTree, indices: Iterable[int]) -> str:

@@ -6,21 +6,28 @@ intersection and under removing the multiplicity, and has the minimum
 multiplicity therefore yields a tree rooted at that minimum, and walking the
 tree upwards enumerates the whole family.
 
-The walk runs on difference sequences (see ``sequences``).  A member's
+The walk follows difference sequences (see ``sequences``).  A member's
 sequence x_1 <= ... <= x_n totals F+1 and ends in its multiplicity, and
 removing the multiplicity merges the last two terms.  So the children of a
 node are the valid splits (a, x_n - a) of its last term, each adjoining the
 element x_n - a, and the inclusion-maximal members are the nodes whose
 sequence admits no proper refinement.
+
+Both questions are bit tests on the node's mask.  Consecutive members u < v
+bound the term x = v - u, and the consecutive suffix sums of the terms above
+it are the s - v for members s > v; everything past F+1 counts as a member.
+So the split (a, x - a) is valid iff v + a and, unless x = 2a, v + x - 2a
+are members.  For the last term (u = 0, v = m) with e = m - a the new
+multiplicity, that reads: 2m - e and 2e are members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _closed
 from .errors import InvalidFrobeniusError, NotInCovarietyError, ScaleLimitError
-from .sequences import _split_keeps_axioms, admits_proper_refinement
 
 DEFAULT_MAX_NODES = 10**7
 
@@ -64,11 +71,7 @@ class CovarietyTree:
         A member is maximal exactly when its difference sequence admits no
         proper refinement.
         """
-        return [
-            i
-            for i, node in enumerate(self.nodes)
-            if not admits_proper_refinement(node.semigroup.difference_sequence())
-        ]
+        return [i for i, node in enumerate(self.nodes) if next(_mask_splits(node.semigroup), None) is None]
 
     def maximal_semigroups(self) -> list[NumericalSemigroup]:
         return [self.nodes[i].semigroup for i in self.maximal_indices()]
@@ -97,18 +100,50 @@ def is_member_ar(S: NumericalSemigroup, frobenius: int) -> bool:
     return not S.is_natural() and S.frobenius == frobenius and S.is_arf()
 
 
-def _splits(xs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Sequences of the children of xs: its last term m split as (a, m - a),
-    ascending in the new multiplicity m - a."""
-    n, m = len(xs), xs[-1]
-    return [xs[:-1] + (a, m - a) for a in range(m // 2, 1, -1) if _split_keeps_axioms(xs, n, a)]
+def _require_member_ar(S: NumericalSemigroup) -> None:
+    """Raise ``NotInCovarietyError`` unless S is an Arf semigroup with positive Frobenius number.
+
+    The message names S by its Frobenius number and multiplicity, so it
+    stays short however large S is.
+    """
+    if not is_member_ar(S, S.frobenius):
+        what = "the naturals" if S.is_natural() else (
+            f"the semigroup with Frobenius number {S.frobenius} and multiplicity {S.multiplicity()}"
+        )
+        raise NotInCovarietyError(f"{what} is not an Arf semigroup with positive Frobenius number")
+
+
+def _extended(S: NumericalSemigroup) -> int:
+    """The mask of S with every bit up to 2(F+1) set past F+1."""
+    return S._extended_mask(2 * S.frobenius + 1)
+
+
+def _new_multiplicities(ext: int, m: int) -> list[int]:
+    """The multiplicities e of the children of a node with multiplicity m and
+    extended mask ``ext``, ascending: the e in [m/2, m - 2] with 2m - e and 2e
+    members (2e = m is one, which covers the split a = m/2)."""
+    return [e for e in range((m + 1) // 2, m - 1) if ext >> (2 * m - e) & 1 and ext >> (2 * e) & 1]
+
+
+def _mask_splits(S: NumericalSemigroup) -> Iterator[tuple[int, int]]:
+    """(v, a) for every valid split (a, v - u - a) of a term of S's sequence,
+    u < v consecutive members up to F+1, from the top term down, a ascending."""
+    bits = format(_extended(S), "b")[::-1]  # bits[j] == "1" iff j is a member
+    v = S.frobenius + 1
+    while v:
+        u = bits.rfind("1", 0, v)
+        for a in range(2, (v - u) // 2 + 1):
+            # v + (v - u - 2a) is v itself when a = (v - u) / 2
+            if bits[v + a] == "1" == bits[2 * v - u - 2 * a]:
+                yield v, a
+        v = u
 
 
 def children(S: NumericalSemigroup) -> list[NumericalSemigroup]:
     """The children of S in the tree for F = F(S), ascending in multiplicity."""
-    if not is_member_ar(S, S.frobenius):
-        raise NotInCovarietyError(f"{S!r} is not an Arf semigroup with positive Frobenius number")
-    return [S.adjoin(ys[-1]) for ys in _splits(S.difference_sequence())]
+    _require_member_ar(S)
+    new = _new_multiplicities(_extended(S), S.multiplicity())
+    return [_closed(S.frobenius, S.mask | 1 << e) for e in new]
 
 
 def enumerate_ar(
@@ -118,10 +153,12 @@ def enumerate_ar(
 ) -> CovarietyTree:
     """Breadth-first enumeration of every Arf semigroup with the given Frobenius number.
 
-    Each level is expanded by splitting the last term of every node's
-    difference sequence (see the module docstring).  Nodes are emitted in
-    canonical order: by depth, then lexicographically by small-element set,
-    which within a level is the order of the reversed sequences.
+    Each level is expanded by bit tests on every node's mask (see the module
+    docstring): a child adjoins its new multiplicity e to its parent.  Nodes
+    are emitted in canonical order: by depth, then lexicographically by
+    small-element set.  A child's small elements are 0, e and then its
+    parent's positive ones, and a level's parents are already in that order,
+    so each level is sorted by the pair (e, parent index).
 
     ``threads`` is validated and accepted for compatibility but has no
     effect: enumeration is serial.  ``max_nodes`` (at least 1) bounds the
@@ -133,16 +170,23 @@ def enumerate_ar(
         raise ValueError(f"threads must be >= 1, got {threads}")
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
-    nodes = [TreeNode(NumericalSemigroup.delta(frobenius), -1, 0)]
-    level = [(frobenius + 1,)]  # sequences of the last level, which starts at index `first`
+    F = frobenius
+    masks, parents, depths = [NumericalSemigroup.delta(F).mask], [-1], [0]
+    fill = ((1 << (F + 1)) - 1) << (F + 2)  # the members F+2..2F+2
     first, depth = 0, 0
-    while level:
-        merged = [(ys, first + k) for k, xs in enumerate(level) for ys in _splits(xs)]
-        merged.sort(key=lambda item: item[0][::-1])
-        first, depth, level = len(nodes), depth + 1, []
-        for ys, parent in merged:
-            if len(nodes) >= max_nodes:
-                raise ScaleLimitError(f"enumeration exceeded max_nodes={max_nodes}")
-            nodes.append(TreeNode(nodes[parent].semigroup.adjoin(ys[-1]), parent, depth))
-            level.append(ys)
-    return CovarietyTree(frobenius, tuple(nodes))
+    while first < len(masks):
+        level = []
+        for k in range(first, len(masks)):
+            low = masks[k] & ~1
+            m = (low & -low).bit_length() - 1
+            level.extend([(e, k) for e in _new_multiplicities(masks[k] | fill, m)])
+        level.sort()
+        if len(masks) + len(level) > max_nodes:
+            raise ScaleLimitError(f"enumeration exceeded max_nodes={max_nodes}")
+        first, depth = len(masks), depth + 1
+        for e, k in level:
+            masks.append(masks[k] | 1 << e)
+            parents.append(k)
+        depths.extend([depth] * len(level))
+    nodes = tuple(TreeNode(_closed(F, mask), p, d) for mask, p, d in zip(masks, parents, depths))
+    return CovarietyTree(F, nodes)

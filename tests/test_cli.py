@@ -282,6 +282,14 @@ class TestMinimalGens:
         assert res.stdout == ""
         assert res.stderr.strip()
 
+    def test_not_arf_error_is_short_for_a_large_semigroup(self):
+        # F = 130,319: listing the members would write about 480 kB
+        res = run("minimal-gens", "361,363")
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert 0 < len(res.stderr_bytes) < 200
+        assert "Frobenius number 130319 and multiplicity 361" in res.stderr
+
 
 class TestRankOne:
     def test_count(self):
@@ -308,7 +316,7 @@ class TestRankOne:
 
 
 class TestSeq:
-    @pytest.mark.parametrize("command", ["validate", "semigroup"])
+    @pytest.mark.parametrize("command", ["validate", "semigroup", "refinements"])
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_sequences_are_validated_once(self, monkeypatch, command, fmt):
         counts = Counter()

@@ -25,7 +25,9 @@ from arfsemigroups import (
     sequence_of_semigroup,
     validate_sequence,
 )
+from arfsemigroups.sequences import _valid_splits
 from full_check import assert_checked
+from prefix_walk import split_keeps_axioms, splits_by_prefix_walk, unpruned_sequences_with_total
 
 
 def validate_by_axiom_walk(xs):
@@ -187,6 +189,42 @@ class TestRefinements:
         assert not admits_proper_refinement((2,))
         assert admits_proper_refinement((7,))  # splits into (2, 5) or (3, 4)
 
+    def test_member_tests_match_the_prefix_walk_on_every_composition_up_to_14(self):
+        # invalid tuples included: the tests only read the neighbourhood of a split
+        for total in range(1, 15):
+            for xs in compositions(total):
+                want = splits_by_prefix_walk(xs)
+                for i, x in enumerate(xs, start=1):
+                    for a in range(2, x):
+                        assert refinement_candidates(xs, i, a) == ((i, a) in want), (xs, i, a)
+                assert list(_valid_splits(xs)) == want, xs
+                assert admits_proper_refinement(xs) == bool(want), xs
+                if validate_sequence(xs):
+                    assert [(i, a) for i, a, _ in iter_refinements(xs)] == want, xs
+
+    @given(st.lists(st.integers(min_value=-6, max_value=14), min_size=1, max_size=8))
+    def test_closed_form_matches_the_prefix_walk_on_any_terms(self, xs):
+        # zero and negative terms make the partial sums repeat and fall
+        xs = tuple(xs)
+        for i, x in enumerate(xs, start=1):
+            for a in range(2, x):
+                assert refinement_candidates(xs, i, a) == split_keeps_axioms(xs, i, a), (xs, i, a)
+
+    def test_long_inputs_finish_in_time(self):
+        # a mask shift per candidate (first input) or prefix work per term (second) is quadratic here
+        started = time.perf_counter()
+        refined = list(iter_refinements((2, 3, 200_000)))
+        assert time.perf_counter() - started < 2.0
+        assert len(refined) == 99_995 and refined[0] == (3, 3, ArfSequence((2, 3, 3, 199_997)))
+        started = time.perf_counter()
+        assert not admits_proper_refinement((2,) * 200_000)
+        assert time.perf_counter() - started < 2.0
+
+    def test_refinements_of_invalid_input_are_validated(self):
+        # (5, 2) violates the axioms, so its split (2, 3, 2) does too
+        with pytest.raises(InvalidSequenceError):
+            list(iter_refinements((5, 2)))
+
     def test_closed_form_matches_revalidation(self):
         for total in range(2, 17):
             for q in arf_sequences_with_total(total):
@@ -209,6 +247,16 @@ class TestGeneration:
         assert [q.terms for q in arf_sequences_with_total(4)] == [(2, 2), (4,)]
         assert [q.terms for q in arf_sequences_with_total(6)] == [(2, 2, 2), (2, 4), (3, 3), (6,)]
         assert arf_sequences_with_total(1) == []
+
+    def test_pruned_generator_matches_the_unpruned_one(self):
+        for total in range(2, 61):
+            assert [q.terms for q in arf_sequences_with_total(total)] == unpruned_sequences_with_total(total)
+
+    def test_unchecked_output_passes_validation(self):
+        # the generator builds its output without the ArfSequence check
+        for total in range(2, 41):
+            for q in arf_sequences_with_total(total):
+                assert validate_sequence(q.terms), q.terms
 
     def test_lexicographic_emission(self):
         for total in range(2, 18):

@@ -22,7 +22,9 @@ from arfsemigroups import (
     is_member_ar,
     maximal_elements,
 )
+from arfsemigroups.tree import _mask_splits
 from full_check import assert_checked
+from prefix_walk import splits_by_prefix_walk
 
 # |Ar(F)| for F = 1..12, frozen from the brute-force oracle
 EXPECTED_COUNTS = [1, 1, 2, 2, 4, 3, 7, 6, 10, 9, 17, 12]
@@ -114,6 +116,36 @@ class TestAdjunctionRouteCrossCheck:
                     assert apery_after_adjoin(ap, x) == T.apery_set(F + 1)
 
 
+class TestMaskSplits:
+    """The bit tests on node masks, checked against the prefix walk of the sequence."""
+
+    def test_every_split_of_every_node_matches_the_prefix_walk_up_to_f60(self):
+        for F in range(1, 61):
+            tree = enumerate_ar(F)
+            kids = {i: [] for i in range(len(tree))}
+            for child_i, parent_i in tree.edges():
+                kids[parent_i].append(tree.nodes[child_i].semigroup.multiplicity())
+            maximal = []
+            for k, node in enumerate(tree.nodes):
+                S, xs = node.semigroup, node.semigroup.difference_sequence()
+                # term x_i spans [u, v] with v = F + 1 - (x_1 + ... + x_{i-1})
+                want = {(F + 1 - sum(xs[: i - 1]), a) for i, a in splits_by_prefix_walk(xs)}
+                got = list(_mask_splits(S))
+                assert len(got) == len(set(got)) and set(got) == want, (F, xs)
+                m = S.multiplicity()
+                assert kids[k] == sorted(m - a for v, a in want if v == m), (F, xs)
+                assert [T.multiplicity() for T in children(S)] == kids[k]
+                if not want:
+                    maximal.append(k)
+            assert tree.maximal_indices() == maximal, F
+
+    def test_type_is_multiplicity_minus_one_on_every_node_up_to_f40(self):
+        # tree nodes are Arf, hence MED, which the table and csv rows rely on
+        for F in range(1, 41):
+            for S in enumerate_ar(F).semigroups():
+                assert S.semigroup_type() == S.multiplicity() - 1, S
+
+
 class TestChildren:
     def test_children_of_root(self):
         got = [c.minimal_generators() for c in children(NumericalSemigroup.delta(5))]
@@ -128,6 +160,15 @@ class TestChildren:
             children(sg(5, 7, 9))
         with pytest.raises(NotInCovarietyError):
             children(NumericalSemigroup.natural())
+
+    def test_rejection_message_stays_short(self):
+        # F = 130,319: the message names F and m instead of listing the members
+        with pytest.raises(NotInCovarietyError) as exc:
+            children(sg(361, 363))
+        assert str(exc.value) == (
+            "the semigroup with Frobenius number 130319 and multiplicity 361"
+            " is not an Arf semigroup with positive Frobenius number"
+        )
 
     def test_adjunction_exactly_characterizes_membership(self):
         for F in range(1, 13):
