@@ -107,7 +107,7 @@ def cmd_enumerate(frobenius: str, fmt: str, threads: int, stats: bool, maximal_o
     elif fmt == "csv":
         click.echo(serialize.tree_csv(tree, indices))
     else:
-        click.echo(serialize.dumps([serialize.semigroup_dict(tree.nodes[i].semigroup) for i in indices]))
+        click.echo(serialize.dumps([serialize._node_dict(tree.nodes[i].semigroup) for i in indices]))
     if stats:
         report = tree.report(wall)
         click.echo(

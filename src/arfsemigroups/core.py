@@ -39,23 +39,30 @@ def _iter_bits(mask: int) -> Iterator[int]:
         i = digits.find("1", i + 1)
 
 
+def _add_multiples(reach: int, g: int, limit: int) -> int:
+    """``reach`` plus every multiple of g, within the bits of ``limit``.
+
+    Doubling the step covers all multiples.  The result stays closed under
+    every step ``reach`` was closed under, so generators can be adjoined one
+    at a time.
+    """
+    step = g
+    while True:
+        grown = reach | ((reach << step) & limit)
+        if grown == reach:
+            return reach
+        reach = grown
+        step *= 2
+
+
 def _closure_mask(gens: Iterable[int], bound: int) -> int:
     """Bitmask of every sum of the generators that lands in [0, bound]."""
     limit = (1 << (bound + 1)) - 1
     reach = 1
-    while True:
-        before = reach
-        for g in gens:
-            # close under +g alone; doubling the step covers all multiples
-            step = g
-            while True:
-                grown = reach | ((reach << step) & limit)
-                if grown == reach:
-                    break
-                reach = grown
-                step *= 2
-        if reach == before:
-            return reach
+    for g in gens:
+        if not (reach >> g) & 1:  # a reached g adds no new sums
+            reach = _add_multiples(reach, g, limit)
+    return reach
 
 
 def _closed(frobenius: int, mask: int) -> NumericalSemigroup:

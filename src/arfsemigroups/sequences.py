@@ -184,13 +184,15 @@ def apply_refinement(seq: Iterable[int] | ArfSequence, i: int, a: int) -> ArfSeq
 def iter_refinements(seq: Iterable[int] | ArfSequence) -> Iterator[tuple[int, int, ArfSequence]]:
     """All valid single splits as (position, split value, refined sequence).
 
-    A valid split of a valid sequence is valid, so then the refined
-    sequences are built unchecked; any other input has them validated.
+    Input that violates the axioms raises ``InvalidSequenceError`` before
+    anything is yielded.  A valid split of a valid sequence is valid, so the
+    refined sequences are built unchecked.
     """
     xs = _as_terms(seq)
-    build = _unchecked if isinstance(seq, ArfSequence) or validate_sequence(xs) else ArfSequence
+    if not isinstance(seq, ArfSequence) and not validate_sequence(xs):
+        raise InvalidSequenceError(f"{xs} violates the sequence axioms")
     for i, a in _valid_splits(xs):
-        yield i, a, build(xs[: i - 1] + (a, xs[i - 1] - a) + xs[i:])
+        yield i, a, _unchecked(xs[: i - 1] + (a, xs[i - 1] - a) + xs[i:])
 
 
 def admits_proper_refinement(seq: Iterable[int] | ArfSequence) -> bool:

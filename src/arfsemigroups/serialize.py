@@ -18,11 +18,20 @@ CSV_HEADER = "depth,frobenius,multiplicity,genus,type,generators"
 
 
 def semigroup_dict(S: NumericalSemigroup) -> dict[str, Any]:
+    return _semigroup_dict(S, None if S.is_natural() else S.semigroup_type())
+
+
+def _node_dict(S: NumericalSemigroup) -> dict[str, Any]:
+    """``semigroup_dict`` of a tree node: tree nodes are Arf, so MED, so their type is m - 1."""
+    return _semigroup_dict(S, S.multiplicity() - 1)
+
+
+def _semigroup_dict(S: NumericalSemigroup, semigroup_type: int | None) -> dict[str, Any]:
     return {
         "frobenius": S.frobenius,
         "multiplicity": S.multiplicity(),
         "genus": S.genus(),
-        "type": None if S.is_natural() else S.semigroup_type(),
+        "type": semigroup_type,
         "min_generators": list(S.minimal_generators()),
         "small_elements": list(S.small_elements()),
     }
@@ -84,7 +93,7 @@ def tree_json_obj(tree: CovarietyTree) -> dict[str, Any]:
     return {
         "frobenius": tree.frobenius,
         "root": 0,
-        "nodes": [semigroup_dict(node.semigroup) for node in tree.nodes],
+        "nodes": [_node_dict(node.semigroup) for node in tree.nodes],
         "edges": [list(edge) for edge in tree.edges()],
     }
 

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from arfsemigroups import NumericalSemigroup, cli, sequences
 from arfsemigroups.cli import main
+from arfsemigroups.closure import _HULL_LIMIT
 from arfsemigroups.core import _SIEVE_LIMIT
 from full_check import count_full_checks
 
@@ -262,6 +263,18 @@ class TestClosure:
         got = pairs(run("closure", "5").stdout)
         assert got["closure"] == "<6,7,8,9,10,11>"
         assert got["rank"] == "0"
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_hull_limit_boundary(self, fmt):
+        assert _HULL_LIMIT == 65536
+        res = run("closure", "65536", "--set", "3", "--format", fmt)  # the multiples of 3 up to F
+        assert res.exit_code == 0
+        started = time.perf_counter()
+        res = run("closure", "65537", "--set", "3", "--format", fmt)
+        assert time.perf_counter() - started < 1
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "hull chain over 65537 bits refused (limit 65536)" in res.stderr
 
 
 class TestMinimalGens:

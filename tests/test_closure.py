@@ -1,5 +1,7 @@
 """Tests for the hull operator, minimal generating systems and rank counts."""
 
+import math
+import time
 from functools import reduce
 from itertools import combinations
 
@@ -17,8 +19,10 @@ from arfsemigroups import (
     minimal_ar_generators,
     rank_one_catalog,
 )
-from arfsemigroups.closure import _HULL_LIMIT
+from arfsemigroups.closure import _HULL_LIMIT, _is_arf
+from arfsemigroups.core import _closure_mask
 from full_check import assert_checked
+from pair_fixpoint import pair_fixpoint
 
 
 def sg(*gens):
@@ -95,6 +99,59 @@ class TestClosure:
         with pytest.raises(ScaleLimitError):
             ar_closure([2], _HULL_LIMIT + 1)
 
+    def test_arf_shortcut_matches_is_arf(self):
+        # a wrong "Arf" would cut the chain short; a wrong "not Arf" would run it to the end
+        family = [sg(a, b) for a in range(2, 12) for b in range(a + 1, 30) if math.gcd(a, b) == 1]
+        family += [S for F in range(1, 13) for S in enumerate_ar(F).semigroups()]
+        for S in family:
+            for c in (S.frobenius, S.frobenius + 3):  # T over [0, c], everything above a member
+                T = S._extended_mask(c) & ((1 << (c + 1)) - 1)
+                assert _is_arf(T, c) == S.is_arf(), (S, c)
+
+    def test_slowest_known_chain_at_the_limit_finishes_in_time(self):
+        # about F/3 steps of multiplicity 3, each shifting a mask over [0, F]
+        started = time.perf_counter()
+        res = ar_closure([3, _HULL_LIMIT - 2], _HULL_LIMIT)
+        assert time.perf_counter() - started < 2.0
+        assert not res.is_ar_set
+
+
+def assert_matches_pair_fixpoint(X, F):
+    """The chain and the pair fixpoint agree on X; the stages split the hull minus <X>."""
+    res = ar_closure(X, F)
+    accepted, mask, _ = pair_fixpoint(res.input_set, F)
+    assert res.is_ar_set == accepted, (X, F)
+    seen = 0
+    for stage in res.stages:
+        assert list(stage) == sorted(stage)
+        bits = sum(1 << s for s in stage)
+        assert not bits & seen
+        seen |= bits
+    if accepted:
+        assert res.closure.mask == mask | (1 << (F + 1)), (X, F)
+        assert seen == mask & ~_closure_mask(res.input_set, F)
+
+
+class TestAgainstPairFixpoint:
+    def test_tree_nodes_and_their_subsets_up_to_f40(self):
+        for F in range(1, 41):
+            for S in enumerate_ar(F).semigroups():
+                positive = S.small_elements()[1:]
+                for X in (positive, positive[::2], positive[1::2]):
+                    assert_matches_pair_fixpoint(X, F)
+
+    def test_long_chains(self):
+        # a multiplicity repeated for 35 to 333 steps, accepted and refused
+        for X, F in (([9, 295], 300), ([8, 262], 300), ([6, 776], 1001), ([3, 1000], 1001)):
+            assert_matches_pair_fixpoint(X, F)
+
+
+@given(st.data())
+def test_random_sets_match_the_pair_fixpoint(data):
+    F = data.draw(st.integers(min_value=1, max_value=80))
+    X = data.draw(st.lists(st.integers(min_value=1, max_value=F), max_size=4))
+    assert_matches_pair_fixpoint(X, F)
+
 
 class TestMinimalSystem:
     def test_worked_example(self):
@@ -129,6 +186,21 @@ class TestMinimalSystem:
                 rank = len(minimal_ar_generators(S))
                 assert (rank == 0) == (S == NumericalSemigroup.delta(F))
                 assert rank <= S.embedding_dim()
+
+    def test_matches_removal_on_every_node_up_to_f40(self):
+        # the rule read literally: drop x, then run the full Arf test
+        for F in range(1, 41):
+            for S in enumerate_ar(F).semigroups():
+                by_removal = tuple(x for x in S.minimal_generators() if x < F and S.remove(x).is_arf())
+                assert minimal_ar_generators(S) == by_removal
+
+    def test_many_generators_finish_in_time(self):
+        # 8,000 minimal generators below F and 24,769 small elements; removing each
+        # generator and testing the rest for Arf would take minutes
+        S = ar_closure([16_000, 16_002], 65_535).closure
+        started = time.perf_counter()
+        assert minimal_ar_generators(S) == (16_000, 16_002)
+        assert time.perf_counter() - started < 2.0
 
 
 class TestRankOne:

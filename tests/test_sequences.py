@@ -221,9 +221,10 @@ class TestRefinements:
         assert time.perf_counter() - started < 2.0
 
     def test_refinements_of_invalid_input_are_validated(self):
-        # (5, 2) violates the axioms, so its split (2, 3, 2) does too
-        with pytest.raises(InvalidSequenceError):
-            list(iter_refinements((5, 2)))
+        # both violate the axioms: (5, 2) has a split, (3, 2) has none
+        for bad in ((5, 2), (3, 2)):
+            with pytest.raises(InvalidSequenceError):
+                list(iter_refinements(bad))
 
     def test_closed_form_matches_revalidation(self):
         for total in range(2, 17):
