@@ -32,9 +32,24 @@ from .sequences import (
     semigroup_of_sequence,
     validate_sequence,
 )
-from .tree import DEFAULT_MAX_NODES, enumerate_ar
+from .tree import enumerate_ar
 
 INT_CAP = 2**31 - 1
+
+# The seq commands render the semigroup of TERMS, a mask over [0, total], and `refinements`
+# prints each split as a whole sequence: k twos and one term near the total have about
+# total/4 splits of k + 2 terms, so that output grows with the square of the total.
+# Budget: every accepted input finishes within 2 s.  The slowest found, `seq refinements`
+# on 2 x 1,024 then 6,144 (--format json, 4.3 MB out), took 0.7 s at 2^13 (CPython 3.11,
+# shared 2-core Xeon) and 2.2 s at 2^14; dense twos and `2,T` stay near 0.2 s at 2^13.
+_SEQ_LIMIT = 1 << 13
+
+# `rank-one F` lists about F semigroups, the one of multiplicity m with about F/m + m
+# generators and small elements: Theta(F^2) numbers.  `--count` is O(sqrt F) and needs no
+# limit.  Budget: every accepted listing finishes within 2 s.  The slowest, `rank-one 1499
+# --format json` (1,497 members, 5.8 MB out), took 0.9-1.0 s, 74 MB (CPython 3.11, shared
+# 2-core Xeon); F = 2,039 took 1.5 s and F = 3,000 1.9-2.8 s.
+_RANK_ONE_LIMIT = 1500
 
 
 class CliError(click.ClickException):
@@ -57,6 +72,16 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
     return tuple(_to_int(part, what) for part in text.split(","))
 
 
+def _terms(text: str) -> tuple[int, ...]:
+    xs = _int_list(text, "term")
+    if not xs:
+        raise CliError("at least one term is required")
+    total = sum(xs)
+    if total > _SEQ_LIMIT:
+        raise CliError(f"sequence total {total} refused (limit {_SEQ_LIMIT})")
+    return xs
+
+
 def _build_semigroup(gens_text: str) -> NumericalSemigroup:
     gens = _int_list(gens_text, "generator")
     if not gens:
@@ -65,6 +90,13 @@ def _build_semigroup(gens_text: str) -> NumericalSemigroup:
         return NumericalSemigroup.from_generators(gens)
     except (EmptyInputError, NotCofiniteError, ScaleLimitError, ValueError) as exc:
         raise CliError(str(exc))
+
+
+def _format_option(*choices: str):
+    """``--format`` with the given choices, the first being the default."""
+    return click.option(
+        "--format", "fmt", type=click.Choice(choices), default=choices[0], show_default=True, help="Output format."
+    )
 
 
 def _fmt(value) -> str:
@@ -84,21 +116,16 @@ def main() -> None:
 
 @main.command("enumerate")
 @click.argument("frobenius")
-@click.option(
-    "--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table",
-    show_default=True, help="Output format.",
-)
-@click.option("--threads", type=int, default=1, show_default=True, help="Accepted for compatibility; enumeration is serial.")
+@_format_option("table", "json", "csv")
 @click.option("--stats", is_flag=True, help="Print an enumeration report to stderr.")
 @click.option("--maximal-only", is_flag=True, help="Only inclusion-maximal members.")
-@click.option("--max-nodes", type=int, default=DEFAULT_MAX_NODES, show_default=True, help="Abort beyond this many nodes.")
-def cmd_enumerate(frobenius: str, fmt: str, threads: int, stats: bool, maximal_only: bool, max_nodes: int) -> None:
+def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> None:
     """List every Arf semigroup with Frobenius number FROBENIUS."""
     F = _to_int(frobenius, "frobenius")
     started = time.perf_counter()
     try:
-        tree = enumerate_ar(F, threads=threads, max_nodes=max_nodes)
-    except (InvalidFrobeniusError, ScaleLimitError, ValueError) as exc:
+        tree = enumerate_ar(F)
+    except (InvalidFrobeniusError, ScaleLimitError) as exc:
         raise CliError(str(exc))
     wall = time.perf_counter() - started
     indices = tree.maximal_indices() if maximal_only else list(range(len(tree)))
@@ -107,7 +134,7 @@ def cmd_enumerate(frobenius: str, fmt: str, threads: int, stats: bool, maximal_o
     elif fmt == "csv":
         click.echo(serialize.tree_csv(tree, indices))
     else:
-        click.echo(serialize.dumps([serialize._node_dict(tree.nodes[i].semigroup) for i in indices]))
+        click.echo(serialize.dumps([serialize.semigroup_dict(tree.nodes[i].semigroup) for i in indices]))
     if stats:
         report = tree.report(wall)
         click.echo(
@@ -126,17 +153,13 @@ def cmd_enumerate(frobenius: str, fmt: str, threads: int, stats: bool, maximal_o
 
 @main.command("tree")
 @click.argument("frobenius")
-@click.option(
-    "--format", "fmt", type=click.Choice(["dot", "json"]), default="dot",
-    show_default=True, help="Output format.",
-)
-@click.option("--max-nodes", type=int, default=DEFAULT_MAX_NODES, show_default=True)
-def cmd_tree(frobenius: str, fmt: str, max_nodes: int) -> None:
+@_format_option("dot", "json")
+def cmd_tree(frobenius: str, fmt: str) -> None:
     """Export the rooted tree on Ar(FROBENIUS) (edges point child -> parent)."""
     F = _to_int(frobenius, "frobenius")
     try:
-        tree = enumerate_ar(F, max_nodes=max_nodes)
-    except (InvalidFrobeniusError, ScaleLimitError, ValueError) as exc:
+        tree = enumerate_ar(F)
+    except (InvalidFrobeniusError, ScaleLimitError) as exc:
         raise CliError(str(exc))
     if fmt == "dot":
         click.echo(serialize.tree_dot(tree))
@@ -146,10 +169,7 @@ def cmd_tree(frobenius: str, fmt: str, max_nodes: int) -> None:
 
 @main.command("check")
 @click.argument("generators")
-@click.option(
-    "--format", "fmt", type=click.Choice(["table", "json"]), default="table",
-    show_default=True, help="Output format.",
-)
+@_format_option("table", "json")
 def cmd_check(generators: str, fmt: str) -> None:
     """Report the invariants of the semigroup generated by GENERATORS."""
     S = _build_semigroup(generators)
@@ -163,10 +183,12 @@ def cmd_check(generators: str, fmt: str) -> None:
         valid = validate_sequence(seq)
     med, arf = len(gens) == S.multiplicity(), valid is not False  # the naturals are Arf
     if fmt == "json":
+        semigroup = serialize.semigroup_dict(S)
+        semigroup["type"] = None if pf is None else len(pf)  # S need not be Arf
         click.echo(
             serialize.dumps(
                 {
-                    "semigroup": serialize.semigroup_dict(S),
+                    "semigroup": semigroup,
                     "pseudo_frobenius": list(pf) if pf is not None else None,
                     "special_gaps": list(sg) if sg is not None else None,
                     "is_med": med,
@@ -202,10 +224,7 @@ def cmd_check(generators: str, fmt: str) -> None:
 @main.command("closure")
 @click.argument("frobenius")
 @click.option("--set", "elements", default="", help="Comma-separated positive integers.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["table", "json"]), default="table",
-    show_default=True, help="Output format.",
-)
+@_format_option("table", "json")
 def cmd_closure(frobenius: str, elements: str, fmt: str) -> None:
     """Smallest Arf semigroup with Frobenius number FROBENIUS containing --set.
 
@@ -241,10 +260,7 @@ def cmd_closure(frobenius: str, elements: str, fmt: str) -> None:
 
 @main.command("minimal-gens")
 @click.argument("generators")
-@click.option(
-    "--format", "fmt", type=click.Choice(["table", "json"]), default="table",
-    show_default=True, help="Output format.",
-)
+@_format_option("table", "json")
 def cmd_minimal_gens(generators: str, fmt: str) -> None:
     """Minimal hull-generating set of the Arf semigroup generated by GENERATORS.
 
@@ -282,13 +298,12 @@ def cmd_minimal_gens(generators: str, fmt: str) -> None:
 @main.command("rank-one")
 @click.argument("frobenius")
 @click.option("--count", "count_only", is_flag=True, help="Print only how many there are.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["table", "json"]), default="table",
-    show_default=True, help="Output format.",
-)
+@_format_option("table", "json")
 def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
     """All rank-one members of Ar(FROBENIUS), or their count."""
     F = _to_int(frobenius, "frobenius")
+    if not count_only and F > _RANK_ONE_LIMIT:
+        raise CliError(f"rank-one listing for Frobenius number {F} refused (limit {_RANK_ONE_LIMIT}; --count has none)")
     try:
         if count_only:
             n = count_rank_one(F)
@@ -315,15 +330,10 @@ def seq_group() -> None:
 
 @seq_group.command("validate")
 @click.argument("terms")
-@click.option(
-    "--format", "fmt", type=click.Choice(["table", "json"]), default="table",
-    show_default=True, help="Output format.",
-)
+@_format_option("table", "json")
 def seq_validate(terms: str, fmt: str) -> None:
     """Check the two sequence axioms.  Exits 1 when they fail."""
-    xs = _int_list(terms, "term")
-    if not xs:
-        raise CliError("at least one term is required")
+    xs = _terms(terms)
     try:
         S = semigroup_of_sequence(ArfSequence(xs))  # the one validation
     except InvalidSequenceError:
@@ -352,15 +362,10 @@ def seq_validate(terms: str, fmt: str) -> None:
 
 @seq_group.command("semigroup")
 @click.argument("terms")
-@click.option(
-    "--format", "fmt", type=click.Choice(["table", "json"]), default="table",
-    show_default=True, help="Output format.",
-)
+@_format_option("table", "json")
 def seq_semigroup(terms: str, fmt: str) -> None:
     """The semigroup whose difference sequence is TERMS.  Exits 1 when invalid."""
-    xs = _int_list(terms, "term")
-    if not xs:
-        raise CliError("at least one term is required")
+    xs = _terms(terms)
     try:
         S = semigroup_of_sequence(ArfSequence(xs))
     except InvalidSequenceError:
@@ -375,7 +380,7 @@ def seq_semigroup(terms: str, fmt: str) -> None:
                     ("frobenius", S.frobenius),
                     ("multiplicity", S.multiplicity()),
                     ("genus", S.genus()),
-                    ("type", S.semigroup_type()),
+                    ("type", S.multiplicity() - 1),  # S is Arf, so MED
                     ("min_generators", _fmt(S.minimal_generators())),
                     ("small_elements", _fmt(S.small_elements())),
                 ]
@@ -385,15 +390,10 @@ def seq_semigroup(terms: str, fmt: str) -> None:
 
 @seq_group.command("refinements")
 @click.argument("terms")
-@click.option(
-    "--format", "fmt", type=click.Choice(["table", "json"]), default="table",
-    show_default=True, help="Output format.",
-)
+@_format_option("table", "json")
 def seq_refinements(terms: str, fmt: str) -> None:
     """Every valid single split of TERMS.  Exits 1 when TERMS is invalid."""
-    xs = _int_list(terms, "term")
-    if not xs:
-        raise CliError("at least one term is required")
+    xs = _terms(terms)
     try:
         refined = list(iter_refinements(ArfSequence(xs)))  # the one validation
     except InvalidSequenceError:

@@ -18,20 +18,14 @@ CSV_HEADER = "depth,frobenius,multiplicity,genus,type,generators"
 
 
 def semigroup_dict(S: NumericalSemigroup) -> dict[str, Any]:
-    return _semigroup_dict(S, None if S.is_natural() else S.semigroup_type())
-
-
-def _node_dict(S: NumericalSemigroup) -> dict[str, Any]:
-    """``semigroup_dict`` of a tree node: tree nodes are Arf, so MED, so their type is m - 1."""
-    return _semigroup_dict(S, S.multiplicity() - 1)
-
-
-def _semigroup_dict(S: NumericalSemigroup, semigroup_type: int | None) -> dict[str, Any]:
+    """The JSON object of an Arf semigroup.  Arf semigroups are MED, so the type is
+    m - 1 (null for the naturals); a caller holding any other semigroup sets ``type``."""
+    m = S.multiplicity()
     return {
         "frobenius": S.frobenius,
-        "multiplicity": S.multiplicity(),
+        "multiplicity": m,
         "genus": S.genus(),
-        "type": semigroup_type,
+        "type": None if S.is_natural() else m - 1,
         "min_generators": list(S.minimal_generators()),
         "small_elements": list(S.small_elements()),
     }
@@ -93,7 +87,7 @@ def tree_json_obj(tree: CovarietyTree) -> dict[str, Any]:
     return {
         "frobenius": tree.frobenius,
         "root": 0,
-        "nodes": [_node_dict(node.semigroup) for node in tree.nodes],
+        "nodes": [semigroup_dict(node.semigroup) for node in tree.nodes],
         "edges": [list(edge) for edge in tree.edges()],
     }
 

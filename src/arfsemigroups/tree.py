@@ -29,7 +29,13 @@ from typing import Iterator
 from .core import NumericalSemigroup, _closed
 from .errors import InvalidFrobeniusError, NotInCovarietyError, ScaleLimitError
 
-DEFAULT_MAX_NODES = 10**7
+# The tree on Ar(F) roughly doubles each time F grows by 20, odd F having up to 1.7 times the
+# nodes of their neighbours, and the root alone has about F/2 children of 2F bits each, so only
+# a limit on F, checked before the walk, refuses in time.  Budget: every accepted F finishes
+# within 2 s.  The slowest, F = 89 (17,538 nodes), took 0.8-1.1 s and at most 54 MB in every
+# format of `arfsg enumerate` and `tree` (CPython 3.11, shared 2-core Xeon); F = 99 (26,734
+# nodes) took 1.6 s and F = 111 2.2-2.6 s.
+_TREE_LIMIT = 90
 
 
 @dataclass(frozen=True)
@@ -146,11 +152,7 @@ def children(S: NumericalSemigroup) -> list[NumericalSemigroup]:
     return [_closed(S.frobenius, S.mask | 1 << e) for e in new]
 
 
-def enumerate_ar(
-    frobenius: int,
-    threads: int = 1,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> CovarietyTree:
+def enumerate_ar(frobenius: int) -> CovarietyTree:
     """Breadth-first enumeration of every Arf semigroup with the given Frobenius number.
 
     Each level is expanded by bit tests on every node's mask (see the module
@@ -160,16 +162,13 @@ def enumerate_ar(
     parent's positive ones, and a level's parents are already in that order,
     so each level is sorted by the pair (e, parent index).
 
-    ``threads`` is validated and accepted for compatibility but has no
-    effect: enumeration is serial.  ``max_nodes`` (at least 1) bounds the
-    tree size, the root included; ``ScaleLimitError`` is raised beyond it.
+    Frobenius numbers above ``_TREE_LIMIT`` raise ``ScaleLimitError`` before
+    the walk starts.
     """
     if frobenius < 1:
         raise InvalidFrobeniusError(f"frobenius must be >= 1, got {frobenius}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if max_nodes < 1:
-        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+    if frobenius > _TREE_LIMIT:
+        raise ScaleLimitError(f"tree walk for Frobenius number {frobenius} refused (limit {_TREE_LIMIT})")
     F = frobenius
     masks, parents, depths = [NumericalSemigroup.delta(F).mask], [-1], [0]
     fill = ((1 << (F + 1)) - 1) << (F + 2)  # the members F+2..2F+2
@@ -181,8 +180,6 @@ def enumerate_ar(
             m = (low & -low).bit_length() - 1
             level.extend([(e, k) for e in _new_multiplicities(masks[k] | fill, m)])
         level.sort()
-        if len(masks) + len(level) > max_nodes:
-            raise ScaleLimitError(f"enumeration exceeded max_nodes={max_nodes}")
         first, depth = len(masks), depth + 1
         for e, k in level:
             masks.append(masks[k] | 1 << e)

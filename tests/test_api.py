@@ -2,7 +2,10 @@
 
 from dataclasses import fields
 
+import click
+
 import arfsemigroups
+from arfsemigroups.cli import main
 
 PUBLIC = [
     "ArfSequence",
@@ -73,6 +76,19 @@ SEMIGROUP_PUBLIC = [
     "special_gaps",
 ]
 
+# every arfsg command with its parameters: arguments by name, options by their flags
+CLI = {
+    "check": ["GENERATORS", "--format"],
+    "closure": ["FROBENIUS", "--set", "--format"],
+    "enumerate": ["FROBENIUS", "--format", "--stats", "--maximal-only"],
+    "minimal-gens": ["GENERATORS", "--format"],
+    "rank-one": ["FROBENIUS", "--count", "--format"],
+    "seq refinements": ["TERMS", "--format"],
+    "seq semigroup": ["TERMS", "--format"],
+    "seq validate": ["TERMS", "--format"],
+    "tree": ["FROBENIUS", "--format"],
+}
+
 # the Apery/MED-adjunction route lives in tests/apery_route.py; its errors are asserts there;
 # minimal_generators() and apery_set() return plain tuples
 REMOVED = [
@@ -119,3 +135,18 @@ def test_semigroup_surface_is_frozen():
     S = NumericalSemigroup.from_generators([5, 7, 9])
     public = sorted(SEMIGROUP_FIELDS + SEMIGROUP_PUBLIC)
     assert [name for name in dir(S) if not name.startswith("_")] == public
+
+
+def test_cli_surface_is_frozen():
+    def commands(group, prefix=""):
+        for name, command in sorted(group.commands.items()):
+            if isinstance(command, click.Group):
+                yield from commands(command, prefix + name + " ")
+            else:
+                yield prefix + name, command
+
+    surface = {
+        name: [p.human_readable_name if isinstance(p, click.Argument) else p.opts[0] for p in command.params]
+        for name, command in commands(main)
+    }
+    assert surface == CLI

@@ -8,9 +8,10 @@ import pytest
 from click.testing import CliRunner
 
 from arfsemigroups import NumericalSemigroup, cli, sequences
-from arfsemigroups.cli import main
+from arfsemigroups.cli import _RANK_ONE_LIMIT, _SEQ_LIMIT, main
 from arfsemigroups.closure import _HULL_LIMIT
 from arfsemigroups.core import _SIEVE_LIMIT
+from arfsemigroups.tree import _TREE_LIMIT
 from full_check import count_full_checks
 
 F5_CSV = """\
@@ -35,6 +36,16 @@ digraph arf_tree_5 {
 
 def run(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def assert_refused(message, *args):
+    """The command exits 2 within 1 s with ``message`` on stderr and nothing on stdout."""
+    started = time.perf_counter()
+    res = run(*args)
+    assert time.perf_counter() - started < 1, args
+    assert res.exit_code == 2, args
+    assert res.stdout == ""
+    assert message in res.stderr
 
 
 def pairs(text):
@@ -106,13 +117,16 @@ class TestEnumerate:
         assert "maximal       2" in res.stderr
         assert "wall_seconds  0." in res.stderr
 
-    def test_threads_do_not_change_the_bytes(self):
-        one = run("enumerate", "9", "--format", "csv")
-        four = run("enumerate", "9", "--format", "csv", "--threads", "4")
-        assert one.stdout == four.stdout
-
-    def test_max_nodes_cap(self):
-        assert run("enumerate", "5", "--max-nodes", "2").exit_code == 2
+    def test_tree_limit_boundary(self):
+        assert _TREE_LIMIT == 90
+        assert run("enumerate", "90", "--format", "table").exit_code == 0
+        # F = 89 has the largest tree the limit accepts (17,538 nodes)
+        started = time.perf_counter()
+        assert run("enumerate", "89", "--format", "table").exit_code == 0
+        assert time.perf_counter() - started < 2
+        for command, fmt in (("enumerate", "json"), ("tree", "dot")):
+            for F in ("91", "2147483647"):
+                assert_refused(f"tree walk for Frobenius number {F} refused (limit 90)", command, F, "--format", fmt)
 
 
 class TestTree:
@@ -194,7 +208,8 @@ class TestCheck:
             assert got["special_gaps"] == list(S.special_gaps()), gens
             assert got["is_med"] == S.is_med(), gens
 
-    # json builds each once more inside serialize.semigroup_dict
+    # json builds the generators once more inside serialize.semigroup_dict, which reads the type
+    # off the multiplicity; check overwrites it with the len(pf) it holds
     @pytest.mark.parametrize("fmt, builds", [("table", 1), ("json", 2)])
     def test_invariants_are_built_once(self, monkeypatch, fmt, builds):
         counts = Counter()
@@ -208,7 +223,7 @@ class TestCheck:
         assert run("check", "97,101", "--format", fmt).exit_code == 0
         # is_arf is the sequence_valid value, so the sequence is built and validated once
         assert counts == {
-            "_pseudo_frobenius_mask": builds,
+            "_pseudo_frobenius_mask": 1,
             "minimal_generators": builds,
             "difference_sequence": 1,
             "validate_sequence": 1,
@@ -327,6 +342,18 @@ class TestRankOne:
     def test_too_small(self):
         assert run("rank-one", "1").exit_code == 2
 
+    def test_listing_limit_boundary(self):
+        assert _RANK_ONE_LIMIT == 1500
+        started = time.perf_counter()
+        res = run("rank-one", "1500", "--format", "json")  # json is the slower format
+        assert time.perf_counter() - started < 2
+        assert res.exit_code == 0 and len(json.loads(res.stdout)) == 1500 - 24  # 24 divisors
+        for F in ("1501", "2147483647"):
+            for fmt in ("table", "json"):
+                message = f"rank-one listing for Frobenius number {F} refused (limit 1500; --count has none)"
+                assert_refused(message, "rank-one", F, "--format", fmt)
+            assert run("rank-one", F, "--count").exit_code == 0
+
 
 class TestSeq:
     @pytest.mark.parametrize("command", ["validate", "semigroup", "refinements"])
@@ -389,6 +416,23 @@ class TestSeq:
             ],
         }
 
+    def test_total_limit_boundary(self):
+        assert _SEQ_LIMIT == 8192
+        # twos then one large term: the slowest shape found, about total/4 splits of 1,026 terms
+        slowest = ",".join(["2"] * 1024 + ["6144"])
+        started = time.perf_counter()
+        res = run("seq", "refinements", slowest, "--format", "json")
+        assert time.perf_counter() - started < 2
+        assert res.exit_code == 0
+        for terms in (",".join(["2"] * 4096), "2,8190"):
+            for command in ("validate", "semigroup", "refinements"):
+                assert run("seq", command, terms).exit_code == 0
+        for terms, total in (("2,8191", 8193), (slowest + ",2", 8194), ("2147483647", 2147483647)):
+            for command in ("validate", "semigroup", "refinements"):
+                for fmt in ("table", "json"):
+                    message = f"sequence total {total} refused (limit 8192)"
+                    assert_refused(message, "seq", command, terms, "--format", fmt)
+
     def test_refinement_free(self):
         obj = json.loads(run("seq", "refinements", "2,2,2,2,2,2,2", "--format", "json").stdout)
         assert obj["refinement_free"] is True
@@ -428,12 +472,3 @@ class TestBadInput:
         res = run("check", "abc")
         assert res.stdout == ""
         assert "integer" in res.stderr
-
-    def test_max_nodes_below_one_is_refused(self):
-        for args in (("enumerate", "1", "--max-nodes", "0"),
-                     ("enumerate", "2", "--max-nodes", "-5"),
-                     ("tree", "1", "--max-nodes", "0")):
-            res = run(*args)
-            assert res.exit_code == 2, args
-            assert res.stdout == ""
-            assert "max_nodes must be >= 1" in res.stderr

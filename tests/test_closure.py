@@ -129,6 +129,7 @@ def assert_matches_pair_fixpoint(X, F):
         seen |= bits
     if accepted:
         assert res.closure.mask == mask | (1 << (F + 1)), (X, F)
+        assert res.closure.semigroup_type() == res.closure.multiplicity() - 1  # Arf, so MED
         assert seen == mask & ~_closure_mask(res.input_set, F)
 
 
@@ -233,6 +234,7 @@ class TestRankOne:
             for S in rank_one_catalog(F):
                 assert_checked(S)
                 m = S.multiplicity()
+                assert S.semigroup_type() == m - 1  # Arf, so MED
                 assert S == NumericalSemigroup.from_small_elements(F, range(0, F, m))
 
     def test_counts(self):

@@ -148,6 +148,7 @@ class TestConversion:
                 S = semigroup_of_sequence(q)
                 assert_checked(S)
                 assert semigroup_of_sequence(q.terms) == S
+                assert S.semigroup_type() == S.multiplicity() - 1  # Arf, so MED
 
     def test_round_trip_exhaustive_small_totals(self):
         for total in range(2, 21):

@@ -1,5 +1,7 @@
 """Tests for child computation, incremental tables and the full enumeration."""
 
+import inspect
+
 import pytest
 
 from apery_route import (
@@ -22,7 +24,7 @@ from arfsemigroups import (
     is_member_ar,
     maximal_elements,
 )
-from arfsemigroups.tree import _mask_splits
+from arfsemigroups.tree import _TREE_LIMIT, _mask_splits
 from full_check import assert_checked
 from prefix_walk import splits_by_prefix_walk
 
@@ -218,28 +220,12 @@ class TestEnumeration:
             keys = [(n.depth, n.semigroup.small_elements()) for n in nodes]
             assert keys == sorted(keys)
 
-    def test_thread_counts_agree(self):
-        single = enumerate_ar(14)
-        for threads in (2, 4):
-            assert enumerate_ar(14, threads=threads) == single
-
     def test_limits(self):
         with pytest.raises(InvalidFrobeniusError):
             enumerate_ar(0)
-        with pytest.raises(ScaleLimitError):
-            enumerate_ar(5, max_nodes=3)
-        with pytest.raises(ValueError):
-            enumerate_ar(5, threads=0)
-        for F, cap in ((1, 0), (2, -5), (5, 0)):
-            with pytest.raises(ValueError):
-                enumerate_ar(F, max_nodes=cap)
-
-    @pytest.mark.parametrize("F", [5, 12, 20])
-    def test_max_nodes_counts_the_root(self, F):
-        size = len(enumerate_ar(F))
-        assert len(enumerate_ar(F, max_nodes=size)) == size
-        with pytest.raises(ScaleLimitError):
-            enumerate_ar(F, max_nodes=size - 1)
+        with pytest.raises(ScaleLimitError, match=f"limit {_TREE_LIMIT}"):
+            enumerate_ar(_TREE_LIMIT + 1)
+        assert list(inspect.signature(enumerate_ar).parameters) == ["frobenius"]
 
     def test_intersections_stay_inside(self):
         for F in range(1, 11):
