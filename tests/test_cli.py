@@ -11,7 +11,7 @@ from arfsemigroups import NumericalSemigroup, cli, sequences
 from arfsemigroups.cli import _RANK_ONE_LIMIT, _SEQ_LIMIT, main
 from arfsemigroups.closure import _HULL_LIMIT
 from arfsemigroups.core import _SIEVE_LIMIT
-from arfsemigroups.tree import _TREE_LIMIT
+from arfsemigroups.tree import _TREE_LIMIT, CovarietyTree, enumerate_ar
 from full_check import count_full_checks
 
 F5_CSV = """\
@@ -50,6 +50,16 @@ def assert_refused(message, *args):
 
 def pairs(text):
     return dict(line.split() for line in text.strip().splitlines())
+
+
+def count_calls(monkeypatch, counts, owner, *names):
+    """Count the calls of the methods ``names`` of ``owner`` in ``counts``."""
+    for name in names:
+        def counted(self, *args, _name=name, _method=getattr(owner, name)):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
 
 
 def count_validations(monkeypatch, counts):
@@ -116,6 +126,16 @@ class TestEnumerate:
         assert "nodes         4" in res.stderr
         assert "maximal       2" in res.stderr
         assert "wall_seconds  0." in res.stderr
+
+    @pytest.mark.parametrize("flags", ["", "--stats", "--maximal-only", "--maximal-only --stats"])
+    def test_maximal_scan_runs_once(self, monkeypatch, flags):
+        counts = Counter()
+        count_calls(monkeypatch, counts, CovarietyTree, "maximal_indices")
+        res = run("enumerate", "40", "--format", "json", *flags.split())
+        assert res.exit_code == 0
+        assert counts["maximal_indices"] == (flags != "")
+        if "--stats" in flags:
+            assert f"maximal       {len(enumerate_ar(40).maximal_indices())}" in res.stderr
 
     def test_tree_limit_boundary(self):
         assert _TREE_LIMIT == 90
@@ -208,23 +228,20 @@ class TestCheck:
             assert got["special_gaps"] == list(S.special_gaps()), gens
             assert got["is_med"] == S.is_med(), gens
 
-    # json builds the generators once more inside serialize.semigroup_dict, which reads the type
-    # off the multiplicity; check overwrites it with the len(pf) it holds
-    @pytest.mark.parametrize("fmt, builds", [("table", 1), ("json", 2)])
-    def test_invariants_are_built_once(self, monkeypatch, fmt, builds):
+    # json reads the generators off serialize.semigroup_dict, which reads the type off the
+    # multiplicity; check overwrites it with the len(pf) it holds
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_invariants_are_built_once(self, monkeypatch, fmt):
         counts = Counter()
-        for name in ("_pseudo_frobenius_mask", "minimal_generators", "difference_sequence"):
-            def counted(S, _name=name, _method=getattr(NumericalSemigroup, name)):
-                counts[_name] += 1
-                return _method(S)
-
-            monkeypatch.setattr(NumericalSemigroup, name, counted)
+        names = ("_pseudo_frobenius_mask", "minimal_generators", "small_elements", "difference_sequence")
+        count_calls(monkeypatch, counts, NumericalSemigroup, *names)
         count_validations(monkeypatch, counts)
         assert run("check", "97,101", "--format", fmt).exit_code == 0
         # is_arf is the sequence_valid value, so the sequence is built and validated once
         assert counts == {
             "_pseudo_frobenius_mask": 1,
-            "minimal_generators": builds,
+            "minimal_generators": 1,
+            "small_elements": 1,
             "difference_sequence": 1,
             "validate_sequence": 1,
         }
@@ -278,6 +295,19 @@ class TestClosure:
         got = pairs(run("closure", "5").stdout)
         assert got["closure"] == "<6,7,8,9,10,11>"
         assert got["rank"] == "0"
+
+    # minimal_ar_generators reads the hull's generators off its mask, so the rendering builds
+    # the generators and the small elements, each once
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_hull_invariants_are_built_once(self, monkeypatch, fmt):
+        counts = Counter()
+        count_calls(monkeypatch, counts, NumericalSemigroup, "minimal_generators", "small_elements")
+        res = run("closure", "29", "--set", "6,8", "--format", fmt)
+        assert res.exit_code == 0 and "6,8" in res.stdout
+        assert counts == {"minimal_generators": 1, "small_elements": 1}
+        counts.clear()
+        assert run("minimal-gens", "6,8,10,31,33,35", "--format", fmt).exit_code == 0
+        assert counts == Counter(minimal_generators=1, small_elements=fmt == "json")  # json lists them
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_hull_limit_boundary(self, fmt):
@@ -334,6 +364,13 @@ class TestRankOne:
             ["3", "4", "3,7,8"],
             ["4", "4", "4,6,7,9"],
         ]
+
+    def test_count_has_no_limit_and_finishes_in_time(self):
+        started = time.perf_counter()
+        res = run("rank-one", "2147483647", "--count")  # the input cap, and prime
+        assert time.perf_counter() - started < 1
+        assert res.exit_code == 0
+        assert res.stdout == "2147483645\n"
 
     def test_empty_catalog(self):
         assert run("rank-one", "2", "--format", "json").stdout == "[]\n"

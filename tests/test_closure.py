@@ -243,6 +243,24 @@ class TestRankOne:
         for p in (5, 7, 11, 13, 101):
             assert count_rank_one(p) == p - 2
 
+    def test_count_matches_a_divisor_sieve(self):
+        N = 20_000
+        divisors = [0] * (N + 1)
+        for d in range(1, N + 1):
+            for k in range(d, N + 1, d):
+                divisors[k] += 1
+        assert [count_rank_one(F) for F in range(2, N + 1)] == [F - divisors[F] for F in range(2, N + 1)]
+
+    @pytest.mark.parametrize("F, divisors", [
+        (2**31 - 1, 2),  # prime: trial division runs up to its square root
+        (999_999_937, 2),  # the largest prime below 10^9
+        (46_337**2, 3),  # 2,147,117,569, the square of a prime
+        (223_092_870, 512),  # 2 * 3 * 5 * ... * 23
+        (735_134_400, 1344),  # 2^6 * 3^3 * 5^2 * 7 * 11 * 13 * 17
+    ])
+    def test_count_on_large_frobenius_numbers(self, F, divisors):
+        assert count_rank_one(F) == F - divisors
+
     def test_limits(self):
         with pytest.raises(InvalidFrobeniusError):
             rank_one_catalog(1)

@@ -25,6 +25,7 @@ from arfsemigroups import (
     enumerate_ar,
 )
 from arfsemigroups.core import _iter_bits
+import member_shifts
 from full_check import assert_checked, count_full_checks, full_check_accepts
 
 
@@ -216,6 +217,43 @@ def test_random_generators_gap_invariants_match_apery_route(gens):
     assume(math.gcd(*gens) == 1)
     S = NumericalSemigroup.from_generators(gens)
     assert_gap_invariants_match_apery_route(S)
+
+
+def assert_matches_member_shifts(S):
+    """Apery-mask generators and pseudo-Frobenius numbers and zero-run sequences against
+    the member-shift rules and the element list."""
+    assert S.minimal_generators() == member_shifts.minimal_generators(S), S
+    if not S.is_natural():
+        assert S._pseudo_frobenius_mask() == member_shifts.pseudo_frobenius_mask(S), S
+        assert S.difference_sequence() == member_shifts.difference_sequence(S), S
+
+
+class TestAperyMaskAgainstMemberShifts:
+    def test_every_tree_node_up_to_f40(self):
+        for F in range(1, 41):
+            for S in enumerate_ar(F).semigroups():
+                assert_matches_member_shifts(S)
+
+    def test_oracle_family_up_to_f14(self):
+        assert_matches_member_shifts(NumericalSemigroup.natural())
+        for F in range(1, 15):
+            for S in brute_all_semigroups(F):
+                assert_matches_member_shifts(S)
+
+    def test_query_shapes(self):
+        # the Arf inputs of the benchmark's check and minimal-gens commands, up to F near 3,000
+        for k in range(1, 501):
+            assert_matches_member_shifts(sg(2, 2 * k + 1))
+            assert_matches_member_shifts(sg(3, 3 * k + 1, 3 * k + 2))
+
+    def test_two_generators_near_the_sieve_limit(self):
+        assert_matches_member_shifts(sg(361, 363))  # 131,043 bits sieved, F = 130,319
+
+
+@given(st.lists(st.integers(min_value=2, max_value=200), min_size=1, max_size=6))
+def test_random_generators_match_member_shifts(gens):
+    assume(math.gcd(*gens) == 1)
+    assert_matches_member_shifts(NumericalSemigroup.from_generators(gens))
 
 
 def _lowest_bit_loop(mask):
