@@ -1,18 +1,24 @@
-"""Command-line surface.
+"""Command-line surface: the ``arfsg`` commands on one argparse parser, built at import.
+
+Each command is a plain function of its parsed parameters, chosen by the
+parser's ``fn`` default.  The functions look up the library calls as module
+globals when they run, so those can be replaced from outside (a tracer
+wrapping ``enumerate_ar``, say) without rebuilding the parser.
 
 Exit codes: 0 on success, 1 for a negative domain outcome (a set with no
 hull, an invalid sequence, a non-Arf input where membership is required),
-2 for unusable input.  All stdout output is deterministic; the optional
-``--stats`` report carries a wall-time measurement and therefore goes to
-stderr.
+2 for unusable input: a usage error reported by the parser, or ``Error:
+<message>`` on stderr for a value the command refuses.  All stdout output
+is deterministic; the optional ``--stats`` report carries a wall-time
+measurement and therefore goes to stderr.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 import time
-
-import click
 
 from . import serialize
 from .closure import ar_closure, count_rank_one, minimal_ar_generators, rank_one_catalog
@@ -52,8 +58,8 @@ _SEQ_LIMIT = 1 << 13
 _RANK_ONE_LIMIT = 1500
 
 
-class CliError(click.ClickException):
-    exit_code = 2
+class CliError(Exception):
+    """Unusable input: ``main`` prints ``Error: <message>`` to stderr and returns 2."""
 
 
 def _to_int(text: str, what: str) -> int:
@@ -92,13 +98,6 @@ def _build_semigroup(gens_text: str) -> NumericalSemigroup:
         raise CliError(str(exc))
 
 
-def _format_option(*choices: str):
-    """``--format`` with the given choices, the first being the default."""
-    return click.option(
-        "--format", "fmt", type=click.Choice(choices), default=choices[0], show_default=True, help="Output format."
-    )
-
-
 def _fmt(value) -> str:
     if value is None:
         return "-"
@@ -109,18 +108,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@click.group()
-def main() -> None:
-    """Arf numerical semigroups with a fixed Frobenius number."""
-
-
-@main.command("enumerate")
-@click.argument("frobenius")
-@_format_option("table", "json", "csv")
-@click.option("--stats", is_flag=True, help="Print an enumeration report to stderr.")
-@click.option("--maximal-only", is_flag=True, help="Only inclusion-maximal members.")
 def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> None:
-    """List every Arf semigroup with Frobenius number FROBENIUS."""
     F = _to_int(frobenius, "frobenius")
     started = time.perf_counter()
     try:
@@ -131,13 +119,13 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
     maximal = tree.maximal_indices() if maximal_only or stats else None  # the one maximal scan
     indices = maximal if maximal_only else range(len(tree))
     if fmt == "table":
-        click.echo(serialize.tree_table(tree, indices))
+        print(serialize.tree_table(tree, indices))
     elif fmt == "csv":
-        click.echo(serialize.tree_csv(tree, indices))
+        print(serialize.tree_csv(tree, indices))
     else:
-        click.echo(serialize.dumps([serialize.semigroup_dict(tree.nodes[i].semigroup) for i in indices]))
+        print(serialize.dumps([serialize.semigroup_dict(tree.nodes[i].semigroup) for i in indices]))
     if stats:
-        click.echo(
+        print(
             serialize.render_pairs(
                 [
                     ("frobenius", tree.frobenius),
@@ -147,31 +135,23 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
                     ("wall_seconds", f"{wall:.3f}"),
                 ]
             ),
-            err=True,
+            file=sys.stderr,
         )
 
 
-@main.command("tree")
-@click.argument("frobenius")
-@_format_option("dot", "json")
 def cmd_tree(frobenius: str, fmt: str) -> None:
-    """Export the rooted tree on Ar(FROBENIUS) (edges point child -> parent)."""
     F = _to_int(frobenius, "frobenius")
     try:
         tree = enumerate_ar(F)
     except (InvalidFrobeniusError, ScaleLimitError) as exc:
         raise CliError(str(exc))
     if fmt == "dot":
-        click.echo(serialize.tree_dot(tree))
+        print(serialize.tree_dot(tree))
     else:
-        click.echo(serialize.dumps(serialize.tree_json_obj(tree)))
+        print(serialize.dumps(serialize.tree_json_obj(tree)))
 
 
-@main.command("check")
-@click.argument("generators")
-@_format_option("table", "json")
 def cmd_check(generators: str, fmt: str) -> None:
-    """Report the invariants of the semigroup generated by GENERATORS."""
     S = _build_semigroup(generators)
     semigroup = serialize.semigroup_dict(S) if fmt == "json" else None
     gens = semigroup["min_generators"] if semigroup else S.minimal_generators()
@@ -185,7 +165,7 @@ def cmd_check(generators: str, fmt: str) -> None:
     med, arf = len(gens) == S.multiplicity(), valid is not False  # the naturals are Arf
     if semigroup:
         semigroup["type"] = None if pf is None else len(pf)  # S need not be Arf
-        click.echo(
+        print(
             serialize.dumps(
                 {
                     "semigroup": semigroup,
@@ -199,7 +179,7 @@ def cmd_check(generators: str, fmt: str) -> None:
             )
         )
         return
-    click.echo(
+    print(
         serialize.render_pairs(
             [
                 ("frobenius", S.frobenius),
@@ -221,15 +201,7 @@ def cmd_check(generators: str, fmt: str) -> None:
     )
 
 
-@main.command("closure")
-@click.argument("frobenius")
-@click.option("--set", "elements", default="", help="Comma-separated positive integers.")
-@_format_option("table", "json")
-def cmd_closure(frobenius: str, elements: str, fmt: str) -> None:
-    """Smallest Arf semigroup with Frobenius number FROBENIUS containing --set.
-
-    Exits 1 when no such semigroup exists.
-    """
+def cmd_closure(frobenius: str, elements: str, fmt: str) -> int | None:
     F = _to_int(frobenius, "frobenius")
     xs = _int_list(elements, "element")
     try:
@@ -242,7 +214,7 @@ def cmd_closure(frobenius: str, elements: str, fmt: str) -> None:
     else:
         minimal = rank = None
     if fmt == "json":
-        click.echo(serialize.dumps(serialize.closure_obj(result, rank)))
+        print(serialize.dumps(serialize.closure_obj(result, rank)))
     else:
         rows = [
             ("F", result.frobenius),
@@ -253,27 +225,20 @@ def cmd_closure(frobenius: str, elements: str, fmt: str) -> None:
             ("minimal_system", _fmt(minimal)),
             ("rank", _fmt(rank)),
         ]
-        click.echo(serialize.render_pairs(rows))
+        print(serialize.render_pairs(rows))
     if not result.is_ar_set:
-        sys.exit(1)
+        return 1
 
 
-@main.command("minimal-gens")
-@click.argument("generators")
-@_format_option("table", "json")
-def cmd_minimal_gens(generators: str, fmt: str) -> None:
-    """Minimal hull-generating set of the Arf semigroup generated by GENERATORS.
-
-    Exits 1 when the generated semigroup is not Arf.
-    """
+def cmd_minimal_gens(generators: str, fmt: str) -> int | None:
     S = _build_semigroup(generators)
     try:
         minimal = minimal_ar_generators(S)
     except NotInCovarietyError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
+        print(str(exc), file=sys.stderr)
+        return 1
     if fmt == "json":
-        click.echo(
+        print(
             serialize.dumps(
                 {
                     "semigroup": serialize.semigroup_dict(S),
@@ -283,7 +248,7 @@ def cmd_minimal_gens(generators: str, fmt: str) -> None:
             )
         )
     else:
-        click.echo(
+        print(
             serialize.render_pairs(
                 [
                     ("semigroup", serialize.generator_label(S)),
@@ -295,58 +260,44 @@ def cmd_minimal_gens(generators: str, fmt: str) -> None:
         )
 
 
-@main.command("rank-one")
-@click.argument("frobenius")
-@click.option("--count", "count_only", is_flag=True, help="Print only how many there are.")
-@_format_option("table", "json")
 def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
-    """All rank-one members of Ar(FROBENIUS), or their count."""
     F = _to_int(frobenius, "frobenius")
     if not count_only and F > _RANK_ONE_LIMIT:
         raise CliError(f"rank-one listing for Frobenius number {F} refused (limit {_RANK_ONE_LIMIT}; --count has none)")
     try:
         if count_only:
             n = count_rank_one(F)
-            click.echo(serialize.dumps({"F": F, "count": n}) if fmt == "json" else str(n))
+            print(serialize.dumps({"F": F, "count": n}) if fmt == "json" else str(n))
             return
         catalog = rank_one_catalog(F)
     except InvalidFrobeniusError as exc:
         raise CliError(str(exc))
     if fmt == "json":
-        click.echo(serialize.dumps([serialize.semigroup_dict(S) for S in catalog]))
+        print(serialize.dumps([serialize.semigroup_dict(S) for S in catalog]))
     else:
         header = ["multiplicity", "genus", "generators"]
         rows = [
             [S.multiplicity(), S.genus(), ",".join(str(g) for g in S.minimal_generators())]
             for S in catalog
         ]
-        click.echo(serialize.render_table(header, rows))
+        print(serialize.render_table(header, rows))
 
 
-@main.group("seq")
-def seq_group() -> None:
-    """Validate and convert difference sequences."""
-
-
-@seq_group.command("validate")
-@click.argument("terms")
-@_format_option("table", "json")
-def seq_validate(terms: str, fmt: str) -> None:
-    """Check the two sequence axioms.  Exits 1 when they fail."""
+def seq_validate(terms: str, fmt: str) -> int | None:
     xs = _terms(terms)
     try:
         S = semigroup_of_sequence(ArfSequence(xs))  # the one validation
     except InvalidSequenceError:
         if fmt == "json":
-            click.echo(serialize.dumps(serialize.sequence_obj(xs, False)))
+            print(serialize.dumps(serialize.sequence_obj(xs, False)))
         else:
-            click.echo(serialize.render_pairs([("sequence", _fmt(xs)), ("valid", "false")]))
-        sys.exit(1)
+            print(serialize.render_pairs([("sequence", _fmt(xs)), ("valid", "false")]))
+        return 1
     free = not admits_proper_refinement(xs)
     if fmt == "json":
-        click.echo(serialize.dumps(serialize.sequence_obj(xs, True, free, S)))
+        print(serialize.dumps(serialize.sequence_obj(xs, True, free, S)))
     else:
-        click.echo(
+        print(
             serialize.render_pairs(
                 [
                     ("sequence", _fmt(xs)),
@@ -360,21 +311,17 @@ def seq_validate(terms: str, fmt: str) -> None:
         )
 
 
-@seq_group.command("semigroup")
-@click.argument("terms")
-@_format_option("table", "json")
-def seq_semigroup(terms: str, fmt: str) -> None:
-    """The semigroup whose difference sequence is TERMS.  Exits 1 when invalid."""
+def seq_semigroup(terms: str, fmt: str) -> int | None:
     xs = _terms(terms)
     try:
         S = semigroup_of_sequence(ArfSequence(xs))
     except InvalidSequenceError:
-        click.echo(f"{','.join(str(x) for x in xs)} violates the sequence axioms", err=True)
-        sys.exit(1)
+        print(f"{','.join(str(x) for x in xs)} violates the sequence axioms", file=sys.stderr)
+        return 1
     if fmt == "json":
-        click.echo(serialize.dumps(serialize.semigroup_dict(S)))
+        print(serialize.dumps(serialize.semigroup_dict(S)))
     else:
-        click.echo(
+        print(
             serialize.render_pairs(
                 [
                     ("frobenius", S.frobenius),
@@ -388,19 +335,15 @@ def seq_semigroup(terms: str, fmt: str) -> None:
         )
 
 
-@seq_group.command("refinements")
-@click.argument("terms")
-@_format_option("table", "json")
-def seq_refinements(terms: str, fmt: str) -> None:
-    """Every valid single split of TERMS.  Exits 1 when TERMS is invalid."""
+def seq_refinements(terms: str, fmt: str) -> int | None:
     xs = _terms(terms)
     try:
         refined = list(iter_refinements(ArfSequence(xs)))  # the one validation
     except InvalidSequenceError:
-        click.echo(f"{','.join(str(x) for x in xs)} violates the sequence axioms", err=True)
-        sys.exit(1)
+        print(f"{','.join(str(x) for x in xs)} violates the sequence axioms", file=sys.stderr)
+        return 1
     if fmt == "json":
-        click.echo(
+        print(
             serialize.dumps(
                 {
                     "sequence": list(xs),
@@ -420,8 +363,131 @@ def seq_refinements(terms: str, fmt: str) -> None:
     ]
     for i, a, q in refined:
         lines.append(f"position {i}  value {a}  -> {','.join(str(t) for t in q.terms)}")
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
 
+
+def _parser() -> argparse.ArgumentParser:
+    """The whole command tree.  Every parser takes ``--help`` and no abbreviated options."""
+
+    def parser(group, name: str, summary: str, more: str = ""):
+        sub = group.add_parser(
+            name, help=summary, description=f"{summary} {more}".rstrip(), add_help=False, allow_abbrev=False
+        )
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        return sub
+
+    def command(group, name: str, fn, argument: str, summary: str, more: str = ""):
+        sub = parser(group, name, summary, more)
+        sub.add_argument(argument.lower(), metavar=argument)
+        sub.set_defaults(fn=fn)
+        return sub
+
+    def formats(sub, *choices: str) -> None:
+        """``--format`` with the given choices, the first being the default."""
+        sub.add_argument(
+            "--format", dest="fmt", choices=choices, default=choices[0], help="Output format (default: %(default)s)."
+        )
+
+    arfsg = argparse.ArgumentParser(
+        prog="arfsg",
+        description="Arf numerical semigroups with a fixed Frobenius number.",
+        add_help=False,
+        allow_abbrev=False,
+    )
+    arfsg.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = arfsg.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    sub = command(
+        commands, "enumerate", cmd_enumerate, "FROBENIUS", "List every Arf semigroup with Frobenius number FROBENIUS."
+    )
+    formats(sub, "table", "json", "csv")
+    sub.add_argument("--stats", action="store_true", help="Print an enumeration report to stderr.")
+    sub.add_argument("--maximal-only", action="store_true", help="Only inclusion-maximal members.")
+
+    sub = command(
+        commands, "tree", cmd_tree, "FROBENIUS", "Export the rooted tree on Ar(FROBENIUS) (edges point child -> parent)."
+    )
+    formats(sub, "dot", "json")
+
+    sub = command(
+        commands, "check", cmd_check, "GENERATORS", "Report the invariants of the semigroup generated by GENERATORS."
+    )
+    formats(sub, "table", "json")
+
+    sub = command(
+        commands,
+        "closure",
+        cmd_closure,
+        "FROBENIUS",
+        "Smallest Arf semigroup with Frobenius number FROBENIUS containing --set.",
+        "Exits 1 when no such semigroup exists.",
+    )
+    sub.add_argument("--set", dest="elements", default="", metavar="X", help="Comma-separated positive integers.")
+    formats(sub, "table", "json")
+
+    sub = command(
+        commands,
+        "minimal-gens",
+        cmd_minimal_gens,
+        "GENERATORS",
+        "Minimal hull-generating set of the Arf semigroup generated by GENERATORS.",
+        "Exits 1 when the generated semigroup is not Arf.",
+    )
+    formats(sub, "table", "json")
+
+    sub = command(commands, "rank-one", cmd_rank_one, "FROBENIUS", "All rank-one members of Ar(FROBENIUS), or their count.")
+    sub.add_argument("--count", dest="count_only", action="store_true", help="Print only how many there are.")
+    formats(sub, "table", "json")
+
+    seq = parser(commands, "seq", "Validate and convert difference sequences.")
+    seq_commands = seq.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for name, fn, summary, more in (
+        ("validate", seq_validate, "Check the two sequence axioms.", "Exits 1 when they fail."),
+        ("semigroup", seq_semigroup, "The semigroup whose difference sequence is TERMS.", "Exits 1 when invalid."),
+        ("refinements", seq_refinements, "Every valid single split of TERMS.", "Exits 1 when TERMS is invalid."),
+    ):
+        formats(command(seq_commands, name, fn, "TERMS", summary, more), "table", "json")
+    return arfsg
+
+
+_PARSER = _parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run ``arfsg`` on ``argv`` (default ``sys.argv[1:]``) and return the exit status.
+
+    Usage errors (status 2) and ``--help`` (status 0) leave through the
+    parser's ``SystemExit``.  When the reader of stdout has gone, as in
+    ``arfsg enumerate 80 | head -1``, the rest of the output is dropped
+    quietly with status 1.
+    """
+    params = vars(_PARSER.parse_args(argv))
+    fn = params.pop("fn")
+    try:
+        try:
+            return fn(**params) or 0
+        finally:
+            sys.stdout.flush()  # a closed pipe raises here rather than at interpreter exit
+    except CliError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return 1
+
+
+def _exit_on_failure(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """``main`` as ``main.main(args=..., prog_name=...)``: a nonzero status raises ``SystemExit``.
+
+    This is the entry point of the in-process benchmark client; the program
+    name is always ``arfsg``.
+    """
+    status = main(args)
+    if status:
+        sys.exit(status)
+
+
+main.main = _exit_on_failure
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -35,8 +35,8 @@ from .core import (
     _iter_bits,
 )
 from .errors import InvalidFrobeniusError, ScaleLimitError
-from .sequences import validate_sequence
-from .tree import _require_member_ar
+from .sequences import _axioms_hold
+from .tree import _not_member_ar
 
 # The chain shifts a bitmask over [0, F] per step and can take F/3 steps, so its cost is
 # quadratic in F.  Budget: every accepted F finishes within 2 s.  The slowest inputs found,
@@ -134,7 +134,7 @@ def _is_arf(T: int, c: int) -> bool:
     if not gaps:
         return True  # the naturals
     f = gaps.bit_length() - 1  # its Frobenius number: the sequence runs over the members up to f+1
-    return validate_sequence(_difference_sequence(T & ((1 << f) - 1) | 1 << (f + 1)))
+    return _axioms_hold(_difference_sequence(T & ((1 << f) - 1) | 1 << (f + 1)))
 
 
 def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:
@@ -148,12 +148,17 @@ def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:
     above x since S is Arf, and drops x.  So S without x is Arf iff x is no
     2v - u of S.  An Arf S is MED, so its minimal generators are m and the
     nonzero Apery elements modulo m: one shift of the mask.  Raises
-    ``NotInCovarietyError`` for non-Arf input.
+    ``NotInCovarietyError`` for the naturals and for non-Arf input: S is not
+    Arf exactly when some 2v - u up to F is a gap.
     """
-    _require_member_ar(S)
+    if S.is_natural():
+        raise _not_member_ar(S)
     F, mask = S.frobenius, S.mask
     terms = _difference_sequence(mask)[::-1]  # bottom up: m first
     mirrors = set(map(add, accumulate(terms), terms))  # v + (v - u) for consecutive u < v
+    digits = bin(mask)[:1:-1]  # digits[x] == "1" for the members x up to F+1
+    if any(digits[x] == "0" for x in mirrors if x <= F):
+        raise _not_member_ar(S)
     m = terms[0]
     gens = (_apery_mask(F, mask, m) | 1 << m) & ((1 << F) - 2)  # the minimal generators below F
     return tuple(x for x in _iter_bits(gens) if x not in mirrors)

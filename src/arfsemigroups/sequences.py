@@ -43,7 +43,11 @@ def _as_terms(seq: Iterable[int] | "ArfSequence") -> tuple[int, ...]:
 
 def validate_sequence(seq: Iterable[int] | "ArfSequence") -> bool:
     """Check both sequence axioms.  Empty input raises ``EmptyInputError``."""
-    xs = _as_terms(seq)
+    return _axioms_hold(_as_terms(seq))
+
+
+def _axioms_hold(xs: tuple[int, ...]) -> bool:
+    """Both sequence axioms on a nonempty tuple of ints, with no conversion of the terms."""
     if xs[0] < 2:
         return False
     if any(b < a for a, b in zip(xs, xs[1:])):
@@ -97,7 +101,7 @@ def semigroup_of_sequence(seq: Iterable[int] | ArfSequence) -> NumericalSemigrou
     ``InvalidSequenceError``; an ``ArfSequence`` was validated when built.
     """
     xs = _as_terms(seq)
-    if not isinstance(seq, ArfSequence) and not validate_sequence(xs):
+    if not isinstance(seq, ArfSequence) and not _axioms_hold(xs):
         raise InvalidSequenceError(f"{xs} violates the sequence axioms")
     run, mask = 0, 1
     for x in reversed(xs):
@@ -189,7 +193,7 @@ def iter_refinements(seq: Iterable[int] | ArfSequence) -> Iterator[tuple[int, in
     refined sequences are built unchecked.
     """
     xs = _as_terms(seq)
-    if not isinstance(seq, ArfSequence) and not validate_sequence(xs):
+    if not isinstance(seq, ArfSequence) and not _axioms_hold(xs):
         raise InvalidSequenceError(f"{xs} violates the sequence axioms")
     for i, a in _valid_splits(xs):
         yield i, a, _unchecked(xs[: i - 1] + (a, xs[i - 1] - a) + xs[i:])

@@ -107,16 +107,21 @@ def is_member_ar(S: NumericalSemigroup, frobenius: int) -> bool:
 
 
 def _require_member_ar(S: NumericalSemigroup) -> None:
-    """Raise ``NotInCovarietyError`` unless S is an Arf semigroup with positive Frobenius number.
+    """Raise ``_not_member_ar(S)`` unless S is an Arf semigroup with positive Frobenius number."""
+    if not is_member_ar(S, S.frobenius):
+        raise _not_member_ar(S)
+
+
+def _not_member_ar(S: NumericalSemigroup) -> NotInCovarietyError:
+    """The error for an S that is not Arf or is the naturals.
 
     The message names S by its Frobenius number and multiplicity, so it
     stays short however large S is.
     """
-    if not is_member_ar(S, S.frobenius):
-        what = "the naturals" if S.is_natural() else (
-            f"the semigroup with Frobenius number {S.frobenius} and multiplicity {S.multiplicity()}"
-        )
-        raise NotInCovarietyError(f"{what} is not an Arf semigroup with positive Frobenius number")
+    what = "the naturals" if S.is_natural() else (
+        f"the semigroup with Frobenius number {S.frobenius} and multiplicity {S.multiplicity()}"
+    )
+    return NotInCovarietyError(f"{what} is not an Arf semigroup with positive Frobenius number")
 
 
 def _extended(S: NumericalSemigroup) -> int:

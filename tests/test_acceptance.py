@@ -8,8 +8,6 @@ pass/fail line per guarantee.
 import json
 import time
 
-from click.testing import CliRunner
-
 from apery_route import (
     apery_after_adjoin,
     apery_by_membership,
@@ -30,11 +28,7 @@ from arfsemigroups import (
     validate_sequence,
     NumericalSemigroup,
 )
-from arfsemigroups.cli import main
-
-
-def run_cli(*args):
-    return CliRunner().invoke(main, list(args))
+from cli_runner import run as run_cli
 
 
 def test_01_enumerate_f5_gives_the_four_known_members():

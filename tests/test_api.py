@@ -1,11 +1,10 @@
 """The public names of the package, frozen."""
 
+import argparse
 from dataclasses import fields
 
-import click
-
 import arfsemigroups
-from arfsemigroups.cli import main
+from arfsemigroups.cli import _PARSER
 
 PUBLIC = [
     "ArfSequence",
@@ -138,15 +137,16 @@ def test_semigroup_surface_is_frozen():
 
 
 def test_cli_surface_is_frozen():
-    def commands(group, prefix=""):
-        for name, command in sorted(group.commands.items()):
-            if isinstance(command, click.Group):
-                yield from commands(command, prefix + name + " ")
-            else:
+    def commands(parser, prefix=""):
+        (group,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, command in sorted(group.choices.items()):
+            if "fn" in command._defaults:
                 yield prefix + name, command
+            else:
+                yield from commands(command, prefix + name + " ")
 
     surface = {
-        name: [p.human_readable_name if isinstance(p, click.Argument) else p.opts[0] for p in command.params]
-        for name, command in commands(main)
+        name: [a.option_strings[0] if a.option_strings else a.metavar for a in command._actions if a.dest != "help"]
+        for name, command in commands(_PARSER)
     }
     assert surface == CLI

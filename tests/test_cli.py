@@ -1,17 +1,21 @@
 """End-to-end tests of the arfsg command line."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from arfsemigroups import NumericalSemigroup, cli, sequences
-from arfsemigroups.cli import _RANK_ONE_LIMIT, _SEQ_LIMIT, main
+from arfsemigroups.cli import _RANK_ONE_LIMIT, _SEQ_LIMIT
 from arfsemigroups.closure import _HULL_LIMIT
 from arfsemigroups.core import _SIEVE_LIMIT
 from arfsemigroups.tree import _TREE_LIMIT, CovarietyTree, enumerate_ar
+from cli_runner import run
 from full_check import count_full_checks
 
 F5_CSV = """\
@@ -32,10 +36,6 @@ digraph arf_tree_5 {
   n2 -> n0;
   n3 -> n2;
 }"""
-
-
-def run(*args):
-    return CliRunner().invoke(main, list(args))
 
 
 def assert_refused(message, *args):
@@ -509,3 +509,147 @@ class TestBadInput:
         res = run("check", "abc")
         assert res.stdout == ""
         assert "integer" in res.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("check", "abc"), "generator must be an integer, got 'abc'"),
+            (("check", ""), "at least one generator is required"),
+            (("enumerate", "2147483648"), "frobenius 2147483648 overflows the 32-bit input cap"),
+            (("enumerate", "0"), "frobenius must be >= 1, got 0"),
+            (("closure", "5", "--set", "1,x"), "element must be an integer, got 'x'"),
+            (("seq", "validate", ""), "at least one term is required"),
+            (("rank-one", "1"), "frobenius must be >= 2, got 1"),
+            # a negative number is an argument, not an unknown option
+            (("enumerate", "-5"), "frobenius must be >= 1, got -5"),
+            (("rank-one", "-3", "--count"), "frobenius must be >= 2, got -3"),
+        ],
+    )
+    def test_refusals_are_one_error_line(self, args, message):
+        res = run(*args)
+        assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"Error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (),
+            ("seq",),
+            ("bogus",),
+            ("seq", "bogus", "2"),
+            ("enumerate",),
+            ("enumerate", "5", "extra"),
+            ("enumerate", "5", "--format", "dot"),
+            ("closure", "5", "--set"),
+            ("check", "-1,5"),
+            ("enumerate", "5", "-h"),
+            # no option may be abbreviated
+            ("enumerate", "5", "--form", "json"),
+            ("enumerate", "5", "--max"),
+            ("closure", "5", "--se", "3"),
+            ("rank-one", "5", "--c"),
+        ],
+    )
+    def test_usage_errors_exit_two(self, args):
+        res = run(*args)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.startswith("usage: arfsg")
+        assert "error: " in res.stderr.splitlines()[-1]
+
+
+ARFSG_HELP = """\
+usage: arfsg [--help] COMMAND ...
+
+Arf numerical semigroups with a fixed Frobenius number.
+
+options:
+  --help        Show this message and exit.
+
+commands:
+  COMMAND
+    enumerate   List every Arf semigroup with Frobenius number FROBENIUS.
+    tree        Export the rooted tree on Ar(FROBENIUS) (edges point child ->
+                parent).
+    check       Report the invariants of the semigroup generated by
+                GENERATORS.
+    closure     Smallest Arf semigroup with Frobenius number FROBENIUS
+                containing --set.
+    minimal-gens
+                Minimal hull-generating set of the Arf semigroup generated by
+                GENERATORS.
+    rank-one    All rank-one members of Ar(FROBENIUS), or their count.
+    seq         Validate and convert difference sequences.
+"""
+
+CLOSURE_HELP = """\
+usage: arfsg closure [--help] [--set X] [--format {table,json}] FROBENIUS
+
+Smallest Arf semigroup with Frobenius number FROBENIUS containing --set. Exits
+1 when no such semigroup exists.
+
+positional arguments:
+  FROBENIUS
+
+options:
+  --help                Show this message and exit.
+  --set X               Comma-separated positive integers.
+  --format {table,json}
+                        Output format (default: table).
+"""
+
+
+class TestParser:
+    @pytest.mark.parametrize("args, text", [(("--help",), ARFSG_HELP), (("closure", "--help"), CLOSURE_HELP)])
+    def test_help(self, monkeypatch, args, text):
+        monkeypatch.setenv("COLUMNS", "80")  # the help is wrapped to the terminal
+        res = run(*args)
+        assert (res.exit_code, res.stdout, res.stderr) == (0, text, "")
+
+    def test_the_benchmark_calling_convention(self, capsys):
+        # main.main(args=..., prog_name=...) returns on success and exits with any other status
+        assert cli.main.main(args=["rank-one", "12", "--count"], prog_name="arfsg") is None
+        assert capsys.readouterr().out == "6\n"
+        for args, status in ((["closure", "8", "--set", "4"], 1), (["check", "abc"], 2), (["bogus"], 2)):
+            with pytest.raises(SystemExit) as exc:
+                cli.main.main(args=args, prog_name="arfsg")
+            assert exc.value.code == status, args
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["arfsg", "rank-one", "12", "--count", "--format", "json"])
+        assert cli.main() == 0
+        assert capsys.readouterr().out == '{"F":12,"count":6}\n'
+        monkeypatch.setattr("sys.argv", ["arfsg", "closure", "8", "--set", "4"])
+        assert cli.main() == 1
+
+    def test_library_calls_are_looked_up_when_a_command_runs(self, monkeypatch):
+        # a tracer replaces these module globals after the parser is built
+        monkeypatch.setattr(cli, "count_rank_one", lambda F: -F)
+        assert run("rank-one", "12", "--count").stdout == "-12\n"
+
+
+def arfsg_process(*args):
+    """``arfsg args...`` in a fresh interpreter, with stdout and stderr as pipes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    command = [sys.executable, "-m", "arfsemigroups.cli", *args]
+    return subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+class TestProcess:
+    def test_a_closed_pipe_ends_quietly_with_status_one(self):
+        # the reader is gone before the first write, as in `arfsg enumerate 80 | head -0`
+        with arfsg_process("enumerate", "80") as proc:
+            proc.stdout.close()
+            assert (proc.wait(timeout=30), proc.stderr.read()) == (1, b"")
+
+    def test_a_reader_that_leaves_early_sees_no_traceback(self):
+        # `arfsg enumerate 80 | head -1`: whether the rest fits in the pipe decides the status
+        with arfsg_process("enumerate", "80") as proc:
+            assert proc.stdout.readline().startswith(b"depth  frobenius  multiplicity")
+            proc.stdout.close()
+            assert proc.wait(timeout=30) in (0, 1)
+            assert proc.stderr.read() == b""
+
+    def test_importing_the_cli_leaves_click_out(self):
+        code = "import sys, arfsemigroups.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "[]\n"

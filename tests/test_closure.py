@@ -14,6 +14,7 @@ from arfsemigroups import (
     NumericalSemigroup,
     ScaleLimitError,
     ar_closure,
+    brute_all_semigroups,
     count_rank_one,
     enumerate_ar,
     minimal_ar_generators,
@@ -163,6 +164,27 @@ class TestMinimalSystem:
         with pytest.raises(NotInCovarietyError):
             minimal_ar_generators(sg(5, 7, 9))
         with pytest.raises(NotInCovarietyError):
+            minimal_ar_generators(NumericalSemigroup.natural())
+
+    def test_rejections_match_is_arf(self):
+        # the verdict is read off the 2v - u of consecutive members, not off the sequence axioms
+        family = [S for F in range(1, 15) for S in brute_all_semigroups(F)]
+        family += [S for F in range(1, 41) for S in enumerate_ar(F).semigroups()]
+        rejected = 0
+        for S in family:
+            try:
+                minimal_ar_generators(S)
+            except NotInCovarietyError as exc:
+                rejected += 1
+                assert not S.is_arf(), S
+                assert str(exc) == (
+                    f"the semigroup with Frobenius number {S.frobenius} and multiplicity {S.multiplicity()}"
+                    " is not an Arf semigroup with positive Frobenius number"
+                )
+            else:
+                assert S.is_arf(), S
+        assert rejected == 379 - 119  # every non-Arf semigroup with F <= 14
+        with pytest.raises(NotInCovarietyError, match="^the naturals is not an Arf semigroup"):
             minimal_ar_generators(NumericalSemigroup.natural())
 
     def test_system_regenerates_and_is_minimal(self):
