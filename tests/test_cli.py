@@ -626,16 +626,19 @@ class TestParser:
         assert run("rank-one", "12", "--count").stdout == "-12\n"
 
 
+# a fresh interpreter that imports the package from this checkout
+FRESH_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+
 def arfsg_process(*args):
     """``arfsg args...`` in a fresh interpreter, with stdout and stderr as pipes."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     command = [sys.executable, "-m", "arfsemigroups.cli", *args]
-    return subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    return subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=FRESH_ENV)
 
 
 class TestProcess:
     def test_a_closed_pipe_ends_quietly_with_status_one(self):
-        # the reader is gone before the first write, as in `arfsg enumerate 80 | head -0`
+        # the reader closes the pipe before the first write
         with arfsg_process("enumerate", "80") as proc:
             proc.stdout.close()
             assert (proc.wait(timeout=30), proc.stderr.read()) == (1, b"")
@@ -650,6 +653,5 @@ class TestProcess:
 
     def test_importing_the_cli_leaves_click_out(self):
         code = "import sys, arfsemigroups.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))"
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=FRESH_ENV, check=True)
         assert out.stdout == "[]\n"
