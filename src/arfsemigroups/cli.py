@@ -53,8 +53,9 @@ _SEQ_LIMIT = 1 << 13
 # `rank-one F` lists about F semigroups, the one of multiplicity m with about F/m + m
 # generators and small elements: Theta(F^2) numbers.  `--count` is O(sqrt F) and needs no
 # limit.  Budget: every accepted listing finishes within 2 s.  The slowest, `rank-one 1499
-# --format json` (1,497 members, 5.8 MB out), took 0.9-1.0 s, 74 MB (CPython 3.11, shared
-# 2-core Xeon); F = 2,039 took 1.5 s and F = 3,000 1.9-2.8 s.
+# --format json` (1,497 members, 5.8 MB out), took 0.5-0.7 s, 74 MB, and the table 0.25-0.5 s
+# (fresh process, CPython 3.11, shared 2-core Xeon); as json, F = 2,039 took 0.9-1.2 s
+# (121 MB) and F = 2,999 1.8-2.4 s (239 MB).
 _RANK_ONE_LIMIT = 1500
 
 
@@ -153,8 +154,8 @@ def cmd_tree(frobenius: str, fmt: str) -> None:
 
 def cmd_check(generators: str, fmt: str) -> None:
     S = _build_semigroup(generators)
-    semigroup = serialize.semigroup_dict(S) if fmt == "json" else None
-    gens = semigroup["min_generators"] if semigroup else S.minimal_generators()
+    gens = S.minimal_generators()  # S need not be Arf, so not the MED shortcut
+    semigroup = serialize.semigroup_dict(S, gens) if fmt == "json" else None
     if S.is_natural():
         pf = sg = seq = valid = None
     else:
@@ -276,10 +277,8 @@ def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
         print(serialize.dumps([serialize.semigroup_dict(S) for S in catalog]))
     else:
         header = ["multiplicity", "genus", "generators"]
-        rows = [
-            [S.multiplicity(), S.genus(), ",".join(str(g) for g in S.minimal_generators())]
-            for S in catalog
-        ]
+        cells = serialize._generator_cells(catalog, ",")
+        rows = [[S.multiplicity(), S.genus(), cell] for S, cell in zip(catalog, cells)]
         print(serialize.render_table(header, rows))
 
 
@@ -318,21 +317,11 @@ def seq_semigroup(terms: str, fmt: str) -> int | None:
     except InvalidSequenceError:
         print(f"{','.join(str(x) for x in xs)} violates the sequence axioms", file=sys.stderr)
         return 1
+    semigroup = serialize.semigroup_dict(S)  # S is Arf, so MED: the type is m - 1
     if fmt == "json":
-        print(serialize.dumps(serialize.semigroup_dict(S)))
+        print(serialize.dumps(semigroup))
     else:
-        print(
-            serialize.render_pairs(
-                [
-                    ("frobenius", S.frobenius),
-                    ("multiplicity", S.multiplicity()),
-                    ("genus", S.genus()),
-                    ("type", S.multiplicity() - 1),  # S is Arf, so MED
-                    ("min_generators", _fmt(S.minimal_generators())),
-                    ("small_elements", _fmt(S.small_elements())),
-                ]
-            )
-        )
+        print(serialize.render_pairs((key, _fmt(value)) for key, value in semigroup.items()))
 
 
 def seq_refinements(terms: str, fmt: str) -> int | None:

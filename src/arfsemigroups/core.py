@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -38,13 +39,37 @@ from .errors import (
 _SIEVE_LIMIT = 1 << 17
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of a nonnegative mask, ascending, in one linear pass."""
+# A mask with at least one set bit in _DENSE is read by one C-level selection over all of its
+# bits; a sparser one by str.find, which skips each run of zeros at C speed but pays a Python step
+# per set bit.  Listing the positions of random masks of 64 to 2^16 bits, the two forms broke even
+# at one set bit in 8 to 10 (CPython 3.11, shared 2-core Xeon); at one in 32 the selection took
+# about 3 times as long, and on 2^16 bits with three set 1.8 ms against 0.12 ms for the scan.
+_DENSE = 8
+_BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selector(mask: int) -> bytes | None:
+    """The bits of a nonnegative mask as 0/1 bytes, least significant first, for
+    ``itertools.compress``; None when fewer than one bit in ``_DENSE`` is set."""
+    if mask.bit_count() * _DENSE < mask.bit_length():
+        return None
+    return bin(mask)[:1:-1].encode().translate(_BYTE_OF_DIGIT)  # without "0b"
+
+
+def _scan_bits(mask: int) -> Iterator[int]:
     digits = bin(mask)[:1:-1]  # least significant digit first, without "0b"
     i = digits.find("1")
     while i >= 0:
         yield i
         i = digits.find("1", i + 1)
+
+
+def _iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a nonnegative mask, ascending, in one linear pass."""
+    selector = _selector(mask)
+    if selector is None:
+        return _scan_bits(mask)
+    return compress(range(len(selector)), selector)
 
 
 def _difference_sequence(mask: int) -> tuple[int, ...]:
@@ -238,6 +263,17 @@ class NumericalSemigroup:
         for a in _iter_bits(ap & ((2 << ((F + m) // 2)) - 1)):
             sums |= ap << a
         return (m,) + tuple(_iter_bits(ap & ~sums))
+
+    def _med_generator_mask(self) -> int:
+        """The minimal generators of a MED semigroup (every Arf one is), as a mask.
+
+        A MED semigroup has as many minimal generators as its multiplicity m:
+        m and every nonzero element of the Apery set modulo m, with no sums
+        to remove.  For any other semigroup the mask holds more than its
+        generators.
+        """
+        m = self.multiplicity()
+        return (_apery_mask(self.frobenius, self.mask, m) & ~1) | (1 << m)
 
     # -- Apery sets and gap invariants ---------------------------------------
 

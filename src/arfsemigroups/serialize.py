@@ -3,30 +3,39 @@
 Key order in JSON objects is fixed, all collections are emitted in ascending
 numeric order, and nothing here depends on wall time or thread count, so any
 two runs produce identical bytes.
+
+Every semigroup rendered here is Arf (tree nodes, hulls, the semigroups of
+sequences, the rank-one catalog, a ``minimal-gens`` input once verified),
+so MED.  Its minimal generators are therefore its multiplicity m and the
+nonzero Apery elements modulo m, the bits of one mask with no sums to
+remove, and a row's generator cell joins the decimal names that the mask's
+bits select.  ``check``, whose input is arbitrary, passes its own
+generators to ``semigroup_dict``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import compress
 from typing import Any, Iterable, Sequence
 
 from .closure import ClosureResult
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _iter_bits, _selector
 from .tree import CovarietyTree
 
 CSV_HEADER = "depth,frobenius,multiplicity,genus,type,generators"
 
 
-def semigroup_dict(S: NumericalSemigroup) -> dict[str, Any]:
-    """The JSON object of an Arf semigroup.  Arf semigroups are MED, so the type is
-    m - 1 (null for the naturals); a caller holding any other semigroup sets ``type``."""
+def semigroup_dict(S: NumericalSemigroup, generators: Sequence[int] | None = None) -> dict[str, Any]:
+    """The JSON object of an Arf semigroup, so MED: the type is m - 1 (null for the
+    naturals).  A caller holding any other semigroup passes its ``generators`` and sets ``type``."""
     m = S.multiplicity()
     return {
         "frobenius": S.frobenius,
         "multiplicity": m,
         "genus": S.genus(),
         "type": None if S.is_natural() else m - 1,
-        "min_generators": list(S.minimal_generators()),
+        "min_generators": list(_iter_bits(S._med_generator_mask()) if generators is None else generators),
         "small_elements": list(S.small_elements()),
     }
 
@@ -36,20 +45,30 @@ def dumps(obj: Any) -> str:
 
 
 def generator_label(S: NumericalSemigroup) -> str:
-    return "<" + ",".join(str(g) for g in S.minimal_generators()) + ">"
+    """``<g1,...,gk>`` for an Arf semigroup."""
+    return "<" + ",".join(map(str, _iter_bits(S._med_generator_mask()))) + ">"
+
+
+def _generator_cells(semigroups: Sequence[NumericalSemigroup], sep: str) -> list[str]:
+    """The minimal generators of each Arf semigroup, joined by ``sep``.
+
+    One tuple of decimal names, as wide as the widest mask, serves every
+    cell, so it pays for itself over many semigroups of one Frobenius number.
+    """
+    masks = [S._med_generator_mask() for S in semigroups]
+    names = tuple(map(str, range(max(masks, default=0).bit_length())))
+    cells = []
+    for mask in masks:
+        selector = _selector(mask)  # None for a sparse mask, which is scanned
+        cells.append(sep.join(map(str, _iter_bits(mask)) if selector is None else compress(names, selector)))
+    return cells
 
 
 def render_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     """Space-aligned columns with a header line."""
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [len(h) for h in header]
-    for row in cells:
-        for k, c in enumerate(row):
-            widths[k] = max(widths[k], len(c))
-    lines = ["  ".join(h.ljust(widths[k]) for k, h in enumerate(header)).rstrip()]
-    for row in cells:
-        lines.append("  ".join(c.ljust(widths[k]) for k, c in enumerate(row)).rstrip())
-    return "\n".join(lines)
+    cells = [list(header), *(list(map(str, row)) for row in rows)]
+    line = "  ".join(f"{{:{max(map(len, column))}}}" for column in zip(*cells))  # left-aligned
+    return "\n".join(line.format(*row).rstrip() for row in cells)
 
 
 def render_pairs(pairs: Iterable[tuple[str, Any]]) -> str:
@@ -58,28 +77,25 @@ def render_pairs(pairs: Iterable[tuple[str, Any]]) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in items)
 
 
-def _node_row(tree: CovarietyTree, index: int) -> list[Any]:
-    node = tree.nodes[index]
-    S = node.semigroup
-    m = S.multiplicity()
-    return [node.depth, S.frobenius, m, S.genus(), m - 1]  # tree nodes are Arf, so MED: type m - 1
+def _node_rows(tree: CovarietyTree, indices: Iterable[int], sep: str) -> list[list[Any]]:
+    """Table and csv rows, generators joined by ``sep``."""
+    nodes = [tree.nodes[i] for i in indices]
+    rows = []
+    for node, cell in zip(nodes, _generator_cells([node.semigroup for node in nodes], sep)):
+        S = node.semigroup
+        m = S.multiplicity()
+        rows.append([node.depth, S.frobenius, m, S.genus(), m - 1, cell])  # Arf, so MED: type m - 1
+    return rows
 
 
 def tree_table(tree: CovarietyTree, indices: Iterable[int]) -> str:
     header = ["depth", "frobenius", "multiplicity", "genus", "type", "generators"]
-    rows = [
-        _node_row(tree, i) + [",".join(map(str, tree.nodes[i].semigroup.minimal_generators()))]
-        for i in indices
-    ]
-    return render_table(header, rows)
+    return render_table(header, _node_rows(tree, indices, ","))
 
 
 def tree_csv(tree: CovarietyTree, indices: Iterable[int]) -> str:
     lines = [CSV_HEADER]
-    for i in indices:
-        row = _node_row(tree, i)
-        gens = ";".join(map(str, tree.nodes[i].semigroup.minimal_generators()))
-        lines.append(",".join(str(c) for c in row) + "," + gens)
+    lines.extend(",".join(map(str, row)) for row in _node_rows(tree, indices, ";"))
     return "\n".join(lines)
 
 
@@ -94,9 +110,8 @@ def tree_json_obj(tree: CovarietyTree) -> dict[str, Any]:
 
 def tree_dot(tree: CovarietyTree) -> str:
     lines = [f"digraph arf_tree_{tree.frobenius} {{", "  node [shape=box];"]
-    for i, node in enumerate(tree.nodes):
-        label = generator_label(node.semigroup)
-        lines.append(f'  n{i} [label="{label}"];')
+    for i, cell in enumerate(_generator_cells(tree.semigroups(), ",")):
+        lines.append(f'  n{i} [label="<{cell}>"];')
     for child, parent in tree.edges():
         lines.append(f"  n{child} -> n{parent};")
     lines.append("}")

@@ -1,0 +1,53 @@
+"""Generator text from the general minimal generators: the tests' reference for the renderer.
+
+The package renders every Arf semigroup's generators off one mask, the
+multiplicity m and the nonzero Apery elements modulo m, and joins the
+decimal names that the mask's bits select.  Here the generators come from
+``NumericalSemigroup.minimal_generators()``, which removes the sums of Apery
+elements and so assumes nothing of the semigroup, each is turned into text
+by ``str``, and tables are padded one cell at a time.  ``install`` puts these
+in place of the package's own, so one command can be run both ways and its
+output compared byte for byte.
+"""
+
+from arfsemigroups import serialize
+
+
+def semigroup_dict(S, generators=None):
+    m = S.multiplicity()
+    return {
+        "frobenius": S.frobenius,
+        "multiplicity": m,
+        "genus": S.genus(),
+        "type": None if S.is_natural() else m - 1,
+        "min_generators": list(S.minimal_generators() if generators is None else generators),
+        "small_elements": list(S.small_elements()),
+    }
+
+
+def generator_label(S):
+    return "<" + ",".join(str(g) for g in S.minimal_generators()) + ">"
+
+
+def generator_cells(semigroups, sep):
+    return [sep.join(map(str, S.minimal_generators())) for S in semigroups]
+
+
+def render_table(header, rows):
+    cells = [[str(c) for c in row] for row in rows]
+    widths = [len(h) for h in header]
+    for row in cells:
+        for k, c in enumerate(row):
+            widths[k] = max(widths[k], len(c))
+    lines = ["  ".join(h.ljust(widths[k]) for k, h in enumerate(header)).rstrip()]
+    for row in cells:
+        lines.append("  ".join(c.ljust(widths[k]) for k, c in enumerate(row)).rstrip())
+    return "\n".join(lines)
+
+
+def install(monkeypatch):
+    """Render through this module until ``monkeypatch`` is undone."""
+    monkeypatch.setattr(serialize, "semigroup_dict", semigroup_dict)
+    monkeypatch.setattr(serialize, "generator_label", generator_label)
+    monkeypatch.setattr(serialize, "_generator_cells", generator_cells)
+    monkeypatch.setattr(serialize, "render_table", render_table)

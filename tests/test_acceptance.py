@@ -8,6 +8,8 @@ pass/fail line per guarantee.
 import json
 import time
 
+import pytest
+
 from apery_route import (
     apery_after_adjoin,
     apery_by_membership,
@@ -27,7 +29,9 @@ from arfsemigroups import (
     sequence_of_semigroup,
     validate_sequence,
     NumericalSemigroup,
+    ScaleLimitError,
 )
+from arfsemigroups.tree import _TREE_LIMIT
 from cli_runner import run as run_cli
 
 
@@ -175,4 +179,16 @@ def test_10_tree_walk_sequence_generator_and_oracle_agree():
             # inclusion-maximal by definition, independent of the refinement test
             maximal = {S for S in brute if not any(S != T and S.issubset(T) for T in brute)}
             assert free == maximal
+    assert time.perf_counter() - started < 30.0
+
+
+def test_11_walk_and_sequence_generator_agree_on_every_accepted_frobenius_number():
+    started = time.perf_counter()
+    for F in range(1, _TREE_LIMIT + 1):
+        tree = enumerate_ar(F)
+        seqs = arf_sequences_with_total(F + 1)
+        assert len(tree) == len(seqs), F
+        assert set(tree.semigroups()) == {semigroup_of_sequence(q) for q in seqs}, F
+    with pytest.raises(ScaleLimitError):  # so no larger F goes untested
+        enumerate_ar(_TREE_LIMIT + 1)
     assert time.perf_counter() - started < 30.0

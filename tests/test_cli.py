@@ -17,6 +17,11 @@ from arfsemigroups.core import _SIEVE_LIMIT
 from arfsemigroups.tree import _TREE_LIMIT, CovarietyTree, enumerate_ar
 from cli_runner import run
 from full_check import count_full_checks
+import row_reference
+
+# the benchmark's workload inputs, read from its own directory
+sys.path.append(str(Path(__file__).parents[1] / "bench"))
+import workloads  # noqa: E402
 
 F5_CSV = """\
 depth,frobenius,multiplicity,genus,type,generators
@@ -228,12 +233,19 @@ class TestCheck:
             assert got["special_gaps"] == list(S.special_gaps()), gens
             assert got["is_med"] == S.is_med(), gens
 
-    # json reads the generators off serialize.semigroup_dict, which reads the type off the
-    # multiplicity; check overwrites it with the len(pf) it holds
+    # check's input need not be Arf, so it builds the general minimal generators, never the
+    # MED generator mask, and passes them to serialize.semigroup_dict, which reads the type off
+    # the multiplicity; check overwrites it with the len(pf) it holds
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_invariants_are_built_once(self, monkeypatch, fmt):
         counts = Counter()
-        names = ("_pseudo_frobenius_mask", "minimal_generators", "small_elements", "difference_sequence")
+        names = (
+            "_pseudo_frobenius_mask",
+            "minimal_generators",
+            "_med_generator_mask",
+            "small_elements",
+            "difference_sequence",
+        )
         count_calls(monkeypatch, counts, NumericalSemigroup, *names)
         count_validations(monkeypatch, counts)
         assert run("check", "97,101", "--format", fmt).exit_code == 0
@@ -297,17 +309,19 @@ class TestClosure:
         assert got["rank"] == "0"
 
     # minimal_ar_generators reads the hull's generators off its mask, so the rendering builds
-    # the generators and the small elements, each once
+    # the generators, off the MED generator mask as the hull is Arf, and the small elements,
+    # each once; the general minimal_generators is never called
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_hull_invariants_are_built_once(self, monkeypatch, fmt):
         counts = Counter()
-        count_calls(monkeypatch, counts, NumericalSemigroup, "minimal_generators", "small_elements")
+        names = ("minimal_generators", "_med_generator_mask", "small_elements")
+        count_calls(monkeypatch, counts, NumericalSemigroup, *names)
         res = run("closure", "29", "--set", "6,8", "--format", fmt)
         assert res.exit_code == 0 and "6,8" in res.stdout
-        assert counts == {"minimal_generators": 1, "small_elements": 1}
+        assert counts == {"_med_generator_mask": 1, "small_elements": 1}
         counts.clear()
         assert run("minimal-gens", "6,8,10,31,33,35", "--format", fmt).exit_code == 0
-        assert counts == Counter(minimal_generators=1, small_elements=fmt == "json")  # json lists them
+        assert counts == Counter(_med_generator_mask=1, small_elements=fmt == "json")  # json lists them
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_hull_limit_boundary(self, fmt):
@@ -474,6 +488,51 @@ class TestSeq:
         obj = json.loads(run("seq", "refinements", "2,2,2,2,2,2,2", "--format", "json").stdout)
         assert obj["refinement_free"] is True
         assert obj["refinements"] == []
+
+
+def assert_matches_the_reference(monkeypatch, *args):
+    """``arfsg args...`` prints the same bytes, status and stderr as through ``row_reference``."""
+    got = run(*args)
+    with monkeypatch.context() as reference:
+        row_reference.install(reference)
+        want = run(*args)
+    if got != want:  # report the first differing line: pytest's diff of whole outputs takes minutes
+        lines = zip(got.stdout.splitlines(), want.stdout.splitlines())
+        first = next(((g, w) for g, w in lines if g != w), None)
+        pytest.fail(f"{args}: exit {got.exit_code} vs {want.exit_code}, same stderr {got.stderr == want.stderr}, "
+                    f"first differing line {first}")
+
+
+class TestRowsMatchTheReference:
+    @pytest.mark.parametrize("F", [*range(1, 41), 60])
+    def test_enumerate_and_tree(self, monkeypatch, F):
+        for fmt in ("table", "csv", "json"):
+            assert_matches_the_reference(monkeypatch, "enumerate", str(F), "--format", fmt)
+            assert_matches_the_reference(monkeypatch, "enumerate", str(F), "--format", fmt, "--maximal-only")
+        for fmt in ("dot", "json"):
+            assert_matches_the_reference(monkeypatch, "tree", str(F), "--format", fmt)
+
+    def test_rank_one(self, monkeypatch):
+        for F in range(2, 61):
+            for fmt in ("table", "json"):
+                assert_matches_the_reference(monkeypatch, "rank-one", str(F), "--format", fmt)
+
+    @pytest.mark.parametrize("smoke", [True, False])
+    def test_queries(self, monkeypatch, smoke):
+        # the benchmark's queries inputs, small (smoke) and of its default seed (F up to 8,000);
+        # seq semigroup runs on the terms of the seq commands
+        commands = set()
+        for op in workloads.build("queries", 0, smoke=smoke):
+            argv = op.argv[: op.argv.index("--format")]
+            if argv[0] == "seq":
+                commands |= {("seq", "validate", argv[2]), ("seq", "semigroup", argv[2])}
+            elif argv[0] in ("closure", "minimal-gens"):
+                commands.add(argv)
+        assert {argv[:2] for argv in commands} >= {("seq", "validate"), ("seq", "semigroup")}
+        assert {argv[0] for argv in commands} == {"seq", "closure", "minimal-gens"}
+        for argv in sorted(commands):
+            for fmt in ("table", "json"):
+                assert_matches_the_reference(monkeypatch, *argv, "--format", fmt)
 
 
 # derived values are closed by construction and skip the constructor's full closure check

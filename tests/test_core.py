@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from arfsemigroups import (
     brute_all_semigroups,
     enumerate_ar,
 )
-from arfsemigroups.core import _iter_bits
+from arfsemigroups.core import _DENSE, _iter_bits, _selector
 import member_shifts
 from full_check import assert_checked, count_full_checks, full_check_accepts
 
@@ -274,8 +275,26 @@ class TestIterBits:
         for _ in range(500):
             wide |= 1 << rng.randrange(1 << 20)
         masks.append(wide)
+        # one set bit in _DENSE or more is selected from all bits at once, fewer are scanned:
+        # masks of 64 * _DENSE bits with 64 set, one more (the lowest clear bit set) and one fewer
+        width = 64 * _DENSE
+        at = [(1 << (width - 1)) | sum(1 << b for b in rng.sample(range(width - 1), 63)) for _ in range(5)]
+        above = [mask | (mask + 1) for mask in at]
+        below = [mask & (mask - 1) for mask in at]
+        assert all(_selector(mask) is not None for mask in at + above + [(1 << width) - 1])
+        assert all(_selector(mask) is None for mask in below + [wide])
+        masks += at + above + below
+        masks.append(1 | (1 << 30_000) | (1 << ((1 << 16) - 1)))  # three members in 2^16 bits
         for mask in masks:
             assert list(_iter_bits(mask)) == list(_lowest_bit_loop(mask))
+
+    def test_three_members_in_2_16_bits_are_scanned(self):
+        # a selection would walk 2^16 positions to keep three: 1.8 ms against 0.12 ms a mask
+        mask = 1 | (1 << 30_000) | (1 << ((1 << 16) - 1))
+        started = time.perf_counter()
+        for _ in range(100):
+            assert list(_iter_bits(mask)) == [0, 30_000, (1 << 16) - 1]
+        assert time.perf_counter() - started < 0.1
 
 
 class TestPredicates:
