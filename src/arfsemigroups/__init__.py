@@ -44,7 +44,6 @@ from .sequences import (
 )
 from .tree import (
     CovarietyTree,
-    EnumerationReport,
     TreeNode,
     children,
     enumerate_ar,
@@ -58,7 +57,6 @@ __all__ = [
     "ClosureResult",
     "CovarietyTree",
     "EmptyInputError",
-    "EnumerationReport",
     "InvalidFrobeniusError",
     "InvalidRefinementError",
     "InvalidSequenceError",

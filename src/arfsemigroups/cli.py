@@ -8,8 +8,11 @@ wrapping ``enumerate_ar``, say) without rebuilding the parser.
 Exit codes: 0 on success, 1 for a negative domain outcome (a set with no
 hull, an invalid sequence, a non-Arf input where membership is required),
 2 for unusable input: a usage error reported by the parser, or ``Error:
-<message>`` on stderr for a value the command refuses.  All stdout output
-is deterministic; the optional ``--stats`` report carries a wall-time
+<message>`` on stderr for a value the command refuses.  A refusal is raised
+where it is decided, as ``CliError`` here or as a library error (an empty or
+non-cofinite generator set, a Frobenius number out of range, a scale limit),
+and ``main`` is the one place that turns it into status 2.  All stdout
+output is deterministic; the optional ``--stats`` report carries a wall-time
 measurement and therefore goes to stderr.
 """
 
@@ -60,7 +63,8 @@ _RANK_ONE_LIMIT = 1500
 
 
 class CliError(Exception):
-    """Unusable input: ``main`` prints ``Error: <message>`` to stderr and returns 2."""
+    """Unusable input the library does not refuse itself: ``main`` prints ``Error: <message>``
+    to stderr and returns 2, as for the library's refusals."""
 
 
 def _to_int(text: str, what: str) -> int:
@@ -90,12 +94,9 @@ def _terms(text: str) -> tuple[int, ...]:
 
 
 def _build_semigroup(gens_text: str) -> NumericalSemigroup:
-    gens = _int_list(gens_text, "generator")
-    if not gens:
-        raise CliError("at least one generator is required")
     try:
-        return NumericalSemigroup.from_generators(gens)
-    except (EmptyInputError, NotCofiniteError, ScaleLimitError, ValueError) as exc:
+        return NumericalSemigroup.from_generators(_int_list(gens_text, "generator"))
+    except ValueError as exc:  # a generator below 1
         raise CliError(str(exc))
 
 
@@ -112,10 +113,7 @@ def _fmt(value) -> str:
 def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> None:
     F = _to_int(frobenius, "frobenius")
     started = time.perf_counter()
-    try:
-        tree = enumerate_ar(F)
-    except (InvalidFrobeniusError, ScaleLimitError) as exc:
-        raise CliError(str(exc))
+    tree = enumerate_ar(F)
     wall = time.perf_counter() - started
     maximal = tree.maximal_indices() if maximal_only or stats else None  # the one maximal scan
     indices = maximal if maximal_only else range(len(tree))
@@ -141,11 +139,7 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
 
 
 def cmd_tree(frobenius: str, fmt: str) -> None:
-    F = _to_int(frobenius, "frobenius")
-    try:
-        tree = enumerate_ar(F)
-    except (InvalidFrobeniusError, ScaleLimitError) as exc:
-        raise CliError(str(exc))
+    tree = enumerate_ar(_to_int(frobenius, "frobenius"))
     if fmt == "dot":
         print(serialize.tree_dot(tree))
     else:
@@ -204,11 +198,7 @@ def cmd_check(generators: str, fmt: str) -> None:
 
 def cmd_closure(frobenius: str, elements: str, fmt: str) -> int | None:
     F = _to_int(frobenius, "frobenius")
-    xs = _int_list(elements, "element")
-    try:
-        result = ar_closure(xs, F)
-    except (InvalidFrobeniusError, ScaleLimitError) as exc:
-        raise CliError(str(exc))
+    result = ar_closure(_int_list(elements, "element"), F)
     if result.is_ar_set:
         minimal = minimal_ar_generators(result.closure)
         rank = len(minimal)
@@ -265,14 +255,11 @@ def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
     F = _to_int(frobenius, "frobenius")
     if not count_only and F > _RANK_ONE_LIMIT:
         raise CliError(f"rank-one listing for Frobenius number {F} refused (limit {_RANK_ONE_LIMIT}; --count has none)")
-    try:
-        if count_only:
-            n = count_rank_one(F)
-            print(serialize.dumps({"F": F, "count": n}) if fmt == "json" else str(n))
-            return
-        catalog = rank_one_catalog(F)
-    except InvalidFrobeniusError as exc:
-        raise CliError(str(exc))
+    if count_only:
+        n = count_rank_one(F)
+        print(serialize.dumps({"F": F, "count": n}) if fmt == "json" else str(n))
+        return
+    catalog = rank_one_catalog(F)
     if fmt == "json":
         print(serialize.dumps([serialize.semigroup_dict(S) for S in catalog]))
     else:
@@ -457,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
             return fn(**params) or 0
         finally:
             sys.stdout.flush()  # a closed pipe raises here rather than at interpreter exit
-    except CliError as exc:
+    except (CliError, EmptyInputError, InvalidFrobeniusError, NotCofiniteError, ScaleLimitError) as exc:
         print(f"Error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -39,9 +39,9 @@ from .sequences import _axioms_hold
 from .tree import _not_member_ar
 
 # The chain shifts a bitmask over [0, F] per step and can take F/3 steps, so its cost is
-# quadratic in F.  Budget: every accepted F finishes within 2 s.  The slowest inputs found,
-# [5, 52272, 52273, 52279, 52283, 52284], [3, F - 2] and [3, 0.64 F], took 0.8 s at 2^16
-# (CPython 3.11, shared 2-core Xeon); at 2^17 such inputs took 2.6-3.1 s.
+# quadratic in F.  Budget: every accepted F finishes within 2 s.  The slowest inputs found at
+# 2^16, [5, 52272, 52273, 52279, 52283, 52284] and [3, F - 2], took 0.64-0.87 s in a fresh
+# process (CPython 3.11, shared 2-core Xeon); at 2^17 - 1, [3, F - 2] took 2.4 s.
 _HULL_LIMIT = 1 << 16
 
 

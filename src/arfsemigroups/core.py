@@ -33,9 +33,10 @@ from .errors import (
 )
 
 # from_generators sieves membership up to min(gens) * max(gens).  Budget: every accepted
-# input runs `arfsg check --format json` within 2 s.  The worst, 361,363, took 0.09 s (511,513
-# at 2^18: 0.17 s, 1447,1449 at 2^21: 1.25 s; CPython 3.11, shared 2-core Xeon).  The
-# invariants take m shifts of the Apery mask, so the cost now grows about linearly in the bound.
+# input runs `arfsg check --format json` within 2 s.  The worst, 361,363, took 0.15-0.19 s in a
+# fresh process (511,513 at 2^18: 0.22-0.26 s, 1447,1449 at 2^21: 1.1-1.3 s and 112 MB; CPython
+# 3.11, shared 2-core Xeon).  The invariants take m shifts of the Apery mask, so the cost grows
+# about linearly in the bound.
 _SIEVE_LIMIT = 1 << 17
 
 
@@ -81,14 +82,15 @@ def _difference_sequence(mask: int) -> tuple[int, ...]:
     return tuple(map(len, bin(mask)[3:].replace("1", "1 ").split()))
 
 
-def _apery_mask(F: int, mask: int, m: int) -> int:
-    """The Apery set modulo the multiplicity m of the semigroup (F, mask), as a mask.
+def _apery_mask(F: int, mask: int, n: int) -> int:
+    """The Apery set modulo a nonzero member n of the semigroup (F, mask), as a mask.
 
-    Its m elements, 0 included, are the members s with s - m a gap; none
-    exceeds F+m, as s - m would then exceed F.
+    Its n elements, 0 included, are the members s with s - n a gap; none
+    exceeds F+n, as s - n would then exceed F.  The naturals (F = -1) have
+    0, ..., n-1.
     """
-    ext = mask ^ ((1 << (F + m + 1)) - (1 << (F + 2)))  # every member up to F+m
-    return ext & ~(ext << m)
+    ext = mask ^ ((1 << (F + n + 1)) - (1 << (F + 2)))  # every member up to F+n
+    return ext & ~(ext << n)
 
 
 def _add_multiples(reach: int, g: int, limit: int) -> int:
@@ -281,14 +283,10 @@ class NumericalSemigroup:
         """Least member of each residue class mod ``n``, by residue (``n`` a nonzero member)."""
         if n < 1 or n not in self:
             raise NotAMemberError(f"{n} is not a nonzero member")
-        entries: list[int | None] = [None] * n
-        found, s = 0, 0
-        while found < n:  # every residue is hit by s = F + n at the latest
-            if entries[s % n] is None and s in self:
-                entries[s % n] = s
-                found += 1
-            s += 1
-        return tuple(entries)  # type: ignore[arg-type]
+        entries = [0] * n
+        for s in _iter_bits(_apery_mask(self.frobenius, self.mask, n)):
+            entries[s % n] = s
+        return tuple(entries)
 
     def _pseudo_frobenius_mask(self) -> int:
         if self.is_natural():

@@ -20,7 +20,7 @@ from itertools import compress
 from typing import Any, Iterable, Sequence
 
 from .closure import ClosureResult
-from .core import NumericalSemigroup, _iter_bits, _selector
+from .core import NumericalSemigroup, _iter_bits, _scan_bits, _selector
 from .tree import CovarietyTree
 
 CSV_HEADER = "depth,frobenius,multiplicity,genus,type,generators"
@@ -60,7 +60,7 @@ def _generator_cells(semigroups: Sequence[NumericalSemigroup], sep: str) -> list
     cells = []
     for mask in masks:
         selector = _selector(mask)  # None for a sparse mask, which is scanned
-        cells.append(sep.join(map(str, _iter_bits(mask)) if selector is None else compress(names, selector)))
+        cells.append(sep.join(map(str, _scan_bits(mask)) if selector is None else compress(names, selector)))
     return cells
 
 

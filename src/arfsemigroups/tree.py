@@ -83,34 +83,10 @@ class CovarietyTree:
     def maximal_semigroups(self) -> list[NumericalSemigroup]:
         return [self.nodes[i].semigroup for i in self.maximal_indices()]
 
-    def report(self, wall_seconds: float = 0.0) -> EnumerationReport:
-        return EnumerationReport(
-            frobenius=self.frobenius,
-            node_count=len(self.nodes),
-            depth_counts=self.depth_counts(),
-            maximal_count=len(self.maximal_indices()),
-            wall_seconds=wall_seconds,
-        )
-
-
-@dataclass(frozen=True)
-class EnumerationReport:
-    frobenius: int
-    node_count: int
-    depth_counts: tuple[int, ...]
-    maximal_count: int
-    wall_seconds: float
-
 
 def is_member_ar(S: NumericalSemigroup, frobenius: int) -> bool:
     """True iff S is an Arf semigroup whose Frobenius number is ``frobenius``."""
     return not S.is_natural() and S.frobenius == frobenius and S.is_arf()
-
-
-def _require_member_ar(S: NumericalSemigroup) -> None:
-    """Raise ``_not_member_ar(S)`` unless S is an Arf semigroup with positive Frobenius number."""
-    if not is_member_ar(S, S.frobenius):
-        raise _not_member_ar(S)
 
 
 def _not_member_ar(S: NumericalSemigroup) -> NotInCovarietyError:
@@ -153,7 +129,8 @@ def _mask_splits(S: NumericalSemigroup) -> Iterator[tuple[int, int]]:
 
 def children(S: NumericalSemigroup) -> list[NumericalSemigroup]:
     """The children of S in the tree for F = F(S), ascending in multiplicity."""
-    _require_member_ar(S)
+    if not is_member_ar(S, S.frobenius):
+        raise _not_member_ar(S)
     new = _new_multiplicities(_extended(S), S.multiplicity())
     return [_closed(S.frobenius, S.mask | 1 << e) for e in new]
 

@@ -6,6 +6,8 @@ pass/fail line per guarantee.
 """
 
 import json
+import math
+import random
 import time
 
 import pytest
@@ -28,6 +30,7 @@ from arfsemigroups import (
     semigroup_of_sequence,
     sequence_of_semigroup,
     validate_sequence,
+    NotAMemberError,
     NumericalSemigroup,
     ScaleLimitError,
 )
@@ -115,7 +118,6 @@ def test_07_structural_properties_hold_on_every_node_up_to_f12():
         for child_i, parent_i in tree.edges():
             child = tree.nodes[child_i]
             S = child.semigroup
-            assert S.apery_set(F + 1) == apery_by_membership(S, F + 1)
             assert S.minimal_generators() == generators_by_membership(S)
 
 
@@ -192,3 +194,33 @@ def test_11_walk_and_sequence_generator_agree_on_every_accepted_frobenius_number
     with pytest.raises(ScaleLimitError):  # so no larger F goes untested
         enumerate_ar(_TREE_LIMIT + 1)
     assert time.perf_counter() - started < 30.0
+
+
+def _random_generated(rng):
+    """A semigroup on 2 to 4 random generators in [2, 24] with gcd 1."""
+    while True:
+        gens = rng.sample(range(2, 25), rng.randint(2, 4))
+        if math.gcd(*gens) == 1:
+            return NumericalSemigroup.from_generators(gens)
+
+
+def test_12_apery_set_modulo_every_member_matches_membership():
+    rng = random.Random(12)
+    semigroups = [node.semigroup for F in range(1, 21) for node in enumerate_ar(F).nodes]
+    semigroups += [_random_generated(rng) for _ in range(60)]
+    semigroups.append(NumericalSemigroup.natural())
+    for S in semigroups:
+        for n in range(1, S.frobenius + 13):
+            if n in S:
+                assert S.apery_set(n) == apery_by_membership(S, n), (S, n)
+            else:
+                with pytest.raises(NotAMemberError):
+                    S.apery_set(n)
+        for n in (0, -1, -(S.frobenius + 2)):
+            with pytest.raises(NotAMemberError):
+                S.apery_set(n)
+    S = NumericalSemigroup.from_generators((2, 3))
+    started = time.perf_counter()
+    ap = S.apery_set(100_000)
+    assert time.perf_counter() - started < 0.1
+    assert ap == (0, 100_001, *range(2, 100_000))

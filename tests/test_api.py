@@ -11,7 +11,6 @@ PUBLIC = [
     "ClosureResult",
     "CovarietyTree",
     "EmptyInputError",
-    "EnumerationReport",
     "InvalidFrobeniusError",
     "InvalidRefinementError",
     "InvalidSequenceError",
@@ -93,6 +92,7 @@ CLI = {
 REMOVED = [
     "AperyTable",
     "ContradictionError",
+    "EnumerationReport",
     "GeneratorSet",
     "InconsistentTableError",
     "InternalInvariantError",

@@ -582,6 +582,20 @@ class TestBadInput:
             # a negative number is an argument, not an unknown option
             (("enumerate", "-5"), "frobenius must be >= 1, got -5"),
             (("rank-one", "-3", "--count"), "frobenius must be >= 2, got -3"),
+            # each library refusal, raised below the command and mapped once in main
+            (("enumerate", "91"), "tree walk for Frobenius number 91 refused (limit 90)"),
+            (("tree", "0"), "frobenius must be >= 1, got 0"),
+            (("tree", "91", "--format", "json"), "tree walk for Frobenius number 91 refused (limit 90)"),
+            (("closure", "0", "--set", "1"), "frobenius must be >= 1, got 0"),
+            (("closure", "65537", "--set", "3"), "hull chain over 65537 bits refused (limit 65536)"),
+            (("check", "4,6"), "gcd of [4, 6] is 2, complement would be infinite"),
+            (("check", "0,3"), "generators must be positive: [0, 3]"),
+            (("check", "1000,1001"), "membership sieve would need 1001000 bits (limit 131072)"),
+            (("minimal-gens", "4,6"), "gcd of [4, 6] is 2, complement would be infinite"),
+            (("minimal-gens", "1000,1001"), "membership sieve would need 1001000 bits (limit 131072)"),
+            (("rank-one", "1", "--count"), "frobenius must be >= 2, got 1"),
+            (("rank-one", "1501"), "rank-one listing for Frobenius number 1501 refused (limit 1500; --count has none)"),
+            (("seq", "validate", "8000,193"), "sequence total 8193 refused (limit 8192)"),
         ],
     )
     def test_refusals_are_one_error_line(self, args, message):

@@ -242,13 +242,6 @@ class TestEnumeration:
             via_seq = {S.small_elements() for S in maximal_elements(F)}
             assert via_tree == via_seq
 
-    def test_report(self):
-        report = enumerate_ar(5).report(wall_seconds=0.5)
-        assert report.node_count == 4
-        assert report.depth_counts == (1, 2, 1)
-        assert report.maximal_count == 2
-        assert report.wall_seconds == 0.5
-
 
 class TestMembership:
     def test_examples(self):
