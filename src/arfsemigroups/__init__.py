@@ -18,7 +18,6 @@ from .core import NumericalSemigroup
 from .errors import (
     EmptyInputError,
     InvalidFrobeniusError,
-    InvalidRefinementError,
     InvalidSequenceError,
     NoGapsError,
     NotAMemberError,
@@ -32,11 +31,9 @@ from .oracle import brute_all_semigroups, brute_is_arf
 from .sequences import (
     ArfSequence,
     admits_proper_refinement,
-    apply_refinement,
     arf_sequences_with_total,
     iter_refinements,
     maximal_elements,
-    refinement_candidates,
     refinement_free_sequences,
     semigroup_of_sequence,
     sequence_of_semigroup,
@@ -58,7 +55,6 @@ __all__ = [
     "CovarietyTree",
     "EmptyInputError",
     "InvalidFrobeniusError",
-    "InvalidRefinementError",
     "InvalidSequenceError",
     "NoGapsError",
     "NotAMemberError",
@@ -70,7 +66,6 @@ __all__ = [
     "SemigroupError",
     "TreeNode",
     "admits_proper_refinement",
-    "apply_refinement",
     "ar_closure",
     "arf_sequences_with_total",
     "brute_all_semigroups",
@@ -83,7 +78,6 @@ __all__ = [
     "maximal_elements",
     "minimal_ar_generators",
     "rank_one_catalog",
-    "refinement_candidates",
     "refinement_free_sequences",
     "semigroup_of_sequence",
     "sequence_of_semigroup",

@@ -100,16 +100,6 @@ def _build_semigroup(gens_text: str) -> NumericalSemigroup:
         raise CliError(str(exc))
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (tuple, list)):
-        return ",".join(str(v) for v in value) if value else "-"
-    return str(value)
-
-
 def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> None:
     F = _to_int(frobenius, "frobenius")
     started = time.perf_counter()
@@ -129,7 +119,7 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
                 [
                     ("frobenius", tree.frobenius),
                     ("nodes", len(tree)),
-                    ("depth_counts", _fmt(tree.depth_counts())),
+                    ("depth_counts", tree.depth_counts()),
                     ("maximal", len(maximal)),
                     ("wall_seconds", f"{wall:.3f}"),
                 ]
@@ -182,15 +172,15 @@ def cmd_check(generators: str, fmt: str) -> None:
                 ("embedding_dim", len(gens)),
                 ("genus", S.genus()),
                 ("small_count", S.small_count()),
-                ("type", _fmt(None if pf is None else len(pf))),
-                ("min_generators", _fmt(gens)),
-                ("small_elements", _fmt(S.small_elements())),
-                ("pseudo_frobenius", _fmt(pf)),
-                ("special_gaps", _fmt(sg)),
-                ("is_med", _fmt(med)),
-                ("is_arf", _fmt(arf)),
-                ("sequence", _fmt(seq)),
-                ("sequence_valid", _fmt(valid)),
+                ("type", None if pf is None else len(pf)),
+                ("min_generators", gens),
+                ("small_elements", S.small_elements()),
+                ("pseudo_frobenius", pf),
+                ("special_gaps", sg),
+                ("is_med", med),
+                ("is_arf", arf),
+                ("sequence", seq),
+                ("sequence_valid", valid),
             ]
         )
     )
@@ -209,12 +199,12 @@ def cmd_closure(frobenius: str, elements: str, fmt: str) -> int | None:
     else:
         rows = [
             ("F", result.frobenius),
-            ("X", _fmt(result.input_set)),
-            ("is_ar_set", _fmt(result.is_ar_set)),
-            ("closure", serialize.generator_label(result.closure) if result.closure else "-"),
-            ("small_elements", _fmt(result.closure.small_elements() if result.closure else None)),
-            ("minimal_system", _fmt(minimal)),
-            ("rank", _fmt(rank)),
+            ("X", result.input_set),
+            ("is_ar_set", result.is_ar_set),
+            ("closure", serialize.generator_label(result.closure) if result.closure else None),
+            ("small_elements", result.closure.small_elements() if result.closure else None),
+            ("minimal_system", minimal),
+            ("rank", rank),
         ]
         print(serialize.render_pairs(rows))
     if not result.is_ar_set:
@@ -244,7 +234,7 @@ def cmd_minimal_gens(generators: str, fmt: str) -> int | None:
                 [
                     ("semigroup", serialize.generator_label(S)),
                     ("frobenius", S.frobenius),
-                    ("minimal_system", _fmt(minimal)),
+                    ("minimal_system", minimal),
                     ("rank", len(minimal)),
                 ]
             )
@@ -263,10 +253,7 @@ def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
     if fmt == "json":
         print(serialize.dumps([serialize.semigroup_dict(S) for S in catalog]))
     else:
-        header = ["multiplicity", "genus", "generators"]
-        cells = serialize._generator_cells(catalog, ",")
-        rows = [[S.multiplicity(), S.genus(), cell] for S, cell in zip(catalog, cells)]
-        print(serialize.render_table(header, rows))
+        print(serialize.rank_one_table(catalog))
 
 
 def seq_validate(terms: str, fmt: str) -> int | None:
@@ -277,7 +264,7 @@ def seq_validate(terms: str, fmt: str) -> int | None:
         if fmt == "json":
             print(serialize.dumps(serialize.sequence_obj(xs, False)))
         else:
-            print(serialize.render_pairs([("sequence", _fmt(xs)), ("valid", "false")]))
+            print(serialize.render_pairs([("sequence", xs), ("valid", False)]))
         return 1
     free = not admits_proper_refinement(xs)
     if fmt == "json":
@@ -286,9 +273,9 @@ def seq_validate(terms: str, fmt: str) -> int | None:
         print(
             serialize.render_pairs(
                 [
-                    ("sequence", _fmt(xs)),
-                    ("valid", "true"),
-                    ("refinement_free", _fmt(free)),
+                    ("sequence", xs),
+                    ("valid", True),
+                    ("refinement_free", free),
                     ("total", sum(xs)),
                     ("frobenius", S.frobenius),
                     ("semigroup", serialize.generator_label(S)),
@@ -308,7 +295,7 @@ def seq_semigroup(terms: str, fmt: str) -> int | None:
     if fmt == "json":
         print(serialize.dumps(semigroup))
     else:
-        print(serialize.render_pairs((key, _fmt(value)) for key, value in semigroup.items()))
+        print(serialize.render_pairs(semigroup.items()))
 
 
 def seq_refinements(terms: str, fmt: str) -> int | None:
@@ -332,11 +319,7 @@ def seq_refinements(terms: str, fmt: str) -> int | None:
             )
         )
         return
-    lines = [
-        serialize.render_pairs(
-            [("sequence", _fmt(xs)), ("refinement_free", _fmt(not refined))]
-        )
-    ]
+    lines = [serialize.render_pairs([("sequence", xs), ("refinement_free", not refined)])]
     for i, a, q in refined:
         lines.append(f"position {i}  value {a}  -> {','.join(str(t) for t in q.terms)}")
     print("\n".join(lines))

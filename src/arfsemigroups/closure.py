@@ -29,14 +29,14 @@ from .core import (
     NumericalSemigroup,
     _add_multiples,
     _apery_mask,
+    _axioms_hold,
     _closed,
     _closure_mask,
     _difference_sequence,
     _iter_bits,
+    _not_member_ar,
 )
 from .errors import InvalidFrobeniusError, ScaleLimitError
-from .sequences import _axioms_hold
-from .tree import _not_member_ar
 
 # The chain shifts a bitmask over [0, F] per step and can take F/3 steps, so its cost is
 # quadratic in F.  Budget: every accepted F finishes within 2 s.  The slowest inputs found at

@@ -29,6 +29,7 @@ from .errors import (
     NoGapsError,
     NotAMemberError,
     NotCofiniteError,
+    NotInCovarietyError,
     ScaleLimitError,
 )
 
@@ -82,6 +83,23 @@ def _difference_sequence(mask: int) -> tuple[int, ...]:
     return tuple(map(len, bin(mask)[3:].replace("1", "1 ").split()))
 
 
+def _axioms_hold(xs: tuple[int, ...]) -> bool:
+    """Both sequence axioms (see ``sequences``) on a nonempty tuple of ints, with no conversion."""
+    if xs[0] < 2:
+        return False
+    if any(b < a for a, b in zip(xs, xs[1:])):
+        return False
+    # axiom 2 on prefix sums P_i = x_1 + ... + x_i: x_{i+1} is a consecutive
+    # suffix sum P_i - P_j of its predecessors iff P_i - x_{i+1} is a P_j, j < i
+    total, earlier = xs[0], {0}
+    for x in xs[1:]:
+        if x <= total and total - x not in earlier:
+            return False
+        earlier.add(total)
+        total += x
+    return True
+
+
 def _apery_mask(F: int, mask: int, n: int) -> int:
     """The Apery set modulo a nonzero member n of the semigroup (F, mask), as a mask.
 
@@ -125,6 +143,18 @@ def _closed(frobenius: int, mask: int) -> NumericalSemigroup:
     object.__setattr__(S, "frobenius", frobenius)
     object.__setattr__(S, "mask", mask)
     return S
+
+
+def _not_member_ar(S: NumericalSemigroup) -> NotInCovarietyError:
+    """The error for an S that is not Arf or is the naturals.
+
+    The message names S by its Frobenius number and multiplicity, so it
+    stays short however large S is.
+    """
+    what = "the naturals" if S.is_natural() else (
+        f"the semigroup with Frobenius number {S.frobenius} and multiplicity {S.multiplicity()}"
+    )
+    return NotInCovarietyError(f"{what} is not an Arf semigroup with positive Frobenius number")
 
 
 @dataclass(frozen=True)
@@ -335,14 +365,10 @@ class NumericalSemigroup:
     def is_arf(self) -> bool:
         """True when x + y - z is a member for all members x >= y >= z.
 
-        Decided through the difference sequence of the small elements; the
-        naturals count as Arf by convention.
+        Decided by running the sequence axioms on the difference sequence of
+        the mask; the naturals count as Arf by convention.
         """
-        if self.is_natural():
-            return True
-        from .sequences import validate_sequence
-
-        return validate_sequence(self.difference_sequence())
+        return self.is_natural() or _axioms_hold(_difference_sequence(self.mask))
 
     def difference_sequence(self) -> tuple[int, ...]:
         """Consecutive differences of the members up to F+1, largest first."""

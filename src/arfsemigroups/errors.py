@@ -41,9 +41,5 @@ class InvalidSequenceError(SemigroupError):
     """The integer tuple violates the Arf-sequence axioms."""
 
 
-class InvalidRefinementError(SemigroupError):
-    """A refinement position or split value is out of range."""
-
-
 class ScaleLimitError(SemigroupError):
     """The request exceeds the size bounds this implementation supports."""

@@ -12,8 +12,8 @@ Splitting a term ``x_i`` into an adjacent pair ``(a, x_i - a)`` that keeps the
 axioms is called a proper refinement; sequences with no proper refinement and
 total F+1 correspond exactly to the maximal members of the covariety of Arf
 semigroups with Frobenius number F.  Whether a split keeps the axioms is
-decided by set lookups on the partial sums of the sequence (``_split_ok``),
-not by walking its prefix.
+decided by set lookups on the partial sums of the sequence, not by walking
+its prefix.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import NumericalSemigroup, _closed
+from .core import NumericalSemigroup, _axioms_hold, _closed
 from .errors import (
     EmptyInputError,
     InvalidFrobeniusError,
-    InvalidRefinementError,
     InvalidSequenceError,
     NoGapsError,
     NotArfError,
@@ -44,23 +43,6 @@ def _as_terms(seq: Iterable[int] | "ArfSequence") -> tuple[int, ...]:
 def validate_sequence(seq: Iterable[int] | "ArfSequence") -> bool:
     """Check both sequence axioms.  Empty input raises ``EmptyInputError``."""
     return _axioms_hold(_as_terms(seq))
-
-
-def _axioms_hold(xs: tuple[int, ...]) -> bool:
-    """Both sequence axioms on a nonempty tuple of ints, with no conversion of the terms."""
-    if xs[0] < 2:
-        return False
-    if any(b < a for a, b in zip(xs, xs[1:])):
-        return False
-    # axiom 2 on prefix sums P_i = x_1 + ... + x_i: x_{i+1} is a consecutive
-    # suffix sum P_i - P_j of its predecessors iff P_i - x_{i+1} is a P_j, j < i
-    total, earlier = xs[0], {0}
-    for x in xs[1:]:
-        if x <= total and total - x not in earlier:
-            return False
-        earlier.add(total)
-        total += x
-    return True
 
 
 @dataclass(frozen=True)
@@ -120,45 +102,6 @@ def sequence_of_semigroup(S: NumericalSemigroup) -> ArfSequence:
         raise NotArfError(f"{S!r} is not an Arf semigroup") from None
 
 
-def refinement_candidates(seq: Iterable[int] | ArfSequence, i: int, a: int) -> bool:
-    """Closed-form test: does replacing x_i by (a, x_i - a) keep the axioms?
-
-    ``i`` is 1-based.  Only the neighbourhood of the split matters:
-
-    * i = 1: valid iff 2a <= x_1;
-    * i >= 2: valid iff ``a`` is a consecutive suffix sum of x_{i-1}, ..., x_1
-      (or beyond their total) and x_i - 2a is zero, such a suffix sum, or
-      beyond the total.
-
-    Out-of-range ``i`` or ``a`` raises ``InvalidRefinementError``.
-    """
-    xs = _as_terms(seq)
-    if not 1 <= i <= len(xs):
-        raise InvalidRefinementError(f"position {i} out of range 1..{len(xs)}")
-    if a < 2 or a >= xs[i - 1]:
-        raise InvalidRefinementError(f"split value {a} out of range 2..{xs[i - 1] - 1}")
-    total = v = sum(xs)
-    above: set[int] = set()
-    for x in xs[: i - 1]:
-        above.add(v)
-        v -= x
-    return _split_ok(above, total, v, xs[i - 1], a)
-
-
-def _split_ok(above: set[int], total: int, v: int, x: int, a: int) -> bool:
-    """Is (a, x - a) a valid split of the term x whose upper end is v?
-
-    The bottom-up partial sums 0, x_n, x_n + x_{n-1}, ..., up to the total,
-    are the members up to F+1 of a valid sequence's semigroup.  Term x_i
-    spans two consecutive ones, u < v, and the consecutive suffix sums of
-    x_{i-1}, ..., x_1 are the differences s - v with s a partial sum above v
-    (``above``).  So t is such a sum, or beyond their total, iff v + t is in
-    ``above`` or past ``total``: one set lookup per candidate.
-    """
-    t, w = v + a, v + x - 2 * a
-    return (t > total or t in above) and (w == v or w > total or w in above)
-
-
 def _valid_splits(xs: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """(i, a) for every valid split, by position and then split value.
 
@@ -170,19 +113,19 @@ def _valid_splits(xs: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     total = v = sum(xs)
     above: set[int] = set()
     for i, x in enumerate(xs, start=1):
+        # The bottom-up partial sums 0, x_n, x_n + x_{n-1}, ..., up to the total,
+        # are the members up to F+1 of a valid sequence's semigroup.  Term x_i
+        # spans two consecutive ones, u < v, and the consecutive suffix sums of
+        # x_{i-1}, ..., x_1 are the differences s - v with s a partial sum above
+        # v (``above``).  So t is such a sum, or beyond their total, iff v + t is
+        # in ``above`` or past ``total``: the split (a, x - a) needs that for
+        # t = a and, unless x = 2a, for t = x - 2a.
         for a in range(2, x // 2 + 1):
-            if _split_ok(above, total, v, x, a):
+            t, w = v + a, v + x - 2 * a
+            if (t > total or t in above) and (w == v or w > total or w in above):
                 yield i, a
         above.add(v)
         v -= x
-
-
-def apply_refinement(seq: Iterable[int] | ArfSequence, i: int, a: int) -> ArfSequence:
-    """The refined sequence (x_1, ..., x_{i-1}, a, x_i - a, x_{i+1}, ..., x_n)."""
-    xs = _as_terms(seq)
-    if not refinement_candidates(xs, i, a):
-        raise InvalidRefinementError(f"splitting position {i} of {xs} at {a} breaks the axioms")
-    return ArfSequence(xs[: i - 1] + (a, xs[i - 1] - a) + xs[i:])
 
 
 def iter_refinements(seq: Iterable[int] | ArfSequence) -> Iterator[tuple[int, int, ArfSequence]]:

@@ -23,7 +23,8 @@ from .closure import ClosureResult
 from .core import NumericalSemigroup, _iter_bits, _scan_bits, _selector
 from .tree import CovarietyTree
 
-CSV_HEADER = "depth,frobenius,multiplicity,genus,type,generators"
+_NODE_COLUMNS = ("depth", "frobenius", "multiplicity", "genus", "type", "generators")
+CSV_HEADER = ",".join(_NODE_COLUMNS)
 
 
 def semigroup_dict(S: NumericalSemigroup, generators: Sequence[int] | None = None) -> dict[str, Any]:
@@ -71,10 +72,22 @@ def render_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return "\n".join(line.format(*row).rstrip() for row in cells)
 
 
+def _cell(value: Any) -> str:
+    """``-`` for None or an empty list, ``true``/``false`` for a bool, a list comma-joined."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(str, value)) if value else "-"
+    return str(value)
+
+
 def render_pairs(pairs: Iterable[tuple[str, Any]]) -> str:
+    """One ``key  value`` line per pair, keys padded to the widest."""
     items = list(pairs)
     width = max(len(k) for k, _ in items)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in items)
+    return "\n".join(f"{k.ljust(width)}  {_cell(v)}" for k, v in items)
 
 
 def _node_rows(tree: CovarietyTree, indices: Iterable[int], sep: str) -> list[list[Any]]:
@@ -89,8 +102,13 @@ def _node_rows(tree: CovarietyTree, indices: Iterable[int], sep: str) -> list[li
 
 
 def tree_table(tree: CovarietyTree, indices: Iterable[int]) -> str:
-    header = ["depth", "frobenius", "multiplicity", "genus", "type", "generators"]
-    return render_table(header, _node_rows(tree, indices, ","))
+    return render_table(_NODE_COLUMNS, _node_rows(tree, indices, ","))
+
+
+def rank_one_table(catalog: Sequence[NumericalSemigroup]) -> str:
+    cells = _generator_cells(catalog, ",")
+    rows = [[S.multiplicity(), S.genus(), cell] for S, cell in zip(catalog, cells)]
+    return render_table(["multiplicity", "genus", "generators"], rows)
 
 
 def tree_csv(tree: CovarietyTree, indices: Iterable[int]) -> str:

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import NumericalSemigroup, _closed
-from .errors import InvalidFrobeniusError, NotInCovarietyError, ScaleLimitError
+from .core import NumericalSemigroup, _closed, _not_member_ar
+from .errors import InvalidFrobeniusError, ScaleLimitError
 
 # The tree on Ar(F) roughly doubles each time F grows by 20, odd F having up to 1.7 times the
 # nodes of their neighbours, and the root alone has about F/2 children of 2F bits each, so only
@@ -87,18 +87,6 @@ class CovarietyTree:
 def is_member_ar(S: NumericalSemigroup, frobenius: int) -> bool:
     """True iff S is an Arf semigroup whose Frobenius number is ``frobenius``."""
     return not S.is_natural() and S.frobenius == frobenius and S.is_arf()
-
-
-def _not_member_ar(S: NumericalSemigroup) -> NotInCovarietyError:
-    """The error for an S that is not Arf or is the naturals.
-
-    The message names S by its Frobenius number and multiplicity, so it
-    stays short however large S is.
-    """
-    what = "the naturals" if S.is_natural() else (
-        f"the semigroup with Frobenius number {S.frobenius} and multiplicity {S.multiplicity()}"
-    )
-    return NotInCovarietyError(f"{what} is not an Arf semigroup with positive Frobenius number")
 
 
 def _extended(S: NumericalSemigroup) -> int:

@@ -25,7 +25,7 @@ from arfsemigroups import (
     brute_is_arf,
     count_rank_one,
     enumerate_ar,
-    refinement_candidates,
+    iter_refinements,
     refinement_free_sequences,
     semigroup_of_sequence,
     sequence_of_semigroup,
@@ -141,10 +141,11 @@ def test_08_sequence_bijection_roundtrip_and_split_rule():
             assert sequence_of_semigroup(semigroup_of_sequence(seq)).terms == seq
     for total in range(2, 17):
         for seq in arf_sequences_with_total(total):
+            splits = {(i, a) for i, a, _ in iter_refinements(seq)}
             for i, x in enumerate(seq, start=1):
                 for a in range(2, x - 1):
                     spliced = (*seq.terms[: i - 1], a, x - a, *seq.terms[i:])
-                    assert refinement_candidates(seq, i, a) == validate_sequence(spliced)
+                    assert ((i, a) in splits) == validate_sequence(spliced)
     for F in range(1, 13):
         free = refinement_free_sequences(F)
         maximal = enumerate_ar(F).maximal_semigroups()

@@ -1,7 +1,9 @@
-"""The public names of the package, frozen."""
+"""The public names of the package and the imports between its modules, frozen."""
 
 import argparse
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import arfsemigroups
 from arfsemigroups.cli import _PARSER
@@ -12,7 +14,6 @@ PUBLIC = [
     "CovarietyTree",
     "EmptyInputError",
     "InvalidFrobeniusError",
-    "InvalidRefinementError",
     "InvalidSequenceError",
     "NoGapsError",
     "NotAMemberError",
@@ -24,7 +25,6 @@ PUBLIC = [
     "SemigroupError",
     "TreeNode",
     "admits_proper_refinement",
-    "apply_refinement",
     "ar_closure",
     "arf_sequences_with_total",
     "brute_all_semigroups",
@@ -37,7 +37,6 @@ PUBLIC = [
     "maximal_elements",
     "minimal_ar_generators",
     "rank_one_catalog",
-    "refinement_candidates",
     "refinement_free_sequences",
     "semigroup_of_sequence",
     "sequence_of_semigroup",
@@ -88,7 +87,7 @@ CLI = {
 }
 
 # the Apery/MED-adjunction route lives in tests/apery_route.py; its errors are asserts there;
-# minimal_generators() and apery_set() return plain tuples
+# minimal_generators() and apery_set() return plain tuples; single splits come from iter_refinements
 REMOVED = [
     "AperyTable",
     "ContradictionError",
@@ -97,15 +96,48 @@ REMOVED = [
     "InconsistentTableError",
     "InternalInvariantError",
     "InvalidAdjunctionError",
+    "InvalidRefinementError",
     "NotMedError",
     "apery_after_adjoin",
+    "apply_refinement",
     "ar_rank",
     "med_adjunction_test",
     "med_frobenius_genus_formula",
     "msg_after_adjoin",
     "pseudo_frobenius_from_apery",
+    "refinement_candidates",
     "special_gaps_from_apery",
 ]
+
+# the package modules each of these may import; every other module may import any of them
+LOWER_LAYERS = {
+    "errors": set(),
+    "core": {"errors"},
+    "sequences": {"core", "errors"},
+    "tree": {"core", "errors"},
+    "closure": {"core", "errors"},
+    "oracle": {"core", "errors"},
+}
+
+
+def package_imports(path):
+    """(package module, names taken from it) for every import in a source file, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "arfsemigroups" and len(parts) > 1:
+                    yield parts[1], ()
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] == "arfsemigroups":
+                parts = parts[1:]
+            elif node.level == 0:
+                continue
+            if parts and parts[0]:
+                yield parts[0], tuple(alias.name for alias in node.names)
+            else:  # from . import serialize
+                yield from ((alias.name, ()) for alias in node.names)
 
 
 def test_all_is_the_frozen_list():
@@ -150,3 +182,26 @@ def test_cli_surface_is_frozen():
         for name, command in commands(_PARSER)
     }
     assert surface == CLI
+
+
+def test_private_helpers_come_only_from_core():
+    package = Path(arfsemigroups.__file__).parent
+    imports = {path.stem: list(package_imports(path)) for path in sorted(package.glob("*.py"))}
+    assert LOWER_LAYERS.keys() <= imports.keys()
+    for module, allowed in LOWER_LAYERS.items():
+        assert {imported for imported, _ in imports[module]} <= allowed, module
+    private = [
+        (module, imported, name)
+        for module, found in imports.items()
+        for imported, names in found
+        for name in names
+        if name.startswith("_") and imported != "core"
+    ]
+    assert private == []
+    cli = ast.parse((package / "cli.py").read_text())
+    reads = [
+        node.attr
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "serialize"
+    ]
+    assert reads and [attr for attr in reads if attr.startswith("_")] == []

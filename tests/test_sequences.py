@@ -9,17 +9,14 @@ from arfsemigroups import (
     ArfSequence,
     EmptyInputError,
     InvalidFrobeniusError,
-    InvalidRefinementError,
     InvalidSequenceError,
     NoGapsError,
     NotArfError,
     NumericalSemigroup,
     admits_proper_refinement,
-    apply_refinement,
     arf_sequences_with_total,
     iter_refinements,
     maximal_elements,
-    refinement_candidates,
     refinement_free_sequences,
     semigroup_of_sequence,
     sequence_of_semigroup,
@@ -160,29 +157,14 @@ class TestConversion:
 
 class TestRefinements:
     def test_known_splits(self):
-        assert refinement_candidates((2, 2, 2, 8), 4, 2)
-        assert apply_refinement((2, 2, 2, 8), 4, 2).terms == (2, 2, 2, 2, 6)
-        assert refinement_candidates((2, 2, 2, 2, 6), 5, 2)
-        assert apply_refinement((2, 2, 2, 2, 6), 5, 2).terms == (2, 2, 2, 2, 2, 4)
+        refined = list(iter_refinements((2, 2, 2, 8)))
+        assert (4, 2, ArfSequence((2, 2, 2, 2, 6))) in refined
+        assert (4, 3) not in {(i, a) for i, a, _ in refined}  # breaks the axioms
+        assert (5, 2, ArfSequence((2, 2, 2, 2, 2, 4))) in iter_refinements((2, 2, 2, 2, 6))
 
     def test_first_position_boundary(self):
-        assert not refinement_candidates((4, 8), 1, 3)  # 3 exceeds half of 4
-        assert refinement_candidates((4, 8), 1, 2)
-        assert refinement_candidates((6, 8), 1, 3)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidRefinementError):
-            refinement_candidates((2, 2, 4), 0, 2)
-        with pytest.raises(InvalidRefinementError):
-            refinement_candidates((2, 2, 4), 4, 2)
-        with pytest.raises(InvalidRefinementError):
-            refinement_candidates((2, 2, 4), 3, 1)
-        with pytest.raises(InvalidRefinementError):
-            refinement_candidates((2, 2, 4), 3, 4)  # split value must stay below the term
-        with pytest.raises(InvalidRefinementError):
-            refinement_candidates((2, 2, 2), 1, 2)
-        with pytest.raises(InvalidRefinementError):
-            apply_refinement((2, 2, 2, 8), 4, 3)  # in range but breaks the axioms
+        assert [(i, a) for i, a, _ in iter_refinements((4, 8))] == [(1, 2), (2, 4)]  # 3 exceeds half of 4
+        assert (1, 3) in {(i, a) for i, a, _ in iter_refinements((6, 8))}
 
     def test_admits_proper_refinement(self):
         assert admits_proper_refinement((2, 2, 2, 8))
@@ -194,10 +176,7 @@ class TestRefinements:
         # invalid tuples included: the tests only read the neighbourhood of a split
         for total in range(1, 15):
             for xs in compositions(total):
-                want = splits_by_prefix_walk(xs)
-                for i, x in enumerate(xs, start=1):
-                    for a in range(2, x):
-                        assert refinement_candidates(xs, i, a) == ((i, a) in want), (xs, i, a)
+                want = splits_by_prefix_walk(xs)  # tries every a in 2..x_i - 1, a > x_i / 2 included
                 assert list(_valid_splits(xs)) == want, xs
                 assert admits_proper_refinement(xs) == bool(want), xs
                 if validate_sequence(xs):
@@ -205,11 +184,11 @@ class TestRefinements:
 
     @given(st.lists(st.integers(min_value=-6, max_value=14), min_size=1, max_size=8))
     def test_closed_form_matches_the_prefix_walk_on_any_terms(self, xs):
-        # zero and negative terms make the partial sums repeat and fall
+        # zero and negative terms make the partial sums repeat and fall; admits_proper_refinement
+        # runs _valid_splits on such unvalidated input
         xs = tuple(xs)
-        for i, x in enumerate(xs, start=1):
-            for a in range(2, x):
-                assert refinement_candidates(xs, i, a) == split_keeps_axioms(xs, i, a), (xs, i, a)
+        want = [(i, a) for i, x in enumerate(xs, start=1) for a in range(2, x // 2 + 1) if split_keeps_axioms(xs, i, a)]
+        assert list(_valid_splits(xs)) == want, xs
 
     def test_long_inputs_finish_in_time(self):
         # a mask shift per candidate (first input) or prefix work per term (second) is quadratic here
@@ -231,10 +210,11 @@ class TestRefinements:
         for total in range(2, 17):
             for q in arf_sequences_with_total(total):
                 xs = q.terms
+                splits = {(i, a) for i, a, _ in iter_refinements(q)}
                 for i in range(1, len(xs) + 1):
                     for a in range(2, xs[i - 1]):
                         expected = validate_sequence(xs[: i - 1] + (a, xs[i - 1] - a) + xs[i:])
-                        assert refinement_candidates(xs, i, a) == expected
+                        assert ((i, a) in splits) == expected
 
     def test_refined_semigroup_contains_original(self):
         for total in range(2, 17):
