@@ -55,10 +55,10 @@ _SEQ_LIMIT = 1 << 13
 
 # `rank-one F` lists about F semigroups, the one of multiplicity m with about F/m + m
 # generators and small elements: Theta(F^2) numbers.  `--count` is O(sqrt F) and needs no
-# limit.  Budget: every accepted listing finishes within 2 s.  The slowest, `rank-one 1499
-# --format json` (1,497 members, 5.8 MB out), took 0.5-0.7 s, 74 MB, and the table 0.25-0.5 s
-# (fresh process, CPython 3.11, shared 2-core Xeon); as json, F = 2,039 took 0.9-1.2 s
-# (121 MB) and F = 2,999 1.8-2.4 s (239 MB).
+# limit.  Budget: every accepted listing finishes within 2 s.  At F = 1,499 (1,497 members)
+# the json (5.8 MB out) took 0.2-0.4 s and 33 MB, the table 0.2-0.3 s and 34 MB (fresh process,
+# CPython 3.11, shared 2-core Xeon); as json, F = 2,039 took 0.3-0.4 s (48 MB) and F = 2,999
+# 0.6-0.7 s (85 MB).
 _RANK_ONE_LIMIT = 1500
 
 
@@ -112,7 +112,7 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
     elif fmt == "csv":
         print(serialize.tree_csv(tree, indices))
     else:
-        print(serialize.dumps([serialize.semigroup_dict(tree.nodes[i].semigroup) for i in indices]))
+        print(serialize.semigroups_json([tree.nodes[i].semigroup for i in indices]))
     if stats:
         print(
             serialize.render_pairs(
@@ -133,7 +133,7 @@ def cmd_tree(frobenius: str, fmt: str) -> None:
     if fmt == "dot":
         print(serialize.tree_dot(tree))
     else:
-        print(serialize.dumps(serialize.tree_json_obj(tree)))
+        print(serialize.tree_json(tree))
 
 
 def cmd_check(generators: str, fmt: str) -> None:
@@ -251,7 +251,7 @@ def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
         return
     catalog = rank_one_catalog(F)
     if fmt == "json":
-        print(serialize.dumps([serialize.semigroup_dict(S) for S in catalog]))
+        print(serialize.semigroups_json(catalog))
     else:
         print(serialize.rank_one_table(catalog))
 
@@ -259,14 +259,15 @@ def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
 def seq_validate(terms: str, fmt: str) -> int | None:
     xs = _terms(terms)
     try:
-        S = semigroup_of_sequence(ArfSequence(xs))  # the one validation
+        seq = ArfSequence(xs)  # the one validation; the calls below take its terms as they are
     except InvalidSequenceError:
         if fmt == "json":
             print(serialize.dumps(serialize.sequence_obj(xs, False)))
         else:
             print(serialize.render_pairs([("sequence", xs), ("valid", False)]))
         return 1
-    free = not admits_proper_refinement(xs)
+    S = semigroup_of_sequence(seq)
+    free = not admits_proper_refinement(seq)
     if fmt == "json":
         print(serialize.dumps(serialize.sequence_obj(xs, True, free, S)))
     else:

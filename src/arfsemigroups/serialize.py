@@ -11,6 +11,12 @@ nonzero Apery elements modulo m, the bits of one mask with no sums to
 remove, and a row's generator cell joins the decimal names that the mask's
 bits select.  ``check``, whose input is arbitrary, passes its own
 generators to ``semigroup_dict``.
+
+JSON lists of semigroups (the nodes of ``enumerate`` and ``tree``, the
+``rank-one`` catalog) are written as text, their small elements joined from
+the same names; each command that prints one object builds it with
+``semigroup_dict`` and the other ``*_obj`` helpers and renders it with
+``dumps``.
 """
 
 from __future__ import annotations
@@ -50,19 +56,49 @@ def generator_label(S: NumericalSemigroup) -> str:
     return "<" + ",".join(map(str, _iter_bits(S._med_generator_mask()))) + ">"
 
 
-def _generator_cells(semigroups: Sequence[NumericalSemigroup], sep: str) -> list[str]:
-    """The minimal generators of each Arf semigroup, joined by ``sep``.
+def _names(masks: Sequence[int]) -> tuple[str, ...]:
+    """Decimal names of the bit positions of the widest of ``masks``.
 
-    One tuple of decimal names, as wide as the widest mask, serves every
-    cell, so it pays for itself over many semigroups of one Frobenius number.
+    One tuple serves every cell of a render, so it pays for itself over
+    many semigroups of one Frobenius number.
+    """
+    return tuple(map(str, range(max(masks, default=0).bit_length())))
+
+
+def _joined(mask: int, names: Sequence[str], sep: str) -> str:
+    """The positions of the set bits of ``mask``, ascending, joined by ``sep``;
+    ``names`` covers every bit of the mask."""
+    selector = _selector(mask)  # None for a sparse mask, which is scanned
+    return sep.join(map(str, _scan_bits(mask)) if selector is None else compress(names, selector))
+
+
+def _generator_cells(semigroups: Sequence[NumericalSemigroup], sep: str) -> list[str]:
+    """The minimal generators of each Arf semigroup, joined by ``sep``."""
+    masks = [S._med_generator_mask() for S in semigroups]
+    names = _names(masks)
+    return [_joined(mask, names, sep) for mask in masks]
+
+
+def semigroups_json(semigroups: Sequence[NumericalSemigroup]) -> str:
+    """The JSON list of ``semigroup_dict`` objects of Arf semigroups with a positive
+    Frobenius number, written as text: ``dumps`` of that list, byte for byte.
+
+    A row reads m off its generator mask and the genus off the membership
+    mask (F + 2 minus the members up to F+1).  The generator mask reaches
+    F+m, past every small element, so one tuple of names serves both lists.
     """
     masks = [S._med_generator_mask() for S in semigroups]
-    names = tuple(map(str, range(max(masks, default=0).bit_length())))
-    cells = []
-    for mask in masks:
-        selector = _selector(mask)  # None for a sparse mask, which is scanned
-        cells.append(sep.join(map(str, _scan_bits(mask)) if selector is None else compress(names, selector)))
-    return cells
+    names = _names(masks)
+    rows = []
+    for S, gens in zip(semigroups, masks):
+        F, mask = S.frobenius, S.mask
+        m = (gens & -gens).bit_length() - 1  # Arf, so MED: the type is m - 1
+        rows.append(
+            f'{{"frobenius":{F},"multiplicity":{m},"genus":{F + 2 - mask.bit_count()},"type":{m - 1},'
+            f'"min_generators":[{_joined(gens, names, ",")}],'
+            f'"small_elements":[{_joined(mask ^ (1 << (F + 1)), names, ",")}]}}'
+        )
+    return "[" + ",".join(rows) + "]"
 
 
 def render_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
@@ -118,12 +154,19 @@ def tree_csv(tree: CovarietyTree, indices: Iterable[int]) -> str:
 
 
 def tree_json_obj(tree: CovarietyTree) -> dict[str, Any]:
+    """The tree as a JSON object; ``tree_json`` writes its ``dumps`` as text."""
     return {
         "frobenius": tree.frobenius,
         "root": 0,
         "nodes": [semigroup_dict(node.semigroup) for node in tree.nodes],
         "edges": [list(edge) for edge in tree.edges()],
     }
+
+
+def tree_json(tree: CovarietyTree) -> str:
+    """``dumps(tree_json_obj(tree))``, written as text."""
+    edges = ",".join([f"[{child},{parent}]" for child, parent in tree.edges()])
+    return f'{{"frobenius":{tree.frobenius},"root":0,"nodes":{semigroups_json(tree.semigroups())},"edges":[{edges}]}}'
 
 
 def tree_dot(tree: CovarietyTree) -> str:

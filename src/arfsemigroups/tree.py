@@ -32,10 +32,10 @@ from .errors import InvalidFrobeniusError, ScaleLimitError
 # The tree on Ar(F) roughly doubles each time F grows by 20, odd F having up to 1.7 times the
 # nodes of their neighbours, and the root alone has about F/2 children of 2F bits each, so only
 # a limit on F, checked before the walk, refuses in time.  Budget: every accepted F finishes
-# within 2 s.  The slowest, F = 89 (17,538 nodes), took 0.4-0.7 s as a table, csv or dot and
-# 0.7-0.8 s as json, at most 51 MB, in every format of `arfsg enumerate` and `tree` (fresh
-# process, CPython 3.11, shared 2-core Xeon, where bursts of load stretched single runs to
-# 1.5 s); as json, F = 99 (26,734 nodes) took 1.1-1.3 s and F = 111 1.8-2.7 s.
+# within 2 s.  The slowest, F = 89 (17,538 nodes), took 0.3-0.55 s and at most 41 MB (the
+# table) in every format of `arfsg enumerate` and `tree`, json included (fresh process, CPython
+# 3.11, shared 2-core Xeon, where bursts of load stretched single runs to 1.5 s); as json,
+# F = 99 (26,734 nodes) took 0.5-0.8 s and F = 111 1.2 s, 78 MB.
 _TREE_LIMIT = 90
 
 

@@ -5,10 +5,13 @@ multiplicity m and the nonzero Apery elements modulo m, and joins the
 decimal names that the mask's bits select.  Here the generators come from
 ``NumericalSemigroup.minimal_generators()``, which removes the sums of Apery
 elements and so assumes nothing of the semigroup, each is turned into text
-by ``str``, and tables are padded one cell at a time.  ``install`` puts these
-in place of the package's own, so one command can be run both ways and its
-output compared byte for byte.
+by ``str``, tables are padded one cell at a time, and JSON lists of
+semigroups go through ``json.dumps`` over one dict per semigroup.
+``install`` puts these in place of the package's own, so one command can be
+run both ways and its output compared byte for byte.
 """
+
+import json
 
 from arfsemigroups import serialize
 
@@ -33,6 +36,14 @@ def generator_cells(semigroups, sep):
     return [sep.join(map(str, S.minimal_generators())) for S in semigroups]
 
 
+def semigroups_json(semigroups):
+    return json.dumps([semigroup_dict(S) for S in semigroups], separators=(",", ":"))
+
+
+def tree_json(tree):
+    return serialize.dumps(serialize.tree_json_obj(tree))  # nodes through semigroup_dict above, once installed
+
+
 def render_table(header, rows):
     cells = [[str(c) for c in row] for row in rows]
     widths = [len(h) for h in header]
@@ -51,3 +62,5 @@ def install(monkeypatch):
     monkeypatch.setattr(serialize, "generator_label", generator_label)
     monkeypatch.setattr(serialize, "_generator_cells", generator_cells)
     monkeypatch.setattr(serialize, "render_table", render_table)
+    monkeypatch.setattr(serialize, "semigroups_json", semigroups_json)
+    monkeypatch.setattr(serialize, "tree_json", tree_json)

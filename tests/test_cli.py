@@ -1,5 +1,6 @@
 """End-to-end tests of the arfsg command line."""
 
+import ast
 import json
 import os
 import subprocess
@@ -10,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from arfsemigroups import NumericalSemigroup, cli, sequences
+from arfsemigroups import NumericalSemigroup, cli, sequences, serialize
 from arfsemigroups.cli import _RANK_ONE_LIMIT, _SEQ_LIMIT
-from arfsemigroups.closure import _HULL_LIMIT
-from arfsemigroups.core import _SIEVE_LIMIT
+from arfsemigroups.closure import _HULL_LIMIT, rank_one_catalog
+from arfsemigroups.core import _SIEVE_LIMIT, _selector
 from arfsemigroups.tree import _TREE_LIMIT, CovarietyTree, enumerate_ar
 from cli_runner import run
 from full_check import count_full_checks
@@ -415,6 +416,20 @@ class TestSeq:
         assert run("seq", command, "2,2,2,8", "--format", fmt).exit_code == 0
         assert counts == {"validate_sequence": 1}
 
+    @pytest.mark.parametrize("command", ["validate", "semigroup", "refinements"])
+    def test_terms_are_converted_once(self, monkeypatch, command):
+        # the parsed terms become an ArfSequence once; every later call takes its terms as they are
+        rebuilt = []
+
+        def counted(seq, _as_terms=sequences._as_terms):
+            if not isinstance(seq, sequences.ArfSequence):
+                rebuilt.append(seq)
+            return _as_terms(seq)
+
+        monkeypatch.setattr(sequences, "_as_terms", counted)
+        assert run("seq", command, "2,2,2,8").exit_code == 0
+        assert rebuilt == [(2, 2, 2, 8)]
+
     def test_validate_ok(self):
         res = run("seq", "validate", "2,2,2,8")
         assert res.exit_code == 0
@@ -533,6 +548,91 @@ class TestRowsMatchTheReference:
         for argv in sorted(commands):
             for fmt in ("table", "json"):
                 assert_matches_the_reference(monkeypatch, *argv, "--format", fmt)
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            (("enumerate", "1"), '[{"frobenius":1,"multiplicity":2,"genus":1,"type":1,'
+                                 '"min_generators":[2,3],"small_elements":[0]}]'),
+            (("enumerate", "1", "--maximal-only"), '[{"frobenius":1,"multiplicity":2,"genus":1,"type":1,'
+                                                   '"min_generators":[2,3],"small_elements":[0]}]'),
+            (("tree", "1"), '{"frobenius":1,"root":0,"nodes":[{"frobenius":1,"multiplicity":2,"genus":1,"type":1,'
+                            '"min_generators":[2,3],"small_elements":[0]}],"edges":[]}'),
+            (("tree", "5"), '{"frobenius":5,"root":0,"nodes":['
+                            '{"frobenius":5,"multiplicity":6,"genus":5,"type":5,'
+                            '"min_generators":[6,7,8,9,10,11],"small_elements":[0]},'
+                            '{"frobenius":5,"multiplicity":3,"genus":4,"type":2,'
+                            '"min_generators":[3,7,8],"small_elements":[0,3]},'
+                            '{"frobenius":5,"multiplicity":4,"genus":4,"type":3,'
+                            '"min_generators":[4,6,7,9],"small_elements":[0,4]},'
+                            '{"frobenius":5,"multiplicity":2,"genus":3,"type":1,'
+                            '"min_generators":[2,7],"small_elements":[0,2,4]}],'
+                            '"edges":[[1,0],[2,0],[3,2]]}'),
+            (("rank-one", "2"), "[]"),  # the empty catalog
+            (("rank-one", "3"), '[{"frobenius":3,"multiplicity":2,"genus":2,"type":1,'
+                                '"min_generators":[2,5],"small_elements":[0,2]}]'),
+        ],
+    )
+    def test_json_edge_rows(self, monkeypatch, args, want):
+        res = run(*args, "--format", "json")
+        assert (res.exit_code, res.stdout, res.stderr) == (0, want + "\n", "")
+        assert_matches_the_reference(monkeypatch, *args, "--format", "json")
+
+    def test_json_root_row(self):
+        # delta(F) = {0, F+1, ->}: F+1 generators, and 0 is its one small element
+        gens = ",".join(map(str, range(41, 82)))
+        root = f'{{"frobenius":40,"multiplicity":41,"genus":40,"type":40,"min_generators":[{gens}],'
+        root += '"small_elements":[0]}'
+        assert run("enumerate", "40", "--format", "json").stdout.startswith(f"[{root},")
+        assert run("tree", "40", "--format", "json").stdout.startswith(f'{{"frobenius":40,"root":0,"nodes":[{root},')
+
+    def test_json_sparse_rows(self, monkeypatch):
+        # fewer than one bit in 8 set in both masks: the names are scanned, not selected
+        S = next(S for S in rank_one_catalog(80) if S.multiplicity() == 9)
+        assert _selector(S._med_generator_mask()) is None and _selector(S.mask ^ (1 << 81)) is None
+        row = ('{"frobenius":80,"multiplicity":9,"genus":72,"type":8,"min_generators":[9,82,83,84,85,86,87,88,89],'
+               '"small_elements":[0,9,18,27,36,45,54,63,72]}')
+        assert f",{row}," in run("rank-one", "80", "--format", "json").stdout
+        assert_matches_the_reference(monkeypatch, "rank-one", "80", "--format", "json")
+
+    def test_the_reference_replaces_every_row_renderer(self, monkeypatch):
+        # every serialize call of cli is replaced by install, or renders only through what install
+        # replaces; a new renderer must be added to install or, if it reads no rows, listed here
+        row_reference.install(monkeypatch)
+        reads = {
+            node.attr
+            for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "serialize"
+        }
+        kept = {name for name in reads if getattr(serialize, name).__module__ != row_reference.__name__}
+        assert kept == {
+            "dumps", "render_pairs", "closure_obj", "sequence_obj",  # through semigroup_dict, render_table
+            "tree_table", "tree_csv", "rank_one_table", "tree_dot",  # through _generator_cells, render_table
+        }
+
+        # with the reference installed, no command may reach the package's own rows: a renderer
+        # that install misses would read the generator mask or select names, and fail here
+        def unused(*args):
+            raise AssertionError("a row renderer ran past row_reference.install")
+
+        monkeypatch.setattr(NumericalSemigroup, "_med_generator_mask", unused)
+        for name in ("_iter_bits", "_selector", "_scan_bits"):
+            monkeypatch.setattr(serialize, name, unused)
+        commands = [("enumerate", "12", "--format", fmt, *flag)
+                    for fmt in ("table", "csv", "json") for flag in ((), ("--maximal-only",))]
+        commands += [("tree", "12", "--format", fmt) for fmt in ("dot", "json")]
+        for fmt in ("table", "json"):
+            commands += [
+                ("rank-one", "12", "--format", fmt),
+                ("check", "4,6,21,23", "--format", fmt),
+                ("closure", "29", "--set", "6,8", "--format", fmt),
+                ("minimal-gens", "6,8,10,31,33,35", "--format", fmt),
+                ("seq", "validate", "2,2,2,8", "--format", fmt),
+                ("seq", "semigroup", "2,2,2,8", "--format", fmt),
+            ]
+        for args in commands:
+            res = run(*args)
+            assert res.exit_code == 0 and res.stdout, args
 
 
 # derived values are closed by construction and skip the constructor's full closure check
