@@ -41,7 +41,6 @@ from .sequences import (
 )
 from .tree import (
     CovarietyTree,
-    TreeNode,
     children,
     enumerate_ar,
     is_member_ar,
@@ -64,7 +63,6 @@ __all__ = [
     "NumericalSemigroup",
     "ScaleLimitError",
     "SemigroupError",
-    "TreeNode",
     "admits_proper_refinement",
     "ar_closure",
     "arf_sequences_with_total",

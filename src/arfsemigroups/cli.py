@@ -112,7 +112,7 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
     elif fmt == "csv":
         print(serialize.tree_csv(tree, indices))
     else:
-        print(serialize.semigroups_json([tree.nodes[i].semigroup for i in indices]))
+        print(serialize.semigroups_json(F, [tree.masks[i] for i in indices]))
     if stats:
         print(
             serialize.render_pairs(
@@ -249,11 +249,11 @@ def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
         n = count_rank_one(F)
         print(serialize.dumps({"F": F, "count": n}) if fmt == "json" else str(n))
         return
-    catalog = rank_one_catalog(F)
+    masks = [S.mask for S in rank_one_catalog(F)]
     if fmt == "json":
-        print(serialize.semigroups_json(catalog))
+        print(serialize.semigroups_json(F, masks))
     else:
-        print(serialize.rank_one_table(catalog))
+        print(serialize.rank_one_table(F, masks))
 
 
 def seq_validate(terms: str, fmt: str) -> int | None:

@@ -111,6 +111,23 @@ def _apery_mask(F: int, mask: int, n: int) -> int:
     return ext & ~(ext << n)
 
 
+def _multiplicity(mask: int) -> int:
+    """The least positive member of a mask with a positive bit set."""
+    low = mask & ~1
+    return (low & -low).bit_length() - 1
+
+
+def _med_generator_mask(F: int, mask: int) -> int:
+    """The minimal generators of the MED semigroup (F, mask), F >= 1, as a mask.
+
+    Every Arf semigroup is MED: it has m minimal generators, its multiplicity
+    m and the nonzero elements of the Apery set modulo m, with no sums to
+    remove.  For any other semigroup the mask holds more than its generators.
+    """
+    m = _multiplicity(mask)
+    return (_apery_mask(F, mask, m) & ~1) | (1 << m)
+
+
 def _add_multiples(reach: int, g: int, limit: int) -> int:
     """``reach`` plus every multiple of g, within the bits of ``limit``.
 
@@ -259,10 +276,7 @@ class NumericalSemigroup:
 
     def multiplicity(self) -> int:
         """Least positive member."""
-        positive = self.mask & ~1
-        if positive:
-            return (positive & -positive).bit_length() - 1
-        return 1  # the naturals
+        return 1 if self.is_natural() else _multiplicity(self.mask)
 
     def genus(self) -> int:
         """Number of gaps."""
@@ -287,25 +301,13 @@ class NumericalSemigroup:
         if self.is_natural():
             return (1,)
         F, mask = self.frobenius, self.mask
-        low = mask & ~1
-        m = (low & -low).bit_length() - 1
+        m = _multiplicity(mask)
         ap = _apery_mask(F, mask, m) & ~1  # the nonzero Apery elements, all above m
         sums = 0
         # the smaller summand of a sum within F+m is at most (F+m)/2
         for a in _iter_bits(ap & ((2 << ((F + m) // 2)) - 1)):
             sums |= ap << a
         return (m,) + tuple(_iter_bits(ap & ~sums))
-
-    def _med_generator_mask(self) -> int:
-        """The minimal generators of a MED semigroup (every Arf one is), as a mask.
-
-        A MED semigroup has as many minimal generators as its multiplicity m:
-        m and every nonzero element of the Apery set modulo m, with no sums
-        to remove.  For any other semigroup the mask holds more than its
-        generators.
-        """
-        m = self.multiplicity()
-        return (_apery_mask(self.frobenius, self.mask, m) & ~1) | (1 << m)
 
     # -- Apery sets and gap invariants ---------------------------------------
 

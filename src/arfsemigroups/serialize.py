@@ -12,11 +12,13 @@ remove, and a row's generator cell joins the decimal names that the mask's
 bits select.  ``check``, whose input is arbitrary, passes its own
 generators to ``semigroup_dict``.
 
-JSON lists of semigroups (the nodes of ``enumerate`` and ``tree``, the
-``rank-one`` catalog) are written as text, their small elements joined from
-the same names; each command that prints one object builds it with
-``semigroup_dict`` and the other ``*_obj`` helpers and renders it with
-``dumps``.
+Lists of semigroups (the nodes of ``enumerate`` and ``tree``, the
+``rank-one`` catalog) are rows read off each member's (F, mask), with no
+object per row: m is the lowest positive bit, the genus F + 2 minus the
+bit count, a tree node's depth the bit count minus 2.  Their JSON is
+written as text, the small elements joined from the same names; each
+command that prints one object builds it with ``semigroup_dict`` and the
+other ``*_obj`` helpers and renders it with ``dumps``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import compress
 from typing import Any, Iterable, Sequence
 
 from .closure import ClosureResult
-from .core import NumericalSemigroup, _iter_bits, _scan_bits, _selector
+from .core import NumericalSemigroup, _iter_bits, _med_generator_mask, _multiplicity, _scan_bits, _selector
 from .tree import CovarietyTree
 
 _NODE_COLUMNS = ("depth", "frobenius", "multiplicity", "genus", "type", "generators")
@@ -37,12 +39,14 @@ def semigroup_dict(S: NumericalSemigroup, generators: Sequence[int] | None = Non
     """The JSON object of an Arf semigroup, so MED: the type is m - 1 (null for the
     naturals).  A caller holding any other semigroup passes its ``generators`` and sets ``type``."""
     m = S.multiplicity()
+    if generators is None:
+        generators = _iter_bits(_med_generator_mask(S.frobenius, S.mask))
     return {
         "frobenius": S.frobenius,
         "multiplicity": m,
         "genus": S.genus(),
         "type": None if S.is_natural() else m - 1,
-        "min_generators": list(_iter_bits(S._med_generator_mask()) if generators is None else generators),
+        "min_generators": list(generators),
         "small_elements": list(S.small_elements()),
     }
 
@@ -53,7 +57,7 @@ def dumps(obj: Any) -> str:
 
 def generator_label(S: NumericalSemigroup) -> str:
     """``<g1,...,gk>`` for an Arf semigroup."""
-    return "<" + ",".join(map(str, _iter_bits(S._med_generator_mask()))) + ">"
+    return "<" + ",".join(map(str, _iter_bits(_med_generator_mask(S.frobenius, S.mask)))) + ">"
 
 
 def _names(masks: Sequence[int]) -> tuple[str, ...]:
@@ -72,26 +76,25 @@ def _joined(mask: int, names: Sequence[str], sep: str) -> str:
     return sep.join(map(str, _scan_bits(mask)) if selector is None else compress(names, selector))
 
 
-def _generator_cells(semigroups: Sequence[NumericalSemigroup], sep: str) -> list[str]:
-    """The minimal generators of each Arf semigroup, joined by ``sep``."""
-    masks = [S._med_generator_mask() for S in semigroups]
-    names = _names(masks)
-    return [_joined(mask, names, sep) for mask in masks]
+def _generator_cells(F: int, masks: Sequence[int], sep: str) -> list[str]:
+    """The minimal generators of each Arf semigroup (F, mask), joined by ``sep``."""
+    gen_masks = [_med_generator_mask(F, mask) for mask in masks]
+    names = _names(gen_masks)
+    return [_joined(gens, names, sep) for gens in gen_masks]
 
 
-def semigroups_json(semigroups: Sequence[NumericalSemigroup]) -> str:
-    """The JSON list of ``semigroup_dict`` objects of Arf semigroups with a positive
-    Frobenius number, written as text: ``dumps`` of that list, byte for byte.
+def semigroups_json(F: int, masks: Sequence[int]) -> str:
+    """The JSON list of ``semigroup_dict`` objects of the Arf semigroups (F, mask),
+    F >= 1, written as text: ``dumps`` of that list, byte for byte.
 
     A row reads m off its generator mask and the genus off the membership
     mask (F + 2 minus the members up to F+1).  The generator mask reaches
     F+m, past every small element, so one tuple of names serves both lists.
     """
-    masks = [S._med_generator_mask() for S in semigroups]
-    names = _names(masks)
+    gen_masks = [_med_generator_mask(F, mask) for mask in masks]
+    names = _names(gen_masks)
     rows = []
-    for S, gens in zip(semigroups, masks):
-        F, mask = S.frobenius, S.mask
+    for mask, gens in zip(masks, gen_masks):
         m = (gens & -gens).bit_length() - 1  # Arf, so MED: the type is m - 1
         rows.append(
             f'{{"frobenius":{F},"multiplicity":{m},"genus":{F + 2 - mask.bit_count()},"type":{m - 1},'
@@ -128,12 +131,12 @@ def render_pairs(pairs: Iterable[tuple[str, Any]]) -> str:
 
 def _node_rows(tree: CovarietyTree, indices: Iterable[int], sep: str) -> list[list[Any]]:
     """Table and csv rows, generators joined by ``sep``."""
-    nodes = [tree.nodes[i] for i in indices]
+    F = tree.frobenius
+    masks = [tree.masks[i] for i in indices]
     rows = []
-    for node, cell in zip(nodes, _generator_cells([node.semigroup for node in nodes], sep)):
-        S = node.semigroup
-        m = S.multiplicity()
-        rows.append([node.depth, S.frobenius, m, S.genus(), m - 1, cell])  # Arf, so MED: type m - 1
+    for mask, cell in zip(masks, _generator_cells(F, masks, sep)):
+        depth, m = mask.bit_count() - 2, _multiplicity(mask)
+        rows.append([depth, F, m, F - depth, m - 1, cell])  # Arf, so MED: type m - 1
     return rows
 
 
@@ -141,9 +144,9 @@ def tree_table(tree: CovarietyTree, indices: Iterable[int]) -> str:
     return render_table(_NODE_COLUMNS, _node_rows(tree, indices, ","))
 
 
-def rank_one_table(catalog: Sequence[NumericalSemigroup]) -> str:
-    cells = _generator_cells(catalog, ",")
-    rows = [[S.multiplicity(), S.genus(), cell] for S, cell in zip(catalog, cells)]
+def rank_one_table(F: int, masks: Sequence[int]) -> str:
+    cells = _generator_cells(F, masks, ",")
+    rows = [[_multiplicity(mask), F + 2 - mask.bit_count(), cell] for mask, cell in zip(masks, cells)]
     return render_table(["multiplicity", "genus", "generators"], rows)
 
 
@@ -158,20 +161,20 @@ def tree_json_obj(tree: CovarietyTree) -> dict[str, Any]:
     return {
         "frobenius": tree.frobenius,
         "root": 0,
-        "nodes": [semigroup_dict(node.semigroup) for node in tree.nodes],
+        "nodes": [semigroup_dict(S) for S in tree.semigroups()],
         "edges": [list(edge) for edge in tree.edges()],
     }
 
 
 def tree_json(tree: CovarietyTree) -> str:
     """``dumps(tree_json_obj(tree))``, written as text."""
-    edges = ",".join([f"[{child},{parent}]" for child, parent in tree.edges()])
-    return f'{{"frobenius":{tree.frobenius},"root":0,"nodes":{semigroups_json(tree.semigroups())},"edges":[{edges}]}}'
+    F, edges = tree.frobenius, ",".join([f"[{child},{parent}]" for child, parent in tree.edges()])
+    return f'{{"frobenius":{F},"root":0,"nodes":{semigroups_json(F, tree.masks)},"edges":[{edges}]}}'
 
 
 def tree_dot(tree: CovarietyTree) -> str:
     lines = [f"digraph arf_tree_{tree.frobenius} {{", "  node [shape=box];"]
-    for i, cell in enumerate(_generator_cells(tree.semigroups(), ",")):
+    for i, cell in enumerate(_generator_cells(tree.frobenius, tree.masks, ",")):
         lines.append(f'  n{i} [label="<{cell}>"];')
     for child, parent in tree.edges():
         lines.append(f"  n{child} -> n{parent};")

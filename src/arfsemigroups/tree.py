@@ -6,6 +6,9 @@ intersection and under removing the multiplicity, and has the minimum
 multiplicity therefore yields a tree rooted at that minimum, and walking the
 tree upwards enumerates the whole family.
 
+A node is its membership mask and its parent's index.  Its depth, the
+number of members it adjoined to the root's 0 and F+1, is its bit count - 2.
+
 The walk follows difference sequences (see ``sequences``).  A member's
 sequence x_1 <= ... <= x_n totals F+1 and ends in its multiplicity, and
 removing the multiplicity merges the last two terms.  So the children of a
@@ -26,50 +29,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import NumericalSemigroup, _closed, _not_member_ar
+from .core import NumericalSemigroup, _closed, _multiplicity, _not_member_ar
 from .errors import InvalidFrobeniusError, ScaleLimitError
 
 # The tree on Ar(F) roughly doubles each time F grows by 20, odd F having up to 1.7 times the
 # nodes of their neighbours, and the root alone has about F/2 children of 2F bits each, so only
 # a limit on F, checked before the walk, refuses in time.  Budget: every accepted F finishes
-# within 2 s.  The slowest, F = 89 (17,538 nodes), took 0.3-0.55 s and at most 41 MB (the
+# within 2 s.  The slowest, F = 89 (17,538 nodes), took 0.28-0.52 s and at most 38 MB (the
 # table) in every format of `arfsg enumerate` and `tree`, json included (fresh process, CPython
 # 3.11, shared 2-core Xeon, where bursts of load stretched single runs to 1.5 s); as json,
-# F = 99 (26,734 nodes) took 0.5-0.8 s and F = 111 1.2 s, 78 MB.
+# F = 99 (26,734 nodes) took 0.58-0.70 s and F = 111 1.0-1.1 s, 68 MB.
 _TREE_LIMIT = 90
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """One enumerated semigroup and its place in the tree."""
-
-    semigroup: NumericalSemigroup
-    parent: int  # index of the parent node, -1 for the root
-    depth: int
-
-
-@dataclass(frozen=True)
 class CovarietyTree:
-    """The tree of all Arf semigroups with Frobenius number ``frobenius``."""
+    """The tree of all Arf semigroups with Frobenius number ``frobenius``.
+
+    Node i is the member with membership mask ``masks[i]``, and it hangs
+    below node ``parents[i]``.  The root {0, F+1, ->} is node 0, with parent -1.
+    """
 
     frobenius: int
-    nodes: tuple[TreeNode, ...]  # the root {0, F+1, ->} comes first
+    masks: tuple[int, ...]
+    parents: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.masks)
 
     def semigroups(self) -> list[NumericalSemigroup]:
-        return [node.semigroup for node in self.nodes]
+        return [_closed(self.frobenius, mask) for mask in self.masks]
 
     def edges(self) -> list[tuple[int, int]]:
         """(child index, parent index) pairs."""
-        return [(i, node.parent) for i, node in enumerate(self.nodes) if node.parent >= 0]
+        return list(enumerate(self.parents))[1:]
 
     def depth_counts(self) -> tuple[int, ...]:
-        depth = max(node.depth for node in self.nodes)
-        counts = [0] * (depth + 1)
-        for node in self.nodes:
-            counts[node.depth] += 1
+        """Nodes per depth; the last node is on the deepest level."""
+        counts = [0] * (self.masks[-1].bit_count() - 1)
+        for mask in self.masks:
+            counts[mask.bit_count() - 2] += 1
         return tuple(counts)
 
     def maximal_indices(self) -> list[int]:
@@ -78,10 +77,11 @@ class CovarietyTree:
         A member is maximal exactly when its difference sequence admits no
         proper refinement.
         """
-        return [i for i, node in enumerate(self.nodes) if next(_mask_splits(node.semigroup), None) is None]
+        F, fill = self.frobenius, _fill(self.frobenius)
+        return [i for i, mask in enumerate(self.masks) if next(_mask_splits(F, mask | fill), None) is None]
 
     def maximal_semigroups(self) -> list[NumericalSemigroup]:
-        return [self.nodes[i].semigroup for i in self.maximal_indices()]
+        return [_closed(self.frobenius, self.masks[i]) for i in self.maximal_indices()]
 
 
 def is_member_ar(S: NumericalSemigroup, frobenius: int) -> bool:
@@ -89,9 +89,9 @@ def is_member_ar(S: NumericalSemigroup, frobenius: int) -> bool:
     return not S.is_natural() and S.frobenius == frobenius and S.is_arf()
 
 
-def _extended(S: NumericalSemigroup) -> int:
-    """The mask of S with every bit up to 2(F+1) set past F+1."""
-    return S._extended_mask(2 * S.frobenius + 1)
+def _fill(F: int) -> int:
+    """The members F+2..2F+2, which extend a mask far enough for every bit test below."""
+    return ((1 << (F + 1)) - 1) << (F + 2)
 
 
 def _new_multiplicities(ext: int, m: int) -> list[int]:
@@ -101,11 +101,12 @@ def _new_multiplicities(ext: int, m: int) -> list[int]:
     return [e for e in range((m + 1) // 2, m - 1) if ext >> (2 * m - e) & 1 and ext >> (2 * e) & 1]
 
 
-def _mask_splits(S: NumericalSemigroup) -> Iterator[tuple[int, int]]:
-    """(v, a) for every valid split (a, v - u - a) of a term of S's sequence,
-    u < v consecutive members up to F+1, from the top term down, a ascending."""
-    bits = format(_extended(S), "b")[::-1]  # bits[j] == "1" iff j is a member
-    v = S.frobenius + 1
+def _mask_splits(F: int, ext: int) -> Iterator[tuple[int, int]]:
+    """(v, a) for every valid split (a, v - u - a) of a term of the sequence of the
+    member of Ar(F) with extended mask ``ext``, u < v consecutive members up to
+    F+1, from the top term down, a ascending."""
+    bits = format(ext, "b")[::-1]  # bits[j] == "1" iff j is a member
+    v = F + 1
     while v:
         u = bits.rfind("1", 0, v)
         for a in range(2, (v - u) // 2 + 1):
@@ -119,7 +120,7 @@ def children(S: NumericalSemigroup) -> list[NumericalSemigroup]:
     """The children of S in the tree for F = F(S), ascending in multiplicity."""
     if not is_member_ar(S, S.frobenius):
         raise _not_member_ar(S)
-    new = _new_multiplicities(_extended(S), S.multiplicity())
+    new = _new_multiplicities(S.mask | _fill(S.frobenius), S.multiplicity())
     return [_closed(S.frobenius, S.mask | 1 << e) for e in new]
 
 
@@ -141,20 +142,16 @@ def enumerate_ar(frobenius: int) -> CovarietyTree:
     if frobenius > _TREE_LIMIT:
         raise ScaleLimitError(f"tree walk for Frobenius number {frobenius} refused (limit {_TREE_LIMIT})")
     F = frobenius
-    masks, parents, depths = [NumericalSemigroup.delta(F).mask], [-1], [0]
-    fill = ((1 << (F + 1)) - 1) << (F + 2)  # the members F+2..2F+2
-    first, depth = 0, 0
+    masks, parents = [NumericalSemigroup.delta(F).mask], [-1]
+    fill = _fill(F)
+    first = 0
     while first < len(masks):
         level = []
         for k in range(first, len(masks)):
-            low = masks[k] & ~1
-            m = (low & -low).bit_length() - 1
-            level.extend([(e, k) for e in _new_multiplicities(masks[k] | fill, m)])
+            level.extend([(e, k) for e in _new_multiplicities(masks[k] | fill, _multiplicity(masks[k]))])
         level.sort()
-        first, depth = len(masks), depth + 1
+        first = len(masks)
         for e, k in level:
             masks.append(masks[k] | 1 << e)
             parents.append(k)
-        depths.extend([depth] * len(level))
-    nodes = tuple(TreeNode(_closed(F, mask), p, d) for mask, p, d in zip(masks, parents, depths))
-    return CovarietyTree(F, nodes)
+    return CovarietyTree(F, tuple(masks), tuple(parents))

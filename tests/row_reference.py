@@ -2,7 +2,8 @@
 
 The package renders every Arf semigroup's generators off one mask, the
 multiplicity m and the nonzero Apery elements modulo m, and joins the
-decimal names that the mask's bits select.  Here the generators come from
+decimal names that the mask's bits select.  Here each row's semigroup is
+built from its (F, mask) by the checked constructor, the generators come from
 ``NumericalSemigroup.minimal_generators()``, which removes the sums of Apery
 elements and so assumes nothing of the semigroup, each is turned into text
 by ``str``, tables are padded one cell at a time, and JSON lists of
@@ -13,7 +14,7 @@ run both ways and its output compared byte for byte.
 
 import json
 
-from arfsemigroups import serialize
+from arfsemigroups import NumericalSemigroup, serialize
 
 
 def semigroup_dict(S, generators=None):
@@ -32,12 +33,12 @@ def generator_label(S):
     return "<" + ",".join(str(g) for g in S.minimal_generators()) + ">"
 
 
-def generator_cells(semigroups, sep):
-    return [sep.join(map(str, S.minimal_generators())) for S in semigroups]
+def generator_cells(F, masks, sep):
+    return [sep.join(map(str, NumericalSemigroup(F, mask).minimal_generators())) for mask in masks]
 
 
-def semigroups_json(semigroups):
-    return json.dumps([semigroup_dict(S) for S in semigroups], separators=(",", ":"))
+def semigroups_json(F, masks):
+    return json.dumps([semigroup_dict(NumericalSemigroup(F, mask)) for mask in masks], separators=(",", ":"))
 
 
 def tree_json(tree):

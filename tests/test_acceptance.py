@@ -105,8 +105,7 @@ def test_07_structural_properties_hold_on_every_node_up_to_f12():
         tree = enumerate_ar(F)
         members = tree.semigroups()
         universe = set(members)
-        for node in tree.nodes:
-            S = node.semigroup
+        for S in members:
             assert S.genus() + S.small_count() == F + 1
             assert S.embedding_dim() <= S.multiplicity()
             assert S.is_med()
@@ -116,8 +115,7 @@ def test_07_structural_properties_hold_on_every_node_up_to_f12():
             for B in members:
                 assert A.intersect(B) in universe
         for child_i, parent_i in tree.edges():
-            child = tree.nodes[child_i]
-            S = child.semigroup
+            S = members[child_i]
             assert S.minimal_generators() == generators_by_membership(S)
 
 
@@ -170,9 +168,9 @@ def test_10_tree_walk_sequence_generator_and_oracle_agree():
         seqs = arf_sequences_with_total(F + 1)
         assert len(tree) == len(seqs)
         assert set(tree.semigroups()) == {semigroup_of_sequence(q) for q in seqs}
+        differences = [S.difference_sequence() for S in tree.semigroups()]
         for child_i, parent_i in tree.edges():
-            child = tree.nodes[child_i].semigroup.difference_sequence()
-            parent = tree.nodes[parent_i].semigroup.difference_sequence()
+            child, parent = differences[child_i], differences[parent_i]
             assert child[:-2] == parent[:-1] and child[-2] + child[-1] == parent[-1]
         free = {semigroup_of_sequence(q) for q in refinement_free_sequences(F)}
         assert set(tree.maximal_semigroups()) == free
@@ -207,7 +205,7 @@ def _random_generated(rng):
 
 def test_12_apery_set_modulo_every_member_matches_membership():
     rng = random.Random(12)
-    semigroups = [node.semigroup for F in range(1, 21) for node in enumerate_ar(F).nodes]
+    semigroups = [S for F in range(1, 21) for S in enumerate_ar(F).semigroups()]
     semigroups += [_random_generated(rng) for _ in range(60)]
     semigroups.append(NumericalSemigroup.natural())
     for S in semigroups:

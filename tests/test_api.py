@@ -23,7 +23,6 @@ PUBLIC = [
     "NumericalSemigroup",
     "ScaleLimitError",
     "SemigroupError",
-    "TreeNode",
     "admits_proper_refinement",
     "ar_closure",
     "arf_sequences_with_total",
@@ -87,7 +86,8 @@ CLI = {
 }
 
 # the Apery/MED-adjunction route lives in tests/apery_route.py; its errors are asserts there;
-# minimal_generators() and apery_set() return plain tuples; single splits come from iter_refinements
+# minimal_generators() and apery_set() return plain tuples; single splits come from iter_refinements;
+# a tree node is its mask and parent index in CovarietyTree, with no TreeNode object
 REMOVED = [
     "AperyTable",
     "ContradictionError",
@@ -98,6 +98,7 @@ REMOVED = [
     "InvalidAdjunctionError",
     "InvalidRefinementError",
     "NotMedError",
+    "TreeNode",
     "apery_after_adjoin",
     "apply_refinement",
     "ar_rank",
@@ -153,9 +154,9 @@ def test_removed_names_are_gone():
 def test_results_are_plain_values():
     S = arfsemigroups.NumericalSemigroup.from_generators([5, 7, 9])
     assert type(S.minimal_generators()) is tuple and type(S.apery_set(5)) is tuple
-    assert [f.name for f in fields(arfsemigroups.TreeNode)] == ["semigroup", "parent", "depth"]
-    assert [f.name for f in fields(arfsemigroups.CovarietyTree)] == ["frobenius", "nodes"]
-    assert not hasattr(arfsemigroups.TreeNode, "generators")
+    assert [f.name for f in fields(arfsemigroups.CovarietyTree)] == ["frobenius", "masks", "parents"]
+    tree = arfsemigroups.enumerate_ar(5)
+    assert type(tree.masks) is tuple and type(tree.parents) is tuple
     assert not hasattr(arfsemigroups.NumericalSemigroup, "__and__")
 
 

@@ -17,4 +17,4 @@ def test_readme_python_examples_pass():
         result = doctest.DocTestRunner().run(test)
         assert result.failed == 0, f"{result.failed} README example(s) failed, see stdout"
         attempted.append(result.attempted)
-    assert attempted == [12, 4]
+    assert attempted == [13, 4]

@@ -24,7 +24,7 @@ from arfsemigroups import (
     is_member_ar,
     maximal_elements,
 )
-from arfsemigroups.tree import _TREE_LIMIT, _mask_splits
+from arfsemigroups.tree import _TREE_LIMIT, _fill, _mask_splits
 from full_check import assert_checked
 from prefix_walk import splits_by_prefix_walk
 
@@ -34,6 +34,15 @@ EXPECTED_COUNTS = [1, 1, 2, 2, 4, 3, 7, 6, 10, 9, 17, 12]
 
 def sg(*gens):
     return NumericalSemigroup.from_generators(gens)
+
+
+def depths_by_parent_chain(parents):
+    """Depth of each node from the parent indices alone: the root 0, a child its parent's + 1."""
+    assert parents[0] == -1 and all(0 <= p < i for i, p in enumerate(parents) if i)
+    depths = [0]
+    for p in parents[1:]:
+        depths.append(depths[p] + 1)
+    return depths
 
 
 class TestMedAdjunction:
@@ -83,13 +92,12 @@ class TestIncrementalTables:
     def test_incremental_matches_scratch_on_every_edge(self):
         for F in range(1, 13):
             tree = enumerate_ar(F)
+            semigroups = tree.semigroups()
             for child_i, parent_i in tree.edges():
-                child, parent = tree.nodes[child_i], tree.nodes[parent_i]
-                S = child.semigroup
-                assert S.remove_multiplicity() == parent.semigroup
+                S = semigroups[child_i]
+                assert S.remove_multiplicity() == semigroups[parent_i]
                 assert S.apery_set(F + 1) == apery_by_membership(S, F + 1)
                 assert S.minimal_generators() == generators_by_membership(S)
-                assert child.depth == parent.depth + 1
 
 
 class TestAdjunctionRouteCrossCheck:
@@ -98,22 +106,23 @@ class TestAdjunctionRouteCrossCheck:
     def test_adjunction_route_agrees_with_the_walk_up_to_f30(self):
         for F in range(1, 31):
             tree = enumerate_ar(F)
+            semigroups = tree.semigroups()
             kids = {i: [] for i in range(len(tree))}
             for child_i, parent_i in tree.edges():
                 kids[parent_i].append(child_i)
-            for i, node in enumerate(tree.nodes):
-                S, m = node.semigroup, node.semigroup.multiplicity()
+            for i, S in enumerate(semigroups):
+                m = S.multiplicity()
                 ap = S.apery_set(F + 1)
-                adjoined = [tree.nodes[c].semigroup.multiplicity() for c in kids[i]]
+                adjoined = [semigroups[c].multiplicity() for c in kids[i]]
                 expected = [
                     x
                     for x in special_gaps_from_apery(ap)
                     if x < m and x != F and med_adjunction_test(S, x)
                 ]
                 assert adjoined == expected, (F, S)
-                assert children(S) == [tree.nodes[c].semigroup for c in kids[i]]
+                assert children(S) == [semigroups[c] for c in kids[i]]
                 for c, x in zip(kids[i], adjoined):
-                    T = tree.nodes[c].semigroup
+                    T = semigroups[c]
                     assert msg_after_adjoin(S.minimal_generators(), x) == T.minimal_generators()
                     assert apery_after_adjoin(ap, x) == T.apery_set(F + 1)
 
@@ -124,15 +133,16 @@ class TestMaskSplits:
     def test_every_split_of_every_node_matches_the_prefix_walk_up_to_f60(self):
         for F in range(1, 61):
             tree = enumerate_ar(F)
+            semigroups = tree.semigroups()
             kids = {i: [] for i in range(len(tree))}
             for child_i, parent_i in tree.edges():
-                kids[parent_i].append(tree.nodes[child_i].semigroup.multiplicity())
+                kids[parent_i].append(semigroups[child_i].multiplicity())
             maximal = []
-            for k, node in enumerate(tree.nodes):
-                S, xs = node.semigroup, node.semigroup.difference_sequence()
+            for k, S in enumerate(semigroups):
+                xs = S.difference_sequence()
                 # term x_i spans [u, v] with v = F + 1 - (x_1 + ... + x_{i-1})
                 want = {(F + 1 - sum(xs[: i - 1]), a) for i, a in splits_by_prefix_walk(xs)}
-                got = list(_mask_splits(S))
+                got = list(_mask_splits(F, S.mask | _fill(F)))
                 assert len(got) == len(set(got)) and set(got) == want, (F, xs)
                 m = S.multiplicity()
                 assert kids[k] == sorted(m - a for v, a in want if v == m), (F, xs)
@@ -190,13 +200,14 @@ class TestEnumeration:
 
     def test_f5_exact_canonical_order(self):
         tree = enumerate_ar(5)
-        assert [n.semigroup.minimal_generators() for n in tree.nodes] == [
+        assert [S.minimal_generators() for S in tree.semigroups()] == [
             (6, 7, 8, 9, 10, 11),
             (3, 7, 8),
             (4, 6, 7, 9),
             (2, 7),
         ]
         assert tree.edges() == [(1, 0), (2, 0), (3, 2)]
+        assert tree.parents == (-1, 0, 0, 2)
         assert tree.depth_counts() == (1, 2, 1)
 
     def test_f1_singleton(self):
@@ -216,9 +227,21 @@ class TestEnumeration:
 
     def test_canonical_node_order(self):
         for F in (7, 11, 14):
-            nodes = enumerate_ar(F).nodes
-            keys = [(n.depth, n.semigroup.small_elements()) for n in nodes]
+            tree = enumerate_ar(F)
+            depths = depths_by_parent_chain(tree.parents)
+            keys = [(d, S.small_elements()) for d, S in zip(depths, tree.semigroups())]
             assert keys == sorted(keys)
+
+    def test_depth_and_genus_read_off_the_mask_match_the_parent_chain_up_to_f40(self):
+        # the renderers and depth_counts take a node's depth as its bit count - 2
+        for F in range(1, 41):
+            tree = enumerate_ar(F)
+            depths = depths_by_parent_chain(tree.parents)
+            assert [mask.bit_count() - 2 for mask in tree.masks] == depths, F
+            assert [S.genus() for S in tree.semigroups()] == [F - d for d in depths], F
+            levels = [depths.count(d) for d in range(max(depths) + 1)]
+            assert tree.depth_counts() == tuple(levels), F
+            assert tree.edges() == list(enumerate(tree.parents))[1:], F
 
     def test_limits(self):
         with pytest.raises(InvalidFrobeniusError):
