@@ -189,10 +189,42 @@ def arf_sequences_with_total(total: int) -> list[ArfSequence]:
 
 
 def refinement_free_sequences(frobenius: int) -> list[ArfSequence]:
-    """Sequences with total F+1 admitting no proper refinement, lexicographic."""
+    """Sequences with total F+1 admitting no proper refinement, lexicographic.
+
+    The depth-first walk of ``arf_sequences_with_total``, pruned.  The splits
+    of term x_i depend only on x_1..x_i, so a prefix whose last term splits
+    never completes to a refinement-free sequence: that term is skipped with
+    everything below it.  The walk keeps the members of the semigroup from
+    v = total - run up as a mask, with everything past the total set, so bit
+    j > 0 of ``up`` says that j is a consecutive suffix sum of the prefix or
+    exceeds their total, and bit 0 is v itself.  The next term y is valid
+    iff bit y is set (and y <= v / 2 or y = v), and it splits as (a, y - a)
+    iff bits a and y - 2a are set, the test of ``_valid_splits``.
+    """
     if frobenius < 1:
         raise InvalidFrobeniusError(f"frobenius must be >= 1, got {frobenius}")
-    return [q for q in arf_sequences_with_total(frobenius + 1) if not admits_proper_refinement(q)]
+    total = frobenius + 1
+    out: list[ArfSequence] = []
+    prefix: list[int] = []
+
+    def extend(v: int, ext: int) -> None:
+        if not v:
+            out.append(_unchecked(tuple(prefix)))
+            return
+        up = ext >> v
+        for y in (*range(2, v // 2 + 1), v):
+            if not up >> y & 1:
+                continue
+            for a in range(2, y // 2 + 1):
+                if up >> a & 1 and up >> (y - 2 * a) & 1:
+                    break
+            else:
+                prefix.append(y)
+                extend(v - y, ext | 1 << (v - y))
+                prefix.pop()
+
+    extend(total, ((1 << (total + 1)) - 1) << total)
+    return out
 
 
 def maximal_elements(frobenius: int) -> list[NumericalSemigroup]:

@@ -22,12 +22,18 @@ it are the s - v for members s > v; everything past F+1 counts as a member.
 So the split (a, x - a) is valid iff v + a and, unless x = 2a, v + x - 2a
 are members.  For the last term (u = 0, v = m) with e = m - a the new
 multiplicity, that reads: 2m - e and 2e are members.
+
+A split of a term u < v tests only members above v, and a descendant adjoins
+members below its parent's multiplicity only.  So a split of any term above
+the bottom one (0, m) is inherited by every descendant, and a child with
+multiplicity e adds one new such term, (e, m), to its parent's.  A node is
+maximal iff no term above its bottom one splits and it has no children (its
+bottom term does not split either).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import NumericalSemigroup, _closed, _multiplicity, _not_member_ar
 from .errors import InvalidFrobeniusError, ScaleLimitError
@@ -75,10 +81,26 @@ class CovarietyTree:
         """Indices of the inclusion-maximal semigroups, in node order.
 
         A member is maximal exactly when its difference sequence admits no
-        proper refinement.
+        proper refinement.  One pass in node order, parents first, carries
+        the flag "a term above the bottom one splits": a child inherits its
+        parent's, or sets it if its new term (e, m) splits, which tests bits
+        above m that parent and child share.  The maximal nodes are those
+        with the flag unset and no children.
         """
-        F, fill = self.frobenius, _fill(self.frobenius)
-        return [i for i, mask in enumerate(self.masks) if next(_mask_splits(F, mask | fill), None) is None]
+        masks, parents, fill = self.masks, self.parents, _fill(self.frobenius)
+        split = [False] * len(masks)
+        for i in range(1, len(masks)):
+            p = parents[i]
+            if split[p]:
+                split[i] = True
+                continue
+            ext, m, e = masks[p] | fill, _multiplicity(masks[p]), _multiplicity(masks[i])
+            for a in range(2, (m - e) // 2 + 1):
+                if ext >> (m + a) & 1 and ext >> (2 * m - e - 2 * a) & 1:
+                    split[i] = True
+                    break
+        inner = set(parents)
+        return [i for i, s in enumerate(split) if not s and i not in inner]
 
     def maximal_semigroups(self) -> list[NumericalSemigroup]:
         return [_closed(self.frobenius, self.masks[i]) for i in self.maximal_indices()]
@@ -99,21 +121,6 @@ def _new_multiplicities(ext: int, m: int) -> list[int]:
     extended mask ``ext``, ascending: the e in [m/2, m - 2] with 2m - e and 2e
     members (2e = m is one, which covers the split a = m/2)."""
     return [e for e in range((m + 1) // 2, m - 1) if ext >> (2 * m - e) & 1 and ext >> (2 * e) & 1]
-
-
-def _mask_splits(F: int, ext: int) -> Iterator[tuple[int, int]]:
-    """(v, a) for every valid split (a, v - u - a) of a term of the sequence of the
-    member of Ar(F) with extended mask ``ext``, u < v consecutive members up to
-    F+1, from the top term down, a ascending."""
-    bits = format(ext, "b")[::-1]  # bits[j] == "1" iff j is a member
-    v = F + 1
-    while v:
-        u = bits.rfind("1", 0, v)
-        for a in range(2, (v - u) // 2 + 1):
-            # v + (v - u - 2a) is v itself when a = (v - u) / 2
-            if bits[v + a] == "1" == bits[2 * v - u - 2 * a]:
-                yield v, a
-        v = u
 
 
 def children(S: NumericalSemigroup) -> list[NumericalSemigroup]:

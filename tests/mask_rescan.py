@@ -1,0 +1,30 @@
+"""Every split of every term, rescanned on a node's whole mask: the tests' reference.
+
+The package decides maximal members by a flag inherited down the tree, and
+tests only the one new term of each node.  Here every term of a member's
+difference sequence is tested afresh, so a fault in the inheritance shows up
+as a disagreement with this scan.
+"""
+
+from arfsemigroups.tree import _fill
+
+
+def mask_splits(F, ext):
+    """(v, a) for every valid split (a, v - u - a) of a term of the sequence of the
+    member of Ar(F) with extended mask ``ext``, u < v consecutive members up to
+    F+1, from the top term down, a ascending."""
+    bits = format(ext, "b")[::-1]  # bits[j] == "1" iff j is a member
+    v = F + 1
+    while v:
+        u = bits.rfind("1", 0, v)
+        for a in range(2, (v - u) // 2 + 1):
+            # v + (v - u - 2a) is v itself when a = (v - u) / 2
+            if bits[v + a] == "1" == bits[2 * v - u - 2 * a]:
+                yield v, a
+        v = u
+
+
+def maximal_by_rescan(tree):
+    """Indices of the nodes of ``tree`` whose masks admit no split, in node order."""
+    F, fill = tree.frobenius, _fill(tree.frobenius)
+    return [i for i, mask in enumerate(tree.masks) if next(mask_splits(F, mask | fill), None) is None]

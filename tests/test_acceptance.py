@@ -19,6 +19,7 @@ from apery_route import (
     med_frobenius_genus_formula,
 )
 from arfsemigroups import (
+    admits_proper_refinement,
     ar_closure,
     arf_sequences_with_total,
     brute_all_semigroups,
@@ -26,6 +27,7 @@ from arfsemigroups import (
     count_rank_one,
     enumerate_ar,
     iter_refinements,
+    maximal_elements,
     refinement_free_sequences,
     semigroup_of_sequence,
     sequence_of_semigroup,
@@ -36,6 +38,7 @@ from arfsemigroups import (
 )
 from arfsemigroups.tree import _TREE_LIMIT
 from cli_runner import run as run_cli
+from mask_rescan import maximal_by_rescan
 
 
 def test_01_enumerate_f5_gives_the_four_known_members():
@@ -152,7 +155,7 @@ def test_08_sequence_bijection_roundtrip_and_split_rule():
     assert time.perf_counter() - started < 60.0
 
 
-def test_09_threaded_enumeration_is_byte_identical():
+def test_09_enumeration_is_byte_identical_across_runs():
     for fmt in ("table", "csv", "json"):
         first = run_cli("enumerate", "30", "--format", fmt)
         second = run_cli("enumerate", "30", "--format", fmt)
@@ -223,3 +226,16 @@ def test_12_apery_set_modulo_every_member_matches_membership():
     ap = S.apery_set(100_000)
     assert time.perf_counter() - started < 0.1
     assert ap == (0, 100_001, *range(2, 100_000))
+
+
+def test_13_maximal_routes_agree_on_every_accepted_frobenius_number():
+    # the inherited split flag against the full rescan, the pruned sequence walk
+    # against the filtered generator, and the two routes to the maximal members
+    started = time.perf_counter()
+    for F in range(1, _TREE_LIMIT + 1):
+        tree = enumerate_ar(F)
+        assert tree.maximal_indices() == maximal_by_rescan(tree), F
+        free = [q.terms for q in refinement_free_sequences(F)]
+        assert free == [q.terms for q in arf_sequences_with_total(F + 1) if not admits_proper_refinement(q)], F
+        assert set(tree.maximal_semigroups()) == set(maximal_elements(F)), F
+    assert time.perf_counter() - started < 30.0

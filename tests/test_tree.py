@@ -24,8 +24,9 @@ from arfsemigroups import (
     is_member_ar,
     maximal_elements,
 )
-from arfsemigroups.tree import _TREE_LIMIT, _fill, _mask_splits
+from arfsemigroups.tree import _TREE_LIMIT, _fill
 from full_check import assert_checked
+from mask_rescan import mask_splits
 from prefix_walk import splits_by_prefix_walk
 
 # |Ar(F)| for F = 1..12, frozen from the brute-force oracle
@@ -142,7 +143,7 @@ class TestMaskSplits:
                 xs = S.difference_sequence()
                 # term x_i spans [u, v] with v = F + 1 - (x_1 + ... + x_{i-1})
                 want = {(F + 1 - sum(xs[: i - 1]), a) for i, a in splits_by_prefix_walk(xs)}
-                got = list(_mask_splits(F, S.mask | _fill(F)))
+                got = list(mask_splits(F, S.mask | _fill(F)))
                 assert len(got) == len(set(got)) and set(got) == want, (F, xs)
                 m = S.multiplicity()
                 assert kids[k] == sorted(m - a for v, a in want if v == m), (F, xs)
@@ -150,6 +151,27 @@ class TestMaskSplits:
                 if not want:
                     maximal.append(k)
             assert tree.maximal_indices() == maximal, F
+
+    def test_small_frobenius_numbers_have_one_maximal_member(self):
+        for F in (1, 2, 3):
+            assert len(enumerate_ar(F).maximal_indices()) == 1, F
+
+    def test_no_node_with_a_child_is_maximal(self):
+        for F in range(1, 61):
+            tree = enumerate_ar(F)
+            assert not set(tree.maximal_indices()) & set(tree.parents), F
+
+    def test_a_leaf_whose_upper_term_splits_is_not_maximal(self):
+        # {0, 4, 8, ->} has sequence (4, 4): its bottom term does not split, so it
+        # is a leaf, but its upper term (4, 8) splits as (2, 2), into {0, 4, 6, 8, ->}
+        tree = enumerate_ar(7)
+        semigroups = tree.semigroups()
+        leaf = semigroups.index(NumericalSemigroup.from_small_elements(7, (0, 4)))
+        above = NumericalSemigroup.from_small_elements(7, (0, 4, 6))
+        assert leaf not in tree.parents
+        assert semigroups[leaf].difference_sequence() == (4, 4)
+        assert semigroups[leaf].issubset(above) and above in semigroups
+        assert leaf not in tree.maximal_indices()
 
     def test_type_is_multiplicity_minus_one_on_every_node_up_to_f40(self):
         # tree nodes are Arf, hence MED, which the table and csv rows rely on
