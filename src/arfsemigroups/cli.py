@@ -112,7 +112,7 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
     elif fmt == "csv":
         print(serialize.tree_csv(tree, indices))
     else:
-        print(serialize.semigroups_json(F, [tree.masks[i] for i in indices]))
+        print(serialize.nodes_json(tree, indices))
     if stats:
         print(
             serialize.render_pairs(
@@ -251,7 +251,7 @@ def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
         return
     masks = [S.mask for S in rank_one_catalog(F)]
     if fmt == "json":
-        print(serialize.semigroups_json(F, masks))
+        print(serialize.rank_one_json(F, masks))
     else:
         print(serialize.rank_one_table(F, masks))
 

@@ -16,9 +16,12 @@ Lists of semigroups (the nodes of ``enumerate`` and ``tree``, the
 ``rank-one`` catalog) are rows read off each member's (F, mask), with no
 object per row: m is the lowest positive bit, the genus F + 2 minus the
 bit count, a tree node's depth the bit count minus 2.  Their JSON is
-written as text, the small elements joined from the same names; each
-command that prints one object builds it with ``semigroup_dict`` and the
-other ``*_obj`` helpers and renders it with ``dumps``.
+written as text by one row writer.  A tree node's small elements are 0, its
+multiplicity e and then its parent's positive ones, so a tree row reads them
+from its parent's text; a ``rank-one`` row, which has no parent, joins them
+from the names.  Each command that prints one object builds it with
+``semigroup_dict`` and the other ``*_obj`` helpers and renders it with
+``dumps``.
 """
 
 from __future__ import annotations
@@ -83,25 +86,50 @@ def _generator_cells(F: int, masks: Sequence[int], sep: str) -> list[str]:
     return [_joined(gens, names, sep) for gens in gen_masks]
 
 
-def semigroups_json(F: int, masks: Sequence[int]) -> str:
+def semigroups_json(F: int, masks: Sequence[int], smalls: Sequence[str]) -> str:
     """The JSON list of ``semigroup_dict`` objects of the Arf semigroups (F, mask),
     F >= 1, written as text: ``dumps`` of that list, byte for byte.
 
-    A row reads m off its generator mask and the genus off the membership
-    mask (F + 2 minus the members up to F+1).  The generator mask reaches
-    F+m, past every small element, so one tuple of names serves both lists.
+    ``smalls`` holds each semigroup's positive small elements as text, each
+    after a comma.  A row reads m off its generator mask and the genus off
+    the membership mask (F + 2 minus the members up to F+1).
     """
     gen_masks = [_med_generator_mask(F, mask) for mask in masks]
     names = _names(gen_masks)
     rows = []
-    for mask, gens in zip(masks, gen_masks):
+    for mask, gens, small in zip(masks, gen_masks, smalls):
         m = (gens & -gens).bit_length() - 1  # Arf, so MED: the type is m - 1
         rows.append(
             f'{{"frobenius":{F},"multiplicity":{m},"genus":{F + 2 - mask.bit_count()},"type":{m - 1},'
-            f'"min_generators":[{_joined(gens, names, ",")}],'
-            f'"small_elements":[{_joined(mask ^ (1 << (F + 1)), names, ",")}]}}'
+            f'"min_generators":[{_joined(gens, names, ",")}],"small_elements":[0{small}]}}'
         )
     return "[" + ",".join(rows) + "]"
+
+
+def _small_texts(tree: CovarietyTree) -> list[str]:
+    """Each node's positive small elements as text, each after a comma: ``,e`` and
+    then its parent's, where e, its multiplicity, is the one bit by which its
+    mask and its parent's differ.  The root's is empty."""
+    masks, parents = tree.masks, tree.parents
+    commas = [f",{e}" for e in range(tree.frobenius + 1)]
+    texts = [""]
+    for i in range(1, len(masks)):
+        p = parents[i]
+        texts.append(commas[(masks[i] ^ masks[p]).bit_length() - 1] + texts[p])
+    return texts
+
+
+def nodes_json(tree: CovarietyTree, indices: Sequence[int]) -> str:
+    """The JSON list of the nodes ``indices`` of ``tree``."""
+    texts = _small_texts(tree)
+    return semigroups_json(tree.frobenius, [tree.masks[i] for i in indices], [texts[i] for i in indices])
+
+
+def rank_one_json(F: int, masks: Sequence[int]) -> str:
+    """The JSON list of the Arf semigroups (F, mask), their small elements joined from the names."""
+    names = _names(masks)
+    # 0 is a member, so each joined list starts with "0": the text after it is the positive ones
+    return semigroups_json(F, masks, [_joined(mask ^ (1 << (F + 1)), names, ",")[1:] for mask in masks])
 
 
 def render_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
@@ -169,7 +197,8 @@ def tree_json_obj(tree: CovarietyTree) -> dict[str, Any]:
 def tree_json(tree: CovarietyTree) -> str:
     """``dumps(tree_json_obj(tree))``, written as text."""
     F, edges = tree.frobenius, ",".join([f"[{child},{parent}]" for child, parent in tree.edges()])
-    return f'{{"frobenius":{F},"root":0,"nodes":{semigroups_json(F, tree.masks)},"edges":[{edges}]}}'
+    nodes = semigroups_json(F, tree.masks, _small_texts(tree))
+    return f'{{"frobenius":{F},"root":0,"nodes":{nodes},"edges":[{edges}]}}'
 
 
 def tree_dot(tree: CovarietyTree) -> str:

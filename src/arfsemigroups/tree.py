@@ -41,10 +41,11 @@ from .errors import InvalidFrobeniusError, ScaleLimitError
 # The tree on Ar(F) roughly doubles each time F grows by 20, odd F having up to 1.7 times the
 # nodes of their neighbours, and the root alone has about F/2 children of 2F bits each, so only
 # a limit on F, checked before the walk, refuses in time.  Budget: every accepted F finishes
-# within 2 s.  The slowest, F = 89 (17,538 nodes), took 0.28-0.52 s and at most 38 MB (the
-# table) in every format of `arfsg enumerate` and `tree`, json included (fresh process, CPython
-# 3.11, shared 2-core Xeon, where bursts of load stretched single runs to 1.5 s); as json,
-# F = 99 (26,734 nodes) took 0.58-0.70 s and F = 111 1.0-1.1 s, 68 MB.
+# within 2 s.  The slowest, F = 89 (17,538 nodes), took 0.14-0.36 s and at most 38 MB (the
+# table) in every format of `arfsg enumerate` and `tree`, json 0.23-0.34 s and 35 MB (fresh
+# process, best and worst of 3, CPython 3.11, shared 2-core Xeon, where bursts of load have
+# stretched single runs to 1.5 s); as json, F = 99 (26,734 nodes) took 0.42-0.48 s and 47 MB,
+# and F = 111 0.71-0.77 s and 73 MB (the table 0.87-0.90 s, 80 MB).
 _TREE_LIMIT = 90
 
 
@@ -139,7 +140,8 @@ def enumerate_ar(frobenius: int) -> CovarietyTree:
     are emitted in canonical order: by depth, then lexicographically by
     small-element set.  A child's small elements are 0, e and then its
     parent's positive ones, and a level's parents are already in that order,
-    so each level is sorted by the pair (e, parent index).
+    so each level is bucketed by e: the buckets in ascending e, each holding
+    its children in the order of their parents.
 
     Frobenius numbers above ``_TREE_LIMIT`` raise ``ScaleLimitError`` before
     the walk starts.
@@ -149,16 +151,21 @@ def enumerate_ar(frobenius: int) -> CovarietyTree:
     if frobenius > _TREE_LIMIT:
         raise ScaleLimitError(f"tree walk for Frobenius number {frobenius} refused (limit {_TREE_LIMIT})")
     F = frobenius
-    masks, parents = [NumericalSemigroup.delta(F).mask], [-1]
+    masks, parents, mults = [NumericalSemigroup.delta(F).mask], [-1], [F + 1]
     fill = _fill(F)
     first = 0
     while first < len(masks):
-        level = []
+        buckets: list[list[int]] = [[] for _ in range(F)]  # parent indices by e; every e is below F
         for k in range(first, len(masks)):
-            level.extend([(e, k) for e in _new_multiplicities(masks[k] | fill, _multiplicity(masks[k]))])
-        level.sort()
+            m = mults[k]
+            w = (masks[k] | fill) >> m  # the test of _new_multiplicities, read from bit m up
+            for e in range((m + 1) // 2, m - 1):
+                if w >> (m - e) & 1 and w >> (2 * e - m) & 1:
+                    buckets[e].append(k)
         first = len(masks)
-        for e, k in level:
-            masks.append(masks[k] | 1 << e)
-            parents.append(k)
+        for e, ks in enumerate(buckets):
+            if ks:
+                masks += [masks[k] | 1 << e for k in ks]
+                parents += ks
+                mults += [e] * len(ks)
     return CovarietyTree(F, tuple(masks), tuple(parents))

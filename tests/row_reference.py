@@ -7,7 +7,8 @@ built from its (F, mask) by the checked constructor, the generators come from
 ``NumericalSemigroup.minimal_generators()``, which removes the sums of Apery
 elements and so assumes nothing of the semigroup, each is turned into text
 by ``str``, tables are padded one cell at a time, and JSON lists of
-semigroups go through ``json.dumps`` over one dict per semigroup.
+semigroups go through ``json.dumps`` over one dict per semigroup, whose
+small elements come from the semigroup itself, not from a tree parent.
 ``install`` puts these in place of the package's own, so one command can be
 run both ways and its output compared byte for byte.
 """
@@ -41,6 +42,14 @@ def semigroups_json(F, masks):
     return json.dumps([semigroup_dict(NumericalSemigroup(F, mask)) for mask in masks], separators=(",", ":"))
 
 
+def nodes_json(tree, indices):
+    return semigroups_json(tree.frobenius, [tree.masks[i] for i in indices])
+
+
+def rank_one_json(F, masks):
+    return semigroups_json(F, masks)
+
+
 def tree_json(tree):
     return serialize.dumps(serialize.tree_json_obj(tree))  # nodes through semigroup_dict above, once installed
 
@@ -63,5 +72,6 @@ def install(monkeypatch):
     monkeypatch.setattr(serialize, "generator_label", generator_label)
     monkeypatch.setattr(serialize, "_generator_cells", generator_cells)
     monkeypatch.setattr(serialize, "render_table", render_table)
-    monkeypatch.setattr(serialize, "semigroups_json", semigroups_json)
+    monkeypatch.setattr(serialize, "nodes_json", nodes_json)
+    monkeypatch.setattr(serialize, "rank_one_json", rank_one_json)
     monkeypatch.setattr(serialize, "tree_json", tree_json)

@@ -534,6 +534,11 @@ class TestRowsMatchTheReference:
         for fmt in ("dot", "json"):
             assert_matches_the_reference(monkeypatch, "tree", str(F), "--format", fmt)
 
+    def test_json_rows_of_the_largest_tree(self, monkeypatch):
+        # F = 89 has the largest tree the limit accepts; test_enumerate_and_tree covers F = 1..40
+        for args in (("enumerate", "89"), ("enumerate", "89", "--maximal-only"), ("tree", "89")):
+            assert_matches_the_reference(monkeypatch, *args, "--format", "json")
+
     def test_rank_one(self, monkeypatch):
         for F in range(2, 61):
             for fmt in ("table", "json"):

@@ -24,7 +24,8 @@ from arfsemigroups import (
     is_member_ar,
     maximal_elements,
 )
-from arfsemigroups.tree import _TREE_LIMIT, _fill
+from arfsemigroups.core import _iter_bits, _multiplicity
+from arfsemigroups.tree import _TREE_LIMIT, _fill, _new_multiplicities
 from full_check import assert_checked
 from mask_rescan import mask_splits
 from prefix_walk import splits_by_prefix_walk
@@ -264,6 +265,22 @@ class TestEnumeration:
             levels = [depths.count(d) for d in range(max(depths) + 1)]
             assert tree.depth_counts() == tuple(levels), F
             assert tree.edges() == list(enumerate(tree.parents))[1:], F
+
+    def test_a_child_is_its_parent_and_its_multiplicity_on_every_accepted_frobenius_number(self):
+        # the walk's bucket e and the JSON rows' parent text rest on these, and children()
+        # repeats the walk's child test
+        for F in range(1, _TREE_LIMIT + 1):
+            tree = enumerate_ar(F)
+            masks, parents, fill = tree.masks, tree.parents, _fill(F)
+            smalls = [tuple(_iter_bits(mask ^ 1 << (F + 1))) for mask in masks]
+            kids = [[] for _ in masks]
+            for i in range(1, len(masks)):
+                p, e = parents[i], _multiplicity(masks[i])
+                assert masks[i] ^ masks[p] == 1 << e, (F, i)
+                assert smalls[i] == (0, e, *smalls[p][1:]), (F, i)
+                kids[p].append(e)
+            for mask, es in zip(masks, kids):
+                assert _new_multiplicities(mask | fill, _multiplicity(mask)) == es, (F, mask)
 
     def test_limits(self):
         with pytest.raises(InvalidFrobeniusError):
