@@ -25,7 +25,7 @@ import time
 
 from . import serialize
 from .closure import ar_closure, count_rank_one, minimal_ar_generators, rank_one_catalog
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _canonical_key
 from .errors import (
     EmptyInputError,
     InvalidFrobeniusError,
@@ -38,6 +38,7 @@ from .sequences import (
     ArfSequence,
     admits_proper_refinement,
     iter_refinements,
+    maximal_elements,
     semigroup_of_sequence,
     validate_sequence,
 )
@@ -102,17 +103,22 @@ def _build_semigroup(gens_text: str) -> NumericalSemigroup:
 
 def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> None:
     F = _to_int(frobenius, "frobenius")
-    started = time.perf_counter()
-    tree = enumerate_ar(F)
-    wall = time.perf_counter() - started
-    maximal = tree.maximal_indices() if maximal_only or stats else None  # the one maximal scan
-    indices = maximal if maximal_only else range(len(tree))
+    if stats or not maximal_only:
+        started = time.perf_counter()
+        tree = enumerate_ar(F)
+        wall = time.perf_counter() - started
+    # the one maximal route, the pruned walk, refuses F as the tree walk does
+    maximal = [S.mask for S in maximal_elements(F)] if stats or maximal_only else None
+    # the walk yields the maximal members in the order of their sequences
+    masks = sorted(maximal, key=_canonical_key) if maximal_only else tree.masks
     if fmt == "table":
-        print(serialize.tree_table(tree, indices))
+        print(serialize.tree_table(F, masks))
     elif fmt == "csv":
-        print(serialize.tree_csv(tree, indices))
+        print(serialize.tree_csv(F, masks))
+    elif maximal_only:
+        print(serialize.members_json(F, masks))
     else:
-        print(serialize.nodes_json(tree, indices))
+        print(serialize.nodes_json(tree))
     if stats:
         print(
             serialize.render_pairs(
@@ -251,7 +257,7 @@ def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
         return
     masks = [S.mask for S in rank_one_catalog(F)]
     if fmt == "json":
-        print(serialize.rank_one_json(F, masks))
+        print(serialize.members_json(F, masks))
     else:
         print(serialize.rank_one_table(F, masks))
 

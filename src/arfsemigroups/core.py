@@ -40,6 +40,19 @@ from .errors import (
 # about linearly in the bound.
 _SIEVE_LIMIT = 1 << 17
 
+# The tree on Ar(F) roughly doubles each time F grows by 20, odd F having up to 1.7 times the
+# nodes of their neighbours, and the root alone has about F/2 children of 2F bits each, so only
+# a limit on F, checked before the walk, refuses in time.  The pruned walk of the refinement-free
+# sequences (`sequences`) takes the same limit, so one check and one message serve both; at
+# F = 89 it takes 5 ms in process, and `enumerate 89 --maximal-only` 0.10-0.16 s and at most
+# 17.3 MB in every format (fresh process, mostly the import).  Budget: every accepted F finishes
+# within 2 s.  The slowest tree, F = 89 (17,538 nodes), took 0.14-0.36 s and at
+# most 38 MB (the table) in every format of `arfsg enumerate` and `tree`, json 0.23-0.34 s and
+# 35 MB (fresh process, best and worst of 3, CPython 3.11, shared 2-core Xeon, where bursts of
+# load have stretched single runs to 1.5 s); as json, F = 99 (26,734 nodes) took 0.42-0.48 s and
+# 47 MB, and F = 111 0.71-0.77 s and 73 MB (the table 0.87-0.90 s, 80 MB).
+_TREE_LIMIT = 90
+
 
 # A mask with at least one set bit in _DENSE is read by one C-level selection over all of its
 # bits; a sparser one by str.find, which skips each run of zeros at C speed but pays a Python step
@@ -152,6 +165,26 @@ def _closure_mask(gens: Iterable[int], bound: int) -> int:
         if not (reach >> g) & 1:  # a reached g adds no new sums
             reach = _add_multiples(reach, g, limit)
     return reach
+
+
+def _check_tree_frobenius(frobenius: int) -> None:
+    """Refuse, before any walk, a Frobenius number whose tree on Ar(F) is not walked:
+    F < 1 (``InvalidFrobeniusError``) or F above ``_TREE_LIMIT`` (``ScaleLimitError``)."""
+    if frobenius < 1:
+        raise InvalidFrobeniusError(f"frobenius must be >= 1, got {frobenius}")
+    if frobenius > _TREE_LIMIT:
+        raise ScaleLimitError(f"tree walk for Frobenius number {frobenius} refused (limit {_TREE_LIMIT})")
+
+
+def _canonical_key(mask: int) -> tuple[int, int]:
+    """Sort key of the canonical order on the masks of one Frobenius number: by depth, then
+    lexicographically by small elements.
+
+    Masks of one depth hold as many members, so the lowest bit where two of
+    them differ decides: the mask that holds it comes first.  The digits
+    reversed put that bit highest, all masks of one F having the same width.
+    """
+    return mask.bit_count(), -int(bin(mask)[:1:-1], 2)
 
 
 def _closed(frobenius: int, mask: int) -> NumericalSemigroup:

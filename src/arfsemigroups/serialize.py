@@ -12,14 +12,16 @@ remove, and a row's generator cell joins the decimal names that the mask's
 bits select.  ``check``, whose input is arbitrary, passes its own
 generators to ``semigroup_dict``.
 
-Lists of semigroups (the nodes of ``enumerate`` and ``tree``, the
-``rank-one`` catalog) are rows read off each member's (F, mask), with no
-object per row: m is the lowest positive bit, the genus F + 2 minus the
-bit count, a tree node's depth the bit count minus 2.  Their JSON is
-written as text by one row writer.  A tree node's small elements are 0, its
-multiplicity e and then its parent's positive ones, so a tree row reads them
-from its parent's text; a ``rank-one`` row, which has no parent, joins them
-from the names.  Each command that prints one object builds it with
+Lists of semigroups (the nodes of ``enumerate`` and ``tree``, the maximal
+members of ``enumerate --maximal-only``, the ``rank-one`` catalog) are rows
+read off each member's (F, mask), with no object per row: m is the lowest
+positive bit, the genus F + 2 minus the bit count, a depth the bit count
+minus 2.  Their JSON is written as text by one row writer.  A tree node's
+small elements are 0, its multiplicity e and then its parent's positive
+ones, so the rows of a whole tree (``nodes_json``, ``tree_json``) read them
+from the parent's text; the maximal members and the ``rank-one`` catalog
+come with no tree, so their rows (``members_json``) join them from the
+names.  Each command that prints one object builds it with
 ``semigroup_dict`` and the other ``*_obj`` helpers and renders it with
 ``dumps``.
 """
@@ -38,12 +40,24 @@ _NODE_COLUMNS = ("depth", "frobenius", "multiplicity", "genus", "type", "generat
 CSV_HEADER = ",".join(_NODE_COLUMNS)
 
 
+def _med_generators(S: NumericalSemigroup) -> list[int]:
+    """The minimal generators of an Arf semigroup other than the naturals, ascending.
+
+    All but a few of its m generators are Apery elements in the window
+    F+1..F+m, so the bits up to F and the window are listed apart, each
+    dense or sparse in its own right, rather than as one sparse mask.
+    """
+    cut = S.frobenius + 1
+    gens = _med_generator_mask(S.frobenius, S.mask)
+    return [*_iter_bits(gens & ((1 << cut) - 1)), *map(cut.__add__, _iter_bits(gens >> cut))]
+
+
 def semigroup_dict(S: NumericalSemigroup, generators: Sequence[int] | None = None) -> dict[str, Any]:
     """The JSON object of an Arf semigroup, so MED: the type is m - 1 (null for the
     naturals).  A caller holding any other semigroup passes its ``generators`` and sets ``type``."""
     m = S.multiplicity()
     if generators is None:
-        generators = _iter_bits(_med_generator_mask(S.frobenius, S.mask))
+        generators = _med_generators(S)
     return {
         "frobenius": S.frobenius,
         "multiplicity": m,
@@ -60,7 +74,7 @@ def dumps(obj: Any) -> str:
 
 def generator_label(S: NumericalSemigroup) -> str:
     """``<g1,...,gk>`` for an Arf semigroup."""
-    return "<" + ",".join(map(str, _iter_bits(_med_generator_mask(S.frobenius, S.mask)))) + ">"
+    return "<" + ",".join(map(str, _med_generators(S))) + ">"
 
 
 def _names(masks: Sequence[int]) -> tuple[str, ...]:
@@ -119,13 +133,12 @@ def _small_texts(tree: CovarietyTree) -> list[str]:
     return texts
 
 
-def nodes_json(tree: CovarietyTree, indices: Sequence[int]) -> str:
-    """The JSON list of the nodes ``indices`` of ``tree``."""
-    texts = _small_texts(tree)
-    return semigroups_json(tree.frobenius, [tree.masks[i] for i in indices], [texts[i] for i in indices])
+def nodes_json(tree: CovarietyTree) -> str:
+    """The JSON list of the nodes of ``tree``."""
+    return semigroups_json(tree.frobenius, tree.masks, _small_texts(tree))
 
 
-def rank_one_json(F: int, masks: Sequence[int]) -> str:
+def members_json(F: int, masks: Sequence[int]) -> str:
     """The JSON list of the Arf semigroups (F, mask), their small elements joined from the names."""
     names = _names(masks)
     # 0 is a member, so each joined list starts with "0": the text after it is the positive ones
@@ -157,10 +170,8 @@ def render_pairs(pairs: Iterable[tuple[str, Any]]) -> str:
     return "\n".join(f"{k.ljust(width)}  {_cell(v)}" for k, v in items)
 
 
-def _node_rows(tree: CovarietyTree, indices: Iterable[int], sep: str) -> list[list[Any]]:
-    """Table and csv rows, generators joined by ``sep``."""
-    F = tree.frobenius
-    masks = [tree.masks[i] for i in indices]
+def _node_rows(F: int, masks: Sequence[int], sep: str) -> list[list[Any]]:
+    """Table and csv rows of the Arf semigroups (F, mask), generators joined by ``sep``."""
     rows = []
     for mask, cell in zip(masks, _generator_cells(F, masks, sep)):
         depth, m = mask.bit_count() - 2, _multiplicity(mask)
@@ -168,8 +179,8 @@ def _node_rows(tree: CovarietyTree, indices: Iterable[int], sep: str) -> list[li
     return rows
 
 
-def tree_table(tree: CovarietyTree, indices: Iterable[int]) -> str:
-    return render_table(_NODE_COLUMNS, _node_rows(tree, indices, ","))
+def tree_table(F: int, masks: Sequence[int]) -> str:
+    return render_table(_NODE_COLUMNS, _node_rows(F, masks, ","))
 
 
 def rank_one_table(F: int, masks: Sequence[int]) -> str:
@@ -178,9 +189,9 @@ def rank_one_table(F: int, masks: Sequence[int]) -> str:
     return render_table(["multiplicity", "genus", "generators"], rows)
 
 
-def tree_csv(tree: CovarietyTree, indices: Iterable[int]) -> str:
+def tree_csv(F: int, masks: Sequence[int]) -> str:
     lines = [CSV_HEADER]
-    lines.extend(",".join(map(str, row)) for row in _node_rows(tree, indices, ";"))
+    lines.extend(",".join(map(str, row)) for row in _node_rows(F, masks, ";"))
     return "\n".join(lines)
 
 

@@ -35,18 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import NumericalSemigroup, _closed, _multiplicity, _not_member_ar
-from .errors import InvalidFrobeniusError, ScaleLimitError
-
-# The tree on Ar(F) roughly doubles each time F grows by 20, odd F having up to 1.7 times the
-# nodes of their neighbours, and the root alone has about F/2 children of 2F bits each, so only
-# a limit on F, checked before the walk, refuses in time.  Budget: every accepted F finishes
-# within 2 s.  The slowest, F = 89 (17,538 nodes), took 0.14-0.36 s and at most 38 MB (the
-# table) in every format of `arfsg enumerate` and `tree`, json 0.23-0.34 s and 35 MB (fresh
-# process, best and worst of 3, CPython 3.11, shared 2-core Xeon, where bursts of load have
-# stretched single runs to 1.5 s); as json, F = 99 (26,734 nodes) took 0.42-0.48 s and 47 MB,
-# and F = 111 0.71-0.77 s and 73 MB (the table 0.87-0.90 s, 80 MB).
-_TREE_LIMIT = 90
+from .core import _TREE_LIMIT  # noqa: F401  (checked in core; callers of the walk read it here)
+from .core import NumericalSemigroup, _check_tree_frobenius, _closed, _multiplicity, _not_member_ar
 
 
 @dataclass(frozen=True)
@@ -146,10 +136,7 @@ def enumerate_ar(frobenius: int) -> CovarietyTree:
     Frobenius numbers above ``_TREE_LIMIT`` raise ``ScaleLimitError`` before
     the walk starts.
     """
-    if frobenius < 1:
-        raise InvalidFrobeniusError(f"frobenius must be >= 1, got {frobenius}")
-    if frobenius > _TREE_LIMIT:
-        raise ScaleLimitError(f"tree walk for Frobenius number {frobenius} refused (limit {_TREE_LIMIT})")
+    _check_tree_frobenius(frobenius)
     F = frobenius
     masks, parents, mults = [NumericalSemigroup.delta(F).mask], [-1], [F + 1]
     fill = _fill(F)

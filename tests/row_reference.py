@@ -9,13 +9,16 @@ elements and so assumes nothing of the semigroup, each is turned into text
 by ``str``, tables are padded one cell at a time, and JSON lists of
 semigroups go through ``json.dumps`` over one dict per semigroup, whose
 small elements come from the semigroup itself, not from a tree parent.
-``install`` puts these in place of the package's own, so one command can be
-run both ways and its output compared byte for byte.
+The maximal members of ``enumerate --maximal-only`` come from the whole
+tree, in its order, through ``CovarietyTree.maximal_indices``, not from the
+pruned walk.  ``install`` puts these in place of the package's own, so one
+command can be run both ways and its output compared byte for byte.
 """
 
+import functools
 import json
 
-from arfsemigroups import NumericalSemigroup, serialize
+from arfsemigroups import NumericalSemigroup, cli, enumerate_ar, serialize
 
 
 def semigroup_dict(S, generators=None):
@@ -42,12 +45,19 @@ def semigroups_json(F, masks):
     return json.dumps([semigroup_dict(NumericalSemigroup(F, mask)) for mask in masks], separators=(",", ":"))
 
 
-def nodes_json(tree, indices):
-    return semigroups_json(tree.frobenius, [tree.masks[i] for i in indices])
+def nodes_json(tree):
+    return semigroups_json(tree.frobenius, tree.masks)
 
 
-def rank_one_json(F, masks):
+def members_json(F, masks):
     return semigroups_json(F, masks)
+
+
+@functools.lru_cache(maxsize=1)  # the formats of one F in turn
+def maximal_elements(F):
+    """The maximal members of the tree on Ar(F), in canonical order."""
+    tree = enumerate_ar(F)
+    return tuple(NumericalSemigroup(F, tree.masks[i]) for i in tree.maximal_indices())
 
 
 def tree_json(tree):
@@ -67,11 +77,12 @@ def render_table(header, rows):
 
 
 def install(monkeypatch):
-    """Render through this module until ``monkeypatch`` is undone."""
+    """Render, and find the maximal members, through this module until ``monkeypatch`` is undone."""
     monkeypatch.setattr(serialize, "semigroup_dict", semigroup_dict)
     monkeypatch.setattr(serialize, "generator_label", generator_label)
     monkeypatch.setattr(serialize, "_generator_cells", generator_cells)
     monkeypatch.setattr(serialize, "render_table", render_table)
     monkeypatch.setattr(serialize, "nodes_json", nodes_json)
-    monkeypatch.setattr(serialize, "rank_one_json", rank_one_json)
+    monkeypatch.setattr(serialize, "members_json", members_json)
+    monkeypatch.setattr(cli, "maximal_elements", maximal_elements)
     monkeypatch.setattr(serialize, "tree_json", tree_json)

@@ -36,6 +36,7 @@ from arfsemigroups import (
     NumericalSemigroup,
     ScaleLimitError,
 )
+from arfsemigroups.core import _canonical_key
 from arfsemigroups.tree import _TREE_LIMIT
 from cli_runner import run as run_cli
 from mask_rescan import maximal_by_rescan
@@ -230,12 +231,17 @@ def test_12_apery_set_modulo_every_member_matches_membership():
 
 def test_13_maximal_routes_agree_on_every_accepted_frobenius_number():
     # the inherited split flag against the full rescan, the pruned sequence walk
-    # against the filtered generator, and the two routes to the maximal members
+    # against the filtered generator, and the two routes to the maximal members:
+    # the walk's, sorted by the canonical key, are the tree's in node order
     started = time.perf_counter()
     for F in range(1, _TREE_LIMIT + 1):
         tree = enumerate_ar(F)
         assert tree.maximal_indices() == maximal_by_rescan(tree), F
         free = [q.terms for q in refinement_free_sequences(F)]
         assert free == [q.terms for q in arf_sequences_with_total(F + 1) if not admits_proper_refinement(q)], F
-        assert set(tree.maximal_semigroups()) == set(maximal_elements(F)), F
+        masks = sorted((S.mask for S in maximal_elements(F)), key=_canonical_key)
+        assert masks == [tree.masks[i] for i in tree.maximal_indices()], F
+    for walk in (maximal_elements, refinement_free_sequences):  # so no larger F goes untested
+        with pytest.raises(ScaleLimitError, match=f"refused \\(limit {_TREE_LIMIT}\\)"):
+            walk(_TREE_LIMIT + 1)
     assert time.perf_counter() - started < 30.0

@@ -147,11 +147,14 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("flags", ["", "--stats", "--maximal-only", "--maximal-only --stats"])
     def test_maximal_scan_runs_once(self, monkeypatch, flags):
+        # the pruned walk is the one maximal route: once when maximal members are asked for, and the
+        # tree's own scan never
         counts = Counter()
         count_calls(monkeypatch, counts, CovarietyTree, "maximal_indices")
+        count_function(monkeypatch, counts, sequences._refinement_free_masks)
         res = run("enumerate", "40", "--format", "json", *flags.split())
         assert res.exit_code == 0
-        assert counts["maximal_indices"] == (flags != "")
+        assert counts == Counter({"_refinement_free_masks": 1} if flags else {})
         if "--stats" in flags:
             assert f"maximal       {len(enumerate_ar(40).maximal_indices())}" in res.stderr
 
@@ -162,9 +165,10 @@ class TestEnumerate:
         started = time.perf_counter()
         assert run("enumerate", "89", "--format", "table").exit_code == 0
         assert time.perf_counter() - started < 2
-        for command, fmt in (("enumerate", "json"), ("tree", "dot")):
+        assert run("enumerate", "90", "--maximal-only").exit_code == 0
+        for args in (("enumerate", "--format", "json"), ("enumerate", "--maximal-only"), ("tree", "--format", "dot")):
             for F in ("91", "2147483647"):
-                assert_refused(f"tree walk for Frobenius number {F} refused (limit 90)", command, F, "--format", fmt)
+                assert_refused(f"tree walk for Frobenius number {F} refused (limit 90)", args[0], F, *args[1:])
 
 
 class TestTree:
@@ -530,14 +534,23 @@ class TestRowsMatchTheReference:
     def test_enumerate_and_tree(self, monkeypatch, F):
         for fmt in ("table", "csv", "json"):
             assert_matches_the_reference(monkeypatch, "enumerate", str(F), "--format", fmt)
-            assert_matches_the_reference(monkeypatch, "enumerate", str(F), "--format", fmt, "--maximal-only")
         for fmt in ("dot", "json"):
             assert_matches_the_reference(monkeypatch, "tree", str(F), "--format", fmt)
 
     def test_json_rows_of_the_largest_tree(self, monkeypatch):
         # F = 89 has the largest tree the limit accepts; test_enumerate_and_tree covers F = 1..40
-        for args in (("enumerate", "89"), ("enumerate", "89", "--maximal-only"), ("tree", "89")):
+        for args in (("enumerate", "89"), ("tree", "89")):
             assert_matches_the_reference(monkeypatch, *args, "--format", "json")
+
+    def test_maximal_only_on_every_accepted_frobenius_number(self, monkeypatch):
+        # the pruned walk, sorted, against the maximal nodes of the whole tree; --stats writes a report
+        # with the wall time to stderr, and its stdout is the same bytes
+        for F in range(1, _TREE_LIMIT + 1):
+            for fmt in ("table", "csv", "json"):
+                args = ("enumerate", str(F), "--maximal-only", "--format", fmt)
+                assert_matches_the_reference(monkeypatch, *args)
+                with_stats, without = run(*args, "--stats"), run(*args)
+                assert (with_stats.exit_code, with_stats.stdout) == (0, without.stdout), args
 
     def test_rank_one(self, monkeypatch):
         for F in range(2, 61):

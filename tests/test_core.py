@@ -25,7 +25,7 @@ from arfsemigroups import (
     brute_all_semigroups,
     enumerate_ar,
 )
-from arfsemigroups.core import _DENSE, _iter_bits, _selector
+from arfsemigroups.core import _DENSE, _canonical_key, _iter_bits, _selector
 import member_shifts
 from full_check import assert_checked, count_full_checks, full_check_accepts
 
@@ -480,3 +480,16 @@ def test_random_intersection_frobenius_is_max(a, b):
         assert_checked(S)
     assert inter.frobenius == max(A.frobenius, B.frobenius)
     assert inter.issubset(A) and inter.issubset(B)
+
+
+@given(
+    st.integers(min_value=1, max_value=120).flatmap(
+        lambda F: st.tuples(st.just(F), st.lists(st.integers(0, (1 << (F - 1)) - 1), min_size=2, max_size=30))
+    )
+)
+def test_canonical_key_orders_by_depth_then_small_elements(case):
+    # any masks of one F: bits 0 and F+1 set, F clear, and bits 1..F-1 drawn
+    F, middles = case
+    masks = [1 | middle << 1 | 1 << (F + 1) for middle in middles]
+    literal = sorted(masks, key=lambda mask: (mask.bit_count(), [s for s in range(F) if mask >> s & 1]))
+    assert sorted(masks, key=_canonical_key) == literal
