@@ -25,7 +25,7 @@ import time
 
 from . import serialize
 from .closure import ar_closure, count_rank_one, minimal_ar_generators, rank_one_catalog
-from .core import NumericalSemigroup, _canonical_key
+from .core import NumericalSemigroup, _canonical_key, _refinement_free_masks
 from .errors import (
     EmptyInputError,
     InvalidFrobeniusError,
@@ -38,7 +38,6 @@ from .sequences import (
     ArfSequence,
     admits_proper_refinement,
     iter_refinements,
-    maximal_elements,
     semigroup_of_sequence,
     validate_sequence,
 )
@@ -108,7 +107,7 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
         tree = enumerate_ar(F)
         wall = time.perf_counter() - started
     # the one maximal route, the pruned walk, refuses F as the tree walk does
-    maximal = [S.mask for S in maximal_elements(F)] if stats or maximal_only else None
+    maximal = _refinement_free_masks(F) if stats or maximal_only else None
     # the walk yields the maximal members in the order of their sequences
     masks = sorted(maximal, key=_canonical_key) if maximal_only else tree.masks
     if fmt == "table":

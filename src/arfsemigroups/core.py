@@ -12,6 +12,12 @@ Garcia-Sanchez, *Numerical Semigroups*, 2009, ch. 1-2): a mask of m bits
 shifted at most m - 1 times, however many members S has.  The difference
 sequence is read off the runs of zeros in the mask's binary digits.
 
+The family Ar(F) of Arf semigroups with Frobenius number F has its helpers
+here too, shared by ``tree``, ``sequences`` and ``cli``: the one limit on F
+that both walks of the family check (``_check_tree_frobenius``), the sort key
+of the family's canonical order (``_canonical_key``), and the pruned walk
+that yields its inclusion-maximal members (``_refinement_free_masks``).
+
 All values are immutable and hashable, so they can be shared freely across
 threads.
 """
@@ -43,10 +49,10 @@ _SIEVE_LIMIT = 1 << 17
 # The tree on Ar(F) roughly doubles each time F grows by 20, odd F having up to 1.7 times the
 # nodes of their neighbours, and the root alone has about F/2 children of 2F bits each, so only
 # a limit on F, checked before the walk, refuses in time.  The pruned walk of the refinement-free
-# sequences (`sequences`) takes the same limit, so one check and one message serve both; at
-# F = 89 it takes 5 ms in process, and `enumerate 89 --maximal-only` 0.10-0.16 s and at most
-# 17.3 MB in every format (fresh process, mostly the import).  Budget: every accepted F finishes
-# within 2 s.  The slowest tree, F = 89 (17,538 nodes), took 0.14-0.36 s and at
+# sequences (`_refinement_free_masks`, below) takes the same limit, so one check and one message
+# serve both; at F = 89 it takes 5 ms in process, and `enumerate 89 --maximal-only` 0.10-0.16 s
+# and at most 17.3 MB in every format (fresh process, mostly the import).  Budget: every accepted
+# F finishes within 2 s.  The slowest tree, F = 89 (17,538 nodes), took 0.14-0.36 s and at
 # most 38 MB (the table) in every format of `arfsg enumerate` and `tree`, json 0.23-0.34 s and
 # 35 MB (fresh process, best and worst of 3, CPython 3.11, shared 2-core Xeon, where bursts of
 # load have stretched single runs to 1.5 s); as json, F = 99 (26,734 nodes) took 0.42-0.48 s and
@@ -185,6 +191,54 @@ def _canonical_key(mask: int) -> tuple[int, int]:
     reversed put that bit highest, all masks of one F having the same width.
     """
     return mask.bit_count(), -int(bin(mask)[:1:-1], 2)
+
+
+def _refinement_free_masks(frobenius: int) -> list[int]:
+    """The masks of the Arf semigroups whose sequences, total F+1, admit no proper
+    refinement, in the lexicographic order of the sequences.
+
+    The depth-first walk of ``sequences.arf_sequences_with_total``, pruned.
+    The splits of term x_i depend only on x_1..x_i, so a prefix whose last
+    term splits never completes to a refinement-free sequence: that term is
+    skipped with everything below it.  The walk keeps the members of the
+    semigroup from v = total - run up as a mask, with everything past the
+    total set, so bit j > 0 of ``up`` says that j is a consecutive suffix sum
+    of the prefix or exceeds their total, and bit 0 is v itself.  The next
+    term y is valid iff bit y is set (and y <= v / 2 or y = v), and it splits
+    as (a, y - a) iff bits a and y - 2a are set, the test of
+    ``sequences._valid_splits``.  Both loops visit set bits only, lowest
+    first.  At v = 0 the extended mask cut to bits 0..F+1 is the member's
+    mask.
+
+    Frobenius numbers above ``_TREE_LIMIT`` raise ``ScaleLimitError``
+    before the walk starts, as for the whole tree.
+    """
+    _check_tree_frobenius(frobenius)
+    total = frobenius + 1
+    low = (1 << (total + 1)) - 1
+    out: list[int] = []
+
+    def extend(v: int, ext: int) -> None:
+        if not v:
+            out.append(ext & low)
+            return
+        up = ext >> v
+        terms = up & ((2 << (v // 2)) - 4 | 1 << v)  # the valid y: 2 <= y <= v / 2, or v; v >= 2
+        while terms:
+            bit = terms & -terms
+            terms ^= bit
+            y = bit.bit_length() - 1
+            splits = up & ((2 << (y // 2)) - 4)  # the a in 2..y/2 with bit a set
+            while splits:
+                bit = splits & -splits
+                if up >> (y - 2 * (bit.bit_length() - 1)) & 1:
+                    break
+                splits ^= bit
+            else:
+                extend(v - y, ext | 1 << (v - y))
+
+    extend(total, low << total)
+    return out
 
 
 def _closed(frobenius: int, mask: int) -> NumericalSemigroup:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import NumericalSemigroup, _axioms_hold, _check_tree_frobenius, _closed, _difference_sequence
+from .core import NumericalSemigroup, _axioms_hold, _closed, _difference_sequence, _refinement_free_masks
 from .errors import (
     EmptyInputError,
     InvalidSequenceError,
@@ -187,57 +187,11 @@ def arf_sequences_with_total(total: int) -> list[ArfSequence]:
     return out
 
 
-def _refinement_free_masks(frobenius: int) -> list[int]:
-    """The masks of the Arf semigroups whose sequences, total F+1, admit no proper
-    refinement, in the lexicographic order of the sequences.
-
-    The depth-first walk of ``arf_sequences_with_total``, pruned.  The splits
-    of term x_i depend only on x_1..x_i, so a prefix whose last term splits
-    never completes to a refinement-free sequence: that term is skipped with
-    everything below it.  The walk keeps the members of the semigroup from
-    v = total - run up as a mask, with everything past the total set, so bit
-    j > 0 of ``up`` says that j is a consecutive suffix sum of the prefix or
-    exceeds their total, and bit 0 is v itself.  The next term y is valid
-    iff bit y is set (and y <= v / 2 or y = v), and it splits as (a, y - a)
-    iff bits a and y - 2a are set, the test of ``_valid_splits``.  Both loops
-    visit set bits only, lowest first.  At v = 0 the extended mask cut to
-    bits 0..F+1 is the member's mask.
-
-    Frobenius numbers above ``core._TREE_LIMIT`` raise ``ScaleLimitError``
-    before the walk starts, as for the whole tree.
-    """
-    _check_tree_frobenius(frobenius)
-    total = frobenius + 1
-    low = (1 << (total + 1)) - 1
-    out: list[int] = []
-
-    def extend(v: int, ext: int) -> None:
-        if not v:
-            out.append(ext & low)
-            return
-        up = ext >> v
-        terms = up & ((2 << (v // 2)) - 4 | 1 << v)  # the valid y: 2 <= y <= v / 2, or v; v >= 2
-        while terms:
-            bit = terms & -terms
-            terms ^= bit
-            y = bit.bit_length() - 1
-            splits = up & ((2 << (y // 2)) - 4)  # the a in 2..y/2 with bit a set
-            while splits:
-                bit = splits & -splits
-                if up >> (y - 2 * (bit.bit_length() - 1)) & 1:
-                    break
-                splits ^= bit
-            else:
-                extend(v - y, ext | 1 << (v - y))
-
-    extend(total, low << total)
-    return out
-
-
 def refinement_free_sequences(frobenius: int) -> list[ArfSequence]:
     """Sequences with total F+1 admitting no proper refinement, lexicographic.
 
-    Each is read off the mask of its semigroup, which the pruned walk yields.
+    Each is read off the mask of its semigroup, which the pruned walk
+    ``core._refinement_free_masks`` yields.
     """
     return [_unchecked(_difference_sequence(mask)) for mask in _refinement_free_masks(frobenius)]
 

@@ -14,29 +14,22 @@ sequence x_1 <= ... <= x_n totals F+1 and ends in its multiplicity, and
 removing the multiplicity merges the last two terms.  So the children of a
 node are the valid splits (a, x_n - a) of its last term, each adjoining the
 element x_n - a, and the inclusion-maximal members are the nodes whose
-sequence admits no proper refinement.
+sequence admits no proper refinement: the members that the pruned sequence
+walk ``core._refinement_free_masks`` yields.
 
-Both questions are bit tests on the node's mask.  Consecutive members u < v
-bound the term x = v - u, and the consecutive suffix sums of the terms above
-it are the s - v for members s > v; everything past F+1 counts as a member.
-So the split (a, x - a) is valid iff v + a and, unless x = 2a, v + x - 2a
-are members.  For the last term (u = 0, v = m) with e = m - a the new
+A child is a bit test on the node's mask.  Consecutive members u < v bound
+the term x = v - u, and the consecutive suffix sums of the terms above it are
+the s - v for members s > v; everything past F+1 counts as a member.  So the
+split (a, x - a) is valid iff v + a and, unless x = 2a, v + x - 2a are
+members.  For the last term (u = 0, v = m) with e = m - a the new
 multiplicity, that reads: 2m - e and 2e are members.
-
-A split of a term u < v tests only members above v, and a descendant adjoins
-members below its parent's multiplicity only.  So a split of any term above
-the bottom one (0, m) is inherited by every descendant, and a child with
-multiplicity e adds one new such term, (e, m), to its parent's.  A node is
-maximal iff no term above its bottom one splits and it has no children (its
-bottom term does not split either).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _TREE_LIMIT  # noqa: F401  (checked in core; callers of the walk read it here)
-from .core import NumericalSemigroup, _check_tree_frobenius, _closed, _multiplicity, _not_member_ar
+from .core import NumericalSemigroup, _check_tree_frobenius, _closed, _not_member_ar, _refinement_free_masks
 
 
 @dataclass(frozen=True)
@@ -69,29 +62,10 @@ class CovarietyTree:
         return tuple(counts)
 
     def maximal_indices(self) -> list[int]:
-        """Indices of the inclusion-maximal semigroups, in node order.
-
-        A member is maximal exactly when its difference sequence admits no
-        proper refinement.  One pass in node order, parents first, carries
-        the flag "a term above the bottom one splits": a child inherits its
-        parent's, or sets it if its new term (e, m) splits, which tests bits
-        above m that parent and child share.  The maximal nodes are those
-        with the flag unset and no children.
-        """
-        masks, parents, fill = self.masks, self.parents, _fill(self.frobenius)
-        split = [False] * len(masks)
-        for i in range(1, len(masks)):
-            p = parents[i]
-            if split[p]:
-                split[i] = True
-                continue
-            ext, m, e = masks[p] | fill, _multiplicity(masks[p]), _multiplicity(masks[i])
-            for a in range(2, (m - e) // 2 + 1):
-                if ext >> (m + a) & 1 and ext >> (2 * m - e - 2 * a) & 1:
-                    split[i] = True
-                    break
-        inner = set(parents)
-        return [i for i, s in enumerate(split) if not s and i not in inner]
+        """Indices of the inclusion-maximal semigroups, in node order: the nodes
+        whose masks the pruned sequence walk yields."""
+        index = {mask: i for i, mask in enumerate(self.masks)}
+        return sorted(index[mask] for mask in _refinement_free_masks(self.frobenius))
 
     def maximal_semigroups(self) -> list[NumericalSemigroup]:
         return [_closed(self.frobenius, self.masks[i]) for i in self.maximal_indices()]

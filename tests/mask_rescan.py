@@ -1,9 +1,11 @@
 """Every split of every term, rescanned on a node's whole mask: the tests' reference.
 
-The package decides maximal members by a flag inherited down the tree, and
-tests only the one new term of each node.  Here every term of a member's
-difference sequence is tested afresh, so a fault in the inheritance shows up
-as a disagreement with this scan.
+The package finds the maximal members by a pruned walk over difference
+sequences, which tests each term once, on the terms before it, and never
+reaches the members below a term that splits.  Here every node of the whole
+tree is kept and every term of its sequence is tested afresh on its mask, so
+a fault in the walk's split test or in its pruning shows up as a
+disagreement with this scan.
 """
 
 from arfsemigroups.tree import _fill

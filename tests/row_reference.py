@@ -9,16 +9,18 @@ elements and so assumes nothing of the semigroup, each is turned into text
 by ``str``, tables are padded one cell at a time, and JSON lists of
 semigroups go through ``json.dumps`` over one dict per semigroup, whose
 small elements come from the semigroup itself, not from a tree parent.
-The maximal members of ``enumerate --maximal-only`` come from the whole
-tree, in its order, through ``CovarietyTree.maximal_indices``, not from the
-pruned walk.  ``install`` puts these in place of the package's own, so one
-command can be run both ways and its output compared byte for byte.
+The maximal members of ``enumerate --maximal-only`` are the nodes of the
+whole tree, in its order, in which the rescan of ``mask_rescan`` finds no
+term that splits, not the masks of the pruned walk.  ``install`` puts these
+in place of the package's own, so one command can be run both ways and its
+output compared byte for byte.
 """
 
 import functools
 import json
 
 from arfsemigroups import NumericalSemigroup, cli, enumerate_ar, serialize
+from mask_rescan import maximal_by_rescan
 
 
 def semigroup_dict(S, generators=None):
@@ -54,10 +56,10 @@ def members_json(F, masks):
 
 
 @functools.lru_cache(maxsize=1)  # the formats of one F in turn
-def maximal_elements(F):
-    """The maximal members of the tree on Ar(F), in canonical order."""
+def refinement_free_masks(F):
+    """The masks of the maximal members of the tree on Ar(F), in canonical order."""
     tree = enumerate_ar(F)
-    return tuple(NumericalSemigroup(F, tree.masks[i]) for i in tree.maximal_indices())
+    return tuple(tree.masks[i] for i in maximal_by_rescan(tree))
 
 
 def tree_json(tree):
@@ -84,5 +86,5 @@ def install(monkeypatch):
     monkeypatch.setattr(serialize, "render_table", render_table)
     monkeypatch.setattr(serialize, "nodes_json", nodes_json)
     monkeypatch.setattr(serialize, "members_json", members_json)
-    monkeypatch.setattr(cli, "maximal_elements", maximal_elements)
+    monkeypatch.setattr(cli, "_refinement_free_masks", refinement_free_masks)
     monkeypatch.setattr(serialize, "tree_json", tree_json)

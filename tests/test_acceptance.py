@@ -36,8 +36,7 @@ from arfsemigroups import (
     NumericalSemigroup,
     ScaleLimitError,
 )
-from arfsemigroups.core import _canonical_key
-from arfsemigroups.tree import _TREE_LIMIT
+from arfsemigroups.core import _TREE_LIMIT, _canonical_key
 from cli_runner import run as run_cli
 from mask_rescan import maximal_by_rescan
 
@@ -230,9 +229,9 @@ def test_12_apery_set_modulo_every_member_matches_membership():
 
 
 def test_13_maximal_routes_agree_on_every_accepted_frobenius_number():
-    # the inherited split flag against the full rescan, the pruned sequence walk
-    # against the filtered generator, and the two routes to the maximal members:
-    # the walk's, sorted by the canonical key, are the tree's in node order
+    # the pruned walk, on the tree and on the semigroups sorted by the canonical key,
+    # against the full rescan of every node, and the pruned sequence walk against the
+    # filtered generator
     started = time.perf_counter()
     for F in range(1, _TREE_LIMIT + 1):
         tree = enumerate_ar(F)
@@ -240,7 +239,7 @@ def test_13_maximal_routes_agree_on_every_accepted_frobenius_number():
         free = [q.terms for q in refinement_free_sequences(F)]
         assert free == [q.terms for q in arf_sequences_with_total(F + 1) if not admits_proper_refinement(q)], F
         masks = sorted((S.mask for S in maximal_elements(F)), key=_canonical_key)
-        assert masks == [tree.masks[i] for i in tree.maximal_indices()], F
+        assert masks == [tree.masks[i] for i in maximal_by_rescan(tree)], F
     for walk in (maximal_elements, refinement_free_sequences):  # so no larger F goes untested
         with pytest.raises(ScaleLimitError, match=f"refused \\(limit {_TREE_LIMIT}\\)"):
             walk(_TREE_LIMIT + 1)

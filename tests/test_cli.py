@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from arfsemigroups import NumericalSemigroup, cli, sequences, serialize
+from arfsemigroups import NumericalSemigroup, cli, core, sequences, serialize
 from arfsemigroups.cli import _RANK_ONE_LIMIT, _SEQ_LIMIT
 from arfsemigroups.closure import _HULL_LIMIT, rank_one_catalog
-from arfsemigroups.core import _SIEVE_LIMIT, _med_generator_mask, _selector
-from arfsemigroups.tree import _TREE_LIMIT, CovarietyTree, enumerate_ar
+from arfsemigroups.core import _SIEVE_LIMIT, _TREE_LIMIT, _med_generator_mask, _selector
+from arfsemigroups.tree import CovarietyTree, enumerate_ar
 from cli_runner import run
 from full_check import count_full_checks
 import row_reference
@@ -147,11 +147,11 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("flags", ["", "--stats", "--maximal-only", "--maximal-only --stats"])
     def test_maximal_scan_runs_once(self, monkeypatch, flags):
-        # the pruned walk is the one maximal route: once when maximal members are asked for, and the
-        # tree's own scan never
+        # the pruned walk is the one maximal route: once when maximal members are asked for, and
+        # never through the tree's lookup of its masks
         counts = Counter()
         count_calls(monkeypatch, counts, CovarietyTree, "maximal_indices")
-        count_function(monkeypatch, counts, sequences._refinement_free_masks)
+        count_function(monkeypatch, counts, core._refinement_free_masks)
         res = run("enumerate", "40", "--format", "json", *flags.split())
         assert res.exit_code == 0
         assert counts == Counter({"_refinement_free_masks": 1} if flags else {})

@@ -24,8 +24,8 @@ from arfsemigroups import (
     is_member_ar,
     maximal_elements,
 )
-from arfsemigroups.core import _iter_bits, _multiplicity
-from arfsemigroups.tree import _TREE_LIMIT, _fill, _new_multiplicities
+from arfsemigroups.core import _TREE_LIMIT, _iter_bits, _multiplicity
+from arfsemigroups.tree import _fill, _new_multiplicities
 from full_check import assert_checked
 from mask_rescan import mask_splits
 from prefix_walk import splits_by_prefix_walk
