@@ -22,6 +22,7 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 
 from . import serialize
 from .closure import ar_closure, count_rank_one, minimal_ar_generators, rank_one_catalog
@@ -135,10 +136,7 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
 
 def cmd_tree(frobenius: str, fmt: str) -> None:
     tree = enumerate_ar(_to_int(frobenius, "frobenius"))
-    if fmt == "dot":
-        print(serialize.tree_dot(tree))
-    else:
-        print(serialize.tree_json(tree))
+    print(serialize.tree_dot(tree) if fmt == "dot" else serialize.tree_json(tree))
 
 
 def cmd_check(generators: str, fmt: str) -> None:
@@ -255,10 +253,7 @@ def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
         print(serialize.dumps({"F": F, "count": n}) if fmt == "json" else str(n))
         return
     masks = [S.mask for S in rank_one_catalog(F)]
-    if fmt == "json":
-        print(serialize.members_json(F, masks))
-    else:
-        print(serialize.rank_one_table(F, masks))
+    print(serialize.members_json(F, masks) if fmt == "json" else serialize.rank_one_table(F, masks))
 
 
 def seq_validate(terms: str, fmt: str) -> int | None:
@@ -358,6 +353,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Arf numerical semigroups with a fixed Frobenius number.",
         add_help=False,
         allow_abbrev=False,
+        # a fixed help column for the command list, which 3.13 would move by counting its indent
+        formatter_class=partial(argparse.HelpFormatter, max_help_position=16),
     )
     arfsg.add_argument("--help", action="help", help="Show this message and exit.")
     commands = arfsg.add_subparsers(title="commands", metavar="COMMAND", required=True)
@@ -405,6 +402,7 @@ def _parser() -> argparse.ArgumentParser:
     formats(sub, "table", "json")
 
     seq = parser(commands, "seq", "Validate and convert difference sequences.")
+    seq.formatter_class = partial(argparse.HelpFormatter, max_help_position=15)  # as arfsg's
     seq_commands = seq.add_subparsers(title="commands", metavar="COMMAND", required=True)
     for name, fn, summary, more in (
         ("validate", seq_validate, "Check the two sequence axioms.", "Exits 1 when they fail."),

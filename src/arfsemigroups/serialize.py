@@ -16,21 +16,23 @@ Lists of semigroups (the nodes of ``enumerate`` and ``tree``, the maximal
 members of ``enumerate --maximal-only``, the ``rank-one`` catalog) are rows
 read off each member's (F, mask), with no object per row: m is the lowest
 positive bit, the genus F + 2 minus the bit count, a depth the bit count
-minus 2.  Their JSON is written as text by one row writer.  A tree node's
-small elements are 0, its multiplicity e and then its parent's positive
-ones, so the rows of a whole tree (``nodes_json``, ``tree_json``) read them
-from the parent's text; the maximal members and the ``rank-one`` catalog
-come with no tree, so their rows (``members_json``) join them from the
-names.  Each command that prints one object builds it with
-``semigroup_dict`` and the other ``*_obj`` helpers and renders it with
-``dumps``.
+minus 2.  ``_node_rows`` is the one source of table and csv rows;
+``tree_csv`` joins them without ``render_table``.  The lists' JSON is
+written as text by one row writer.  A tree node's small elements are 0, its
+multiplicity e and then its parent's positive ones, so the rows of a whole
+tree (``nodes_json``, ``tree_json``) read them from the parent's text; the
+maximal members and the ``rank-one`` catalog come with no tree, so their
+rows (``members_json``) join them from the names.  Each command that prints
+one object builds it with ``semigroup_dict`` and the other ``*_obj`` helpers
+and renders it with ``dumps``.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import compress
-from typing import Any, Iterable, Sequence
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Sequence
 
 from .closure import ClosureResult
 from .core import NumericalSemigroup, _iter_bits, _med_generator_mask, _multiplicity, _scan_bits, _selector
@@ -145,11 +147,14 @@ def members_json(F: int, masks: Sequence[int]) -> str:
     return semigroups_json(F, masks, [_joined(mask ^ (1 << (F + 1)), names, ",")[1:] for mask in masks])
 
 
-def render_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Space-aligned columns with a header line."""
-    cells = [list(header), *(list(map(str, row)) for row in rows)]
-    line = "  ".join(f"{{:{max(map(len, column))}}}" for column in zip(*cells))  # left-aligned
-    return "\n".join(line.format(*row).rstrip() for row in cells)
+def render_table(header: Sequence[str], rows: Iterable[tuple[Any, ...]]) -> str:
+    """Tuples in left-aligned columns as wide as their headers, two spaces apart; the last is not padded.
+
+    Precondition: no cell but the last is wider than its header.  Tree rows meet it for every
+    F < 10,000 (the narrowest header, type, holds m - 1 <= F), rank-one rows for every F < 100,000.
+    """
+    line = "  ".join([*(f"%-{len(name)}s" for name in header[:-1]), "%s"])
+    return "\n".join([line % tuple(header), *map(line.__mod__, rows)])
 
 
 def _cell(value: Any) -> str:
@@ -170,13 +175,11 @@ def render_pairs(pairs: Iterable[tuple[str, Any]]) -> str:
     return "\n".join(f"{k.ljust(width)}  {_cell(v)}" for k, v in items)
 
 
-def _node_rows(F: int, masks: Sequence[int], sep: str) -> list[list[Any]]:
-    """Table and csv rows of the Arf semigroups (F, mask), generators joined by ``sep``."""
-    rows = []
+def _node_rows(F: int, masks: Sequence[int], sep: str) -> Iterator[tuple[int, int, int, int, int, str]]:
+    """The rows of the Arf semigroups (F, mask) under ``_NODE_COLUMNS``, generators joined by ``sep``."""
     for mask, cell in zip(masks, _generator_cells(F, masks, sep)):
         depth, m = mask.bit_count() - 2, _multiplicity(mask)
-        rows.append([depth, F, m, F - depth, m - 1, cell])  # Arf, so MED: type m - 1
-    return rows
+        yield depth, F, m, F - depth, m - 1, cell  # Arf, so MED: type m - 1
 
 
 def tree_table(F: int, masks: Sequence[int]) -> str:
@@ -184,15 +187,12 @@ def tree_table(F: int, masks: Sequence[int]) -> str:
 
 
 def rank_one_table(F: int, masks: Sequence[int]) -> str:
-    cells = _generator_cells(F, masks, ",")
-    rows = [[_multiplicity(mask), F + 2 - mask.bit_count(), cell] for mask, cell in zip(masks, cells)]
-    return render_table(["multiplicity", "genus", "generators"], rows)
+    return render_table(("multiplicity", "genus", "generators"), map(itemgetter(2, 3, 5), _node_rows(F, masks, ",")))
 
 
 def tree_csv(F: int, masks: Sequence[int]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(",".join(map(str, row)) for row in _node_rows(F, masks, ";"))
-    return "\n".join(lines)
+    line = ",".join(["%s"] * len(_NODE_COLUMNS))
+    return "\n".join([CSV_HEADER, *map(line.__mod__, _node_rows(F, masks, ";"))])
 
 
 def tree_json_obj(tree: CovarietyTree) -> dict[str, Any]:

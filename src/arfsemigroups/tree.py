@@ -81,19 +81,26 @@ def _fill(F: int) -> int:
     return ((1 << (F + 1)) - 1) << (F + 2)
 
 
-def _new_multiplicities(ext: int, m: int) -> list[int]:
-    """The multiplicities e of the children of a node with multiplicity m and
-    extended mask ``ext``, ascending: the e in [m/2, m - 2] with 2m - e and 2e
-    members (2e = m is one, which covers the split a = m/2)."""
-    return [e for e in range((m + 1) // 2, m - 1) if ext >> (2 * m - e) & 1 and ext >> (2 * e) & 1]
+def _level_step(masks: list[int], mults: list[int], first: int, fill: int) -> list[list[int]]:
+    """The parents of the children of the level ``first..``, the tail of ``masks``, bucketed by
+    the new multiplicity e: a node of multiplicity m (``mults``) has the e in [m/2, m - 2] with
+    2m - e and 2e members.  The last node has the level's largest m, which bounds every e."""
+    buckets: list[list[int]] = [[] for _ in range(mults[-1] - 1)]
+    for k in range(first, len(masks)):
+        m = mults[k]
+        w = (masks[k] | fill) >> m  # the membership of 2m - e and 2e, read from bit m up
+        for e in range((m + 1) // 2, m - 1):
+            if w >> (m - e) & 1 and w >> (2 * e - m) & 1:
+                buckets[e].append(k)
+    return buckets
 
 
 def children(S: NumericalSemigroup) -> list[NumericalSemigroup]:
     """The children of S in the tree for F = F(S), ascending in multiplicity."""
     if not is_member_ar(S, S.frobenius):
         raise _not_member_ar(S)
-    new = _new_multiplicities(S.mask | _fill(S.frobenius), S.multiplicity())
-    return [_closed(S.frobenius, S.mask | 1 << e) for e in new]
+    buckets = _level_step([S.mask], [S.multiplicity()], 0, _fill(S.frobenius))
+    return [_closed(S.frobenius, S.mask | 1 << e) for e, ks in enumerate(buckets) if ks]
 
 
 def enumerate_ar(frobenius: int) -> CovarietyTree:
@@ -113,16 +120,9 @@ def enumerate_ar(frobenius: int) -> CovarietyTree:
     _check_tree_frobenius(frobenius)
     F = frobenius
     masks, parents, mults = [NumericalSemigroup.delta(F).mask], [-1], [F + 1]
-    fill = _fill(F)
-    first = 0
+    first, fill = 0, _fill(F)
     while first < len(masks):
-        buckets: list[list[int]] = [[] for _ in range(F)]  # parent indices by e; every e is below F
-        for k in range(first, len(masks)):
-            m = mults[k]
-            w = (masks[k] | fill) >> m  # the test of _new_multiplicities, read from bit m up
-            for e in range((m + 1) // 2, m - 1):
-                if w >> (m - e) & 1 and w >> (2 * e - m) & 1:
-                    buckets[e].append(k)
+        buckets = _level_step(masks, mults, first, fill)
         first = len(masks)
         for e, ks in enumerate(buckets):
             if ks:

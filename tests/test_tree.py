@@ -25,7 +25,7 @@ from arfsemigroups import (
     maximal_elements,
 )
 from arfsemigroups.core import _TREE_LIMIT, _iter_bits, _multiplicity
-from arfsemigroups.tree import _fill, _new_multiplicities
+from arfsemigroups.tree import _fill
 from full_check import assert_checked
 from mask_rescan import mask_splits
 from prefix_walk import splits_by_prefix_walk
@@ -267,11 +267,10 @@ class TestEnumeration:
             assert tree.edges() == list(enumerate(tree.parents))[1:], F
 
     def test_a_child_is_its_parent_and_its_multiplicity_on_every_accepted_frobenius_number(self):
-        # the walk's bucket e and the JSON rows' parent text rest on these, and children()
-        # repeats the walk's child test
+        # the walk's bucket e and the JSON rows' parent text rest on these
         for F in range(1, _TREE_LIMIT + 1):
             tree = enumerate_ar(F)
-            masks, parents, fill = tree.masks, tree.parents, _fill(F)
+            masks, parents = tree.masks, tree.parents
             smalls = [tuple(_iter_bits(mask ^ 1 << (F + 1))) for mask in masks]
             kids = [[] for _ in masks]
             for i in range(1, len(masks)):
@@ -279,8 +278,8 @@ class TestEnumeration:
                 assert masks[i] ^ masks[p] == 1 << e, (F, i)
                 assert smalls[i] == (0, e, *smalls[p][1:]), (F, i)
                 kids[p].append(e)
-            for mask, es in zip(masks, kids):
-                assert _new_multiplicities(mask | fill, _multiplicity(mask)) == es, (F, mask)
+            for S, es in zip(tree.semigroups(), kids):
+                assert [child.multiplicity() for child in children(S)] == es, (F, S)
 
     def test_limits(self):
         with pytest.raises(InvalidFrobeniusError):
