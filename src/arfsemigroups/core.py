@@ -14,7 +14,7 @@ sequence is read off the runs of zeros in the mask's binary digits.
 
 The family Ar(F) of Arf semigroups with Frobenius number F has its helpers
 here too, shared by ``tree``, ``sequences`` and ``cli``: the one limit on F
-that both walks of the family check (``_check_tree_frobenius``), the sort key
+that every walk of the family checks (``_check_tree_frobenius``), the sort key
 of the family's canonical order (``_canonical_key``), and the pruned walk
 that yields its inclusion-maximal members (``_refinement_free_masks``).
 
@@ -49,14 +49,15 @@ _SIEVE_LIMIT = 1 << 17
 # The tree on Ar(F) roughly doubles each time F grows by 20, odd F having up to 1.7 times the
 # nodes of their neighbours, and the root alone has about F/2 children of 2F bits each, so only
 # a limit on F, checked before the walk, refuses in time.  The pruned walk of the refinement-free
-# sequences (`_refinement_free_masks`, below) takes the same limit, so one check and one message
-# serve both; at F = 89 it takes 5 ms in process, and `enumerate 89 --maximal-only` 0.10-0.16 s
-# and at most 17.3 MB in every format (fresh process, mostly the import).  Budget: every accepted
-# F finishes within 2 s.  The slowest tree, F = 89 (17,538 nodes), took 0.14-0.36 s and at
-# most 38 MB (the table) in every format of `arfsg enumerate` and `tree`, json 0.23-0.34 s and
-# 35 MB (fresh process, best and worst of 3, CPython 3.11, shared 2-core Xeon, where bursts of
-# load have stretched single runs to 1.5 s); as json, F = 99 (26,734 nodes) took 0.42-0.48 s and
-# 47 MB, and F = 111 0.71-0.77 s and 73 MB (the table 0.87-0.90 s, 80 MB).
+# sequences (`_refinement_free_masks`, below) and the full one (`arf_sequences_with_total`, total
+# F+1) take the same limit, so one check and one message serve all three; at F = 89 the pruned
+# walk takes 3.5 ms in process, and `enumerate 89 --maximal-only` 0.08-0.12 s and at most 17.0 MB
+# in every format (fresh process, mostly the import).  Budget: every accepted F finishes within
+# 2 s.  The slowest tree, F = 89 (17,538 nodes), took 0.15-0.30 s and at most 35 MB (tree json)
+# in every format of `arfsg enumerate` and `tree`, the walk 13 ms of it (fresh process, best and
+# worst of 3, CPython 3.11, shared 2-core Xeon, where bursts of load have stretched single runs
+# to 1.5 s); as json, F = 99 (26,734 nodes) took 0.23 s and 46 MB, and F = 111 0.35-0.38 s and
+# 73 MB.
 _TREE_LIMIT = 90
 
 
@@ -206,9 +207,10 @@ def _refinement_free_masks(frobenius: int) -> list[int]:
     of the prefix or exceeds their total, and bit 0 is v itself.  The next
     term y is valid iff bit y is set (and y <= v / 2 or y = v), and it splits
     as (a, y - a) iff bits a and y - 2a are set, the test of
-    ``sequences._valid_splits``.  Both loops visit set bits only, lowest
-    first.  At v = 0 the extended mask cut to bits 0..F+1 is the member's
-    mask.
+    ``sequences._valid_splits``.  So the splitting y are the sumset
+    {2a + b : a >= 2 and b set bits of ``up``}, cleared from the valid y in
+    one pass over the a, ``up << 2a`` each; a > v / 2 clears only y > v.
+    At v = 0 the extended mask cut to bits 0..F+1 is the member's mask.
 
     Frobenius numbers above ``_TREE_LIMIT`` raise ``ScaleLimitError``
     before the walk starts, as for the whole tree.
@@ -224,18 +226,16 @@ def _refinement_free_masks(frobenius: int) -> list[int]:
             return
         up = ext >> v
         terms = up & ((2 << (v // 2)) - 4 | 1 << v)  # the valid y: 2 <= y <= v / 2, or v; v >= 2
+        splits = up & ((2 << (v // 2)) - 4)  # the a in 2..v/2 with bit a set
+        while splits:
+            bit = splits & -splits
+            splits ^= bit
+            terms &= ~(up << 2 * (bit.bit_length() - 1))
         while terms:
             bit = terms & -terms
             terms ^= bit
             y = bit.bit_length() - 1
-            splits = up & ((2 << (y // 2)) - 4)  # the a in 2..y/2 with bit a set
-            while splits:
-                bit = splits & -splits
-                if up >> (y - 2 * (bit.bit_length() - 1)) & 1:
-                    break
-                splits ^= bit
-            else:
-                extend(v - y, ext | 1 << (v - y))
+            extend(v - y, ext | 1 << (v - y))
 
     extend(total, low << total)
     return out

@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import NumericalSemigroup, _axioms_hold, _closed, _difference_sequence, _refinement_free_masks
+from .core import (
+    NumericalSemigroup, _axioms_hold, _check_tree_frobenius, _closed, _difference_sequence, _refinement_free_masks
+)
 from .errors import (
     EmptyInputError,
     InvalidSequenceError,
@@ -148,42 +150,34 @@ def admits_proper_refinement(seq: Iterable[int] | ArfSequence) -> bool:
 def arf_sequences_with_total(total: int) -> list[ArfSequence]:
     """Every valid sequence summing to ``total``, in lexicographic order.
 
-    Depth-first extension: after a prefix with running sum r, the next term y
-    is one of the suffix partial sums of the prefix (all at most r) or any
-    value above r.  Terms never decrease, so with rest = total - r what
-    remains after y is 0 or at least y: y <= rest / 2 or y == rest.  Only
-    such y are tried; the branches this prunes hold no valid sequence.  Every
-    term chosen keeps both axioms, so the output is built without
-    re-validation.
+    The depth-first walk of ``core._refinement_free_masks`` without its split
+    test, carrying the prefix.  Bit y > 0 of ``up``, the members from
+    v = total - run up, says that y is a suffix sum of the prefix or exceeds
+    their total.  Terms never decrease, so y <= v / 2 or y = v: the next
+    terms are the set bits of ``up`` in 2..v/2, lowest first, and then v,
+    which ends the sequence, when its bit is set.  Every term chosen keeps
+    both axioms, so the output is built without re-validation.
+
+    Totals below 2 give no sequence.  Totals above ``_TREE_LIMIT`` + 1 raise
+    ``ScaleLimitError`` before the walk starts, as ``maximal_elements`` does.
     """
     if total < 2:
         return []
+    _check_tree_frobenius(total - 1)
     out: list[ArfSequence] = []
-    prefix: list[int] = []
 
-    def extend(run: int) -> None:
-        rest = total - run
-        if not rest:
-            out.append(_unchecked(tuple(prefix)))
-            return
-        half = rest // 2
-        candidates = []
-        acc = 0
-        for t in reversed(prefix):
-            acc += t
-            if acc > rest:
-                break
-            if acc <= half or acc == rest:
-                candidates.append(acc)
-        candidates.extend(range(max(run + 1, 2), half + 1))
-        if rest > run:
-            candidates.append(rest)
-        for y in candidates:
-            prefix.append(y)
-            extend(run + y)
-            prefix.pop()
+    def extend(v: int, ext: int, prefix: tuple[int, ...]) -> None:
+        up = ext >> v
+        terms = up & ((2 << (v // 2)) - 4)
+        while terms:
+            bit = terms & -terms
+            terms ^= bit
+            y = bit.bit_length() - 1
+            extend(v - y, ext | 1 << (v - y), prefix + (y,))
+        if up >> v & 1:
+            out.append(_unchecked(prefix + (v,)))
 
-    extend(0)
+    extend(total, ((2 << total) - 1) << total, ())
     return out
 
 

@@ -84,14 +84,20 @@ def _fill(F: int) -> int:
 def _level_step(masks: list[int], mults: list[int], first: int, fill: int) -> list[list[int]]:
     """The parents of the children of the level ``first..``, the tail of ``masks``, bucketed by
     the new multiplicity e: a node of multiplicity m (``mults``) has the e in [m/2, m - 2] with
-    2m - e and 2e members.  The last node has the level's largest m, which bounds every e."""
+    2m - e and 2e members.  With j = m - e and w the members from m up, shifted to bit 0, that
+    reads: j in 2..m/2 is a set bit of w, and so is m - 2j.  So the loop visits the set bits
+    of w in 2..m/2 only.  The last node has the level's largest m, which bounds every e."""
     buckets: list[list[int]] = [[] for _ in range(mults[-1] - 1)]
     for k in range(first, len(masks)):
         m = mults[k]
-        w = (masks[k] | fill) >> m  # the membership of 2m - e and 2e, read from bit m up
-        for e in range((m + 1) // 2, m - 1):
-            if w >> (m - e) & 1 and w >> (2 * e - m) & 1:
-                buckets[e].append(k)
+        w = (masks[k] | fill) >> m
+        js = w & ((2 << (m // 2)) - 4)
+        while js:
+            bit = js & -js
+            js ^= bit
+            j = bit.bit_length() - 1
+            if w >> (m - 2 * j) & 1:
+                buckets[m - j].append(k)
     return buckets
 
 

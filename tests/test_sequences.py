@@ -13,6 +13,7 @@ from arfsemigroups import (
     NoGapsError,
     NotArfError,
     NumericalSemigroup,
+    ScaleLimitError,
     admits_proper_refinement,
     arf_sequences_with_total,
     iter_refinements,
@@ -22,6 +23,7 @@ from arfsemigroups import (
     sequence_of_semigroup,
     validate_sequence,
 )
+from arfsemigroups.core import _TREE_LIMIT
 from arfsemigroups.sequences import _valid_splits
 from full_check import assert_checked
 from prefix_walk import split_keeps_axioms, splits_by_prefix_walk, unpruned_sequences_with_total
@@ -229,6 +231,16 @@ class TestGeneration:
         assert [q.terms for q in arf_sequences_with_total(4)] == [(2, 2), (4,)]
         assert [q.terms for q in arf_sequences_with_total(6)] == [(2, 2, 2), (2, 4), (3, 3), (6,)]
         assert arf_sequences_with_total(1) == []
+
+    def test_totals_above_the_tree_limit_plus_one_are_refused(self):
+        # total F+1 walks Ar(F), one ArfSequence per member, so it takes the tree's limit on F
+        assert len(arf_sequences_with_total(_TREE_LIMIT + 1)) == 10_381  # every member of Ar(90)
+        for total in (_TREE_LIMIT + 2, 10**9):
+            started = time.perf_counter()
+            with pytest.raises(ScaleLimitError, match=f"Frobenius number {total - 1} refused \\(limit {_TREE_LIMIT}\\)"):
+                arf_sequences_with_total(total)
+            assert time.perf_counter() - started < 0.1  # refused before the walk
+        assert arf_sequences_with_total(0) == [] and arf_sequences_with_total(-3) == []
 
     def test_pruned_generator_matches_the_unpruned_one(self):
         for total in range(2, 61):
