@@ -1,17 +1,16 @@
 """Smallest Arf semigroup with a fixed Frobenius number containing a given set.
 
-A finite set X of positive integers at most F admits such a hull exactly when
-some Arf semigroup with Frobenius number F contains X; the hull is then the
-intersection of all of them.  Every such semigroup contains T_0, the
-additive closure <X> together with everything above F, so the hull is the
-Arf closure of T_0, provided F is not in it.  That closure is read off Lipman's multiplicity chain (J. Lipman,
-"Stable ideals and Arf rings", 1971; Rosales, Garcia-Sanchez, Garcia-Garcia
-and Branco, "Arf numerical semigroups", 2004): Arf(T) is 0 together with
-m + Arf(<T - m>), where m = m(T) is the multiplicity and T - m holds the
-t - m for the positive members t.  So with m_i = m(T_i) and
-T_{i+1} = <T_i - m_i>, the hull's members are 0, m_0, m_0 + m_1, ...: its
-difference sequence, read from the bottom up.  X has no hull precisely when
-F is one of these running sums.
+A finite set X of positive integers at most F admits such a hull exactly when some Arf semigroup
+with Frobenius number F contains X; the hull is then the intersection of all of them.  Every such
+semigroup contains T_0, the additive closure <X> together with everything above F, so the hull is
+the Arf closure of T_0, provided F is not in it.  That closure is read off Lipman's multiplicity
+chain (J. Lipman, "Stable ideals and Arf rings", 1971; Rosales, Garcia-Sanchez, Garcia-Garcia and
+Branco, "Arf numerical semigroups", 2004): Arf(T) is 0 together with m + Arf(<T - m>), where
+m = m(T) is the multiplicity and T - m holds the t - m for the positive members t.  So with
+m_i = m(T_i) and T_{i+1} = <T_i - m_i>, the hull's members are 0, m_0, m_0 + m_1, ...: its
+difference sequence, read from the bottom up.  X has no hull precisely when F is one of these
+running sums.  <X> and every <T_i - m_i> come from ``core._closure_mask``, the package's one
+additive closure, which the chain starts from T_i (inside <T_i - m_i>, as t = (t + m_i) - m_i).
 
 The module also computes the minimal generating data of a member S relative
 to this hull operator: the unique minimal set X with hull X = S, its size
@@ -27,7 +26,6 @@ from typing import Iterable
 
 from .core import (
     NumericalSemigroup,
-    _add_multiples,
     _apery_mask,
     _axioms_hold,
     _closed,
@@ -64,13 +62,13 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
     F), because F is a sum of elements of X, or because the multiplicity
     chain reaches F.
 
-    The chain walks T_i as a bitmask over [0, F - r], r = m_0 + ... + m_{i-1}
-    the running sum, with everything above counted as a member.  It stops
-    when r passes F (nothing is left to add), when r equals F (refused), or
-    when T_i is already Arf: the hull is then the sums so far plus r + T_i,
-    refused if that holds F.  The naturals (m = 1) are Arf.  The Arf test is
-    linear in F, so it runs only at steps 0, 1, 2, 4, 8, ...; a chain that
-    turned Arf in between just goes on reading T_i off term by term.
+    The chain walks T_i as a bitmask over [0, F - r], r = m_0 + ... + m_{i-1} the running sum,
+    with everything above counted as a member; T_{i+1} = <T_i - m_i> is ``core._closure_mask``
+    of T_i shifted down by m_i, started from T_i.  It stops when r passes F (nothing is left to
+    add), when r equals F (refused), or when T_i is already Arf: the hull is then the sums so far
+    plus r + T_i, refused if that holds F.  The naturals (m = 1) are Arf.  The Arf test is linear
+    in F, so it runs only at steps 0, 1, 2, 4, 8, ...; a chain that turned Arf in between just
+    goes on reading T_i off term by term.
 
     ``stages`` holds the elements up to F outside <X> that each step added,
     ascending, for the steps that added any: the running sum, or r + T_i at
@@ -83,12 +81,12 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
     xs = tuple(sorted({int(x) for x in X}))
     if any(x < 1 or x > frobenius for x in xs):
         return ClosureResult(frobenius, xs, False, None, ())
-    F = frobenius
-    base = _closure_mask(xs, F)
+    F, limit = frobenius, (1 << (frobenius + 1)) - 1
+    base = _closure_mask(sum(1 << x for x in xs), limit)
     if (base >> F) & 1:
         return ClosureResult(F, xs, False, None, ())
     sums: list[int] = []  # the running sums m_0 + ... + m_i up to F
-    T, limit, m, run, step, rest = base, (1 << (F + 1)) - 1, F + 1, 0, 0, 0
+    T, m, run, step, rest = base, F + 1, 0, 0, 0
     while run < F:
         c = F - run  # T is T_step over [0, c], and limit has bits 0..c
         low = T & ((2 << m) - 1) & ~1  # m(T_{i+1}) <= m_i: m_i = 2m_i - m_i is in T_{i+1}
@@ -101,7 +99,7 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
             break
         sums.append(run)
         limit >>= m
-        T = _generated(T >> m, T & limit, limit)
+        T = _closure_mask(T >> m, limit, T & limit)
         step += 1
     chain = sum(1 << s for s in sums)  # a shift per sum, a few per cent of a long chain
     stages = [(s,) for s in _iter_bits(chain & ~base)]
@@ -112,20 +110,6 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
     if (hull >> F) & 1:
         return ClosureResult(F, xs, False, None, tuple(stages))
     return ClosureResult(F, xs, True, _closed(F, hull | (1 << (F + 1))), tuple(stages))
-
-
-def _generated(A: int, closed: int, limit: int) -> int:
-    """<A> within the bits of ``limit``, for a mask A holding the closed mask ``closed``.
-
-    Each round adjoins the least element of A not yet reached as a
-    generator, starting from ``closed``.
-    """
-    reach = closed
-    missing = A & ~reach
-    while missing:
-        reach = _add_multiples(reach, (missing & -missing).bit_length() - 1, limit)
-        missing = A & ~reach
-    return reach
 
 
 def _is_arf(T: int, c: int) -> bool:
@@ -170,7 +154,7 @@ def rank_one_catalog(frobenius: int) -> list[NumericalSemigroup]:
     if frobenius < 2:
         raise InvalidFrobeniusError(f"frobenius must be >= 2, got {frobenius}")
     top = 1 << (frobenius + 1)  # the multiples of m up to F miss F and are closed
-    return [_closed(frobenius, _closure_mask([m], frobenius) | top) for m in range(2, frobenius) if frobenius % m]
+    return [_closed(frobenius, _closure_mask(1 << m, top - 1) | top) for m in range(2, frobenius) if frobenius % m]
 
 
 def _divisor_count(n: int) -> int:

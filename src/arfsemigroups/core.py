@@ -148,29 +148,26 @@ def _med_generator_mask(F: int, mask: int) -> int:
     return (_apery_mask(F, mask, m) & ~1) | (1 << m)
 
 
-def _add_multiples(reach: int, g: int, limit: int) -> int:
-    """``reach`` plus every multiple of g, within the bits of ``limit``.
+def _closure_mask(A: int, limit: int, reach: int = 1) -> int:
+    """<A>, the sums of elements of the mask A, within ``limit``, a mask of bits 0..k.
 
-    Doubling the step covers all multiples.  The result stays closed under
-    every step ``reach`` was closed under, so generators can be adjoined one
-    at a time.
+    Bits of A above k are ignored.  ``reach``, a closed mask inside <A>, is where it starts
+    ({0} by default).  Each round adjoins the least element g of A not yet reached, shifting by
+    g, 2g, 4g, ... until a shift adds nothing: that covers every multiple of g and keeps
+    ``reach`` closed under every step it was closed under.
     """
-    step = g
-    while True:
-        grown = reach | ((reach << step) & limit)
-        if grown == reach:
-            return reach
-        reach = grown
-        step *= 2
-
-
-def _closure_mask(gens: Iterable[int], bound: int) -> int:
-    """Bitmask of every sum of the generators that lands in [0, bound]."""
-    limit = (1 << (bound + 1)) - 1
-    reach = 1
-    for g in gens:
-        if not (reach >> g) & 1:  # a reached g adds no new sums
-            reach = _add_multiples(reach, g, limit)
+    if A > limit:  # a bit above k: masking every call would cost a pass per hull chain step
+        A &= limit
+    missing = A & ~reach
+    while missing:
+        step = (missing & -missing).bit_length() - 1
+        while True:
+            grown = reach | ((reach << step) & limit)
+            if grown == reach:
+                break
+            reach = grown
+            step *= 2
+        missing = A & ~reach
     return reach
 
 
@@ -326,8 +323,9 @@ class NumericalSemigroup:
         bound = gs[0] * gs[-1]  # exceeds the Frobenius number of <min, max>
         if bound > _SIEVE_LIMIT:
             raise ScaleLimitError(f"membership sieve would need {bound} bits (limit {_SIEVE_LIMIT})")
-        reach = _closure_mask(gs, bound)
-        gaps = ~reach & ((1 << (bound + 1)) - 1)
+        limit = (1 << (bound + 1)) - 1
+        reach = _closure_mask(sum(1 << g for g in gs), limit)
+        gaps = ~reach & limit
         F = gaps.bit_length() - 1
         return _closed(F, reach & ((1 << (F + 2)) - 1))
 

@@ -48,12 +48,13 @@ def validate_sequence(seq: Iterable[int] | "ArfSequence") -> bool:
 
 @dataclass(frozen=True)
 class ArfSequence:
-    """A tuple of integers satisfying both sequence axioms."""
+    """A tuple of integers satisfying both sequence axioms; any iterable of integers is stored as one."""
 
     terms: tuple[int, ...]
 
     def __post_init__(self):
-        if not validate_sequence(self.terms):
+        object.__setattr__(self, "terms", _as_terms(self.terms))
+        if not validate_sequence(self):
             raise InvalidSequenceError(f"{self.terms} violates the sequence axioms")
 
     @property

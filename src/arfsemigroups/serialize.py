@@ -207,9 +207,8 @@ def tree_json_obj(tree: CovarietyTree) -> dict[str, Any]:
 
 def tree_json(tree: CovarietyTree) -> str:
     """``dumps(tree_json_obj(tree))``, written as text."""
-    F, edges = tree.frobenius, ",".join([f"[{child},{parent}]" for child, parent in tree.edges()])
-    nodes = semigroups_json(F, tree.masks, _small_texts(tree))
-    return f'{{"frobenius":{F},"root":0,"nodes":{nodes},"edges":[{edges}]}}'
+    edges = ",".join([f"[{child},{parent}]" for child, parent in tree.edges()])
+    return f'{{"frobenius":{tree.frobenius},"root":0,"nodes":{nodes_json(tree)},"edges":[{edges}]}}'
 
 
 def tree_dot(tree: CovarietyTree) -> str:

@@ -21,9 +21,8 @@ from arfsemigroups import (
     rank_one_catalog,
 )
 from arfsemigroups.closure import _HULL_LIMIT, _is_arf
-from arfsemigroups.core import _closure_mask
 from full_check import assert_checked
-from pair_fixpoint import pair_fixpoint
+from pair_fixpoint import pair_fixpoint, sums_of
 
 
 def sg(*gens):
@@ -131,7 +130,7 @@ def assert_matches_pair_fixpoint(X, F):
     if accepted:
         assert res.closure.mask == mask | (1 << (F + 1)), (X, F)
         assert res.closure.semigroup_type() == res.closure.multiplicity() - 1  # Arf, so MED
-        assert seen == mask & ~_closure_mask(res.input_set, F)
+        assert seen == mask & ~sums_of(res.input_set, F)
 
 
 class TestAgainstPairFixpoint:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import threading
 import time
 from fractions import Fraction
 
@@ -25,8 +26,9 @@ from arfsemigroups import (
     brute_all_semigroups,
     enumerate_ar,
 )
-from arfsemigroups.core import _DENSE, _canonical_key, _iter_bits, _selector
+from arfsemigroups.core import _DENSE, _canonical_key, _closure_mask, _iter_bits, _selector
 import member_shifts
+from pair_fixpoint import sums_of
 from full_check import assert_checked, count_full_checks, full_check_accepts
 
 
@@ -295,6 +297,35 @@ class TestIterBits:
         for _ in range(100):
             assert list(_iter_bits(mask)) == [0, 30_000, (1 << 16) - 1]
         assert time.perf_counter() - started < 0.1
+
+
+def _sums_loop(A, k):
+    """<A> over [0, k] for a mask A, by the literal rule of ``pair_fixpoint.sums_of``."""
+    return sums_of([a for a in range(1, A.bit_length()) if (A >> a) & 1], k)
+
+
+class TestClosureMask:
+    def test_matches_the_literal_loop(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            k = rng.randrange(300)
+            if rng.random() < 0.5:  # a few elements
+                A = sum(1 << rng.randrange(k + 1) for _ in range(rng.randrange(5)))
+            else:  # about one bit in eight
+                A = rng.getrandbits(k + 1) & rng.getrandbits(k + 1) & rng.getrandbits(k + 1)
+            B = A & rng.getrandbits(A.bit_length() + 1)  # a start <B> inside <A>
+            limit, expected = (1 << (k + 1)) - 1, _sums_loop(A, k)
+            assert _closure_mask(A, limit) == expected, (A, k)
+            assert _closure_mask(A, limit, _sums_loop(B, k)) == expected, (A, B, k)
+
+    def test_bits_above_the_limit_are_ignored(self):
+        # a bit above the limit that was not masked off would stay missing, and the loop never end
+        A, k, result = 1 << 400 | 1 << 7 | 1 << 5, 300, []
+        worker = threading.Thread(target=lambda: result.append(_closure_mask(A, (1 << (k + 1)) - 1)), daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert result == [_sums_loop(A, k)]  # the sums of 5 and 7 up to k
 
 
 class TestPredicates:

@@ -114,6 +114,15 @@ class TestValidation:
         with pytest.raises(InvalidSequenceError):
             ArfSequence((2, 1))
 
+    @pytest.mark.parametrize("terms", [[2, 2, 4], ("2", "2", "4"), iter([2, 2, 4])])
+    def test_arf_sequence_keeps_the_terms_it_checked(self, terms):
+        # a list, strings or an iterator are stored as the tuple of ints that was validated
+        q = ArfSequence(terms)
+        assert q.terms == (2, 2, 4)
+        assert q == ArfSequence((2, 2, 4)) and hash(q) == hash(ArfSequence((2, 2, 4)))
+        assert q.total == 8
+        assert semigroup_of_sequence(q) == semigroup_of_sequence((2, 2, 4))
+
 
 class TestConversion:
     def test_semigroup_of_sequence(self):
