@@ -28,13 +28,15 @@ from .core import (
     NumericalSemigroup,
     _apery_mask,
     _axioms_hold,
+    _check_frobenius,
     _closed,
     _closure_mask,
     _difference_sequence,
+    _integer,
     _iter_bits,
     _not_member_ar,
 )
-from .errors import InvalidFrobeniusError, ScaleLimitError
+from .errors import ScaleLimitError
 
 # The chain shifts a bitmask over [0, F] per step and can take F/3 steps, so its cost is
 # quadratic in F.  Budget: every accepted F finishes within 2 s.  The slowest inputs found at
@@ -74,11 +76,10 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
     ascending, for the steps that added any: the running sum, or r + T_i at
     the last step.  On an accepted set their union is the hull minus <X>.
     """
-    if frobenius < 1:
-        raise InvalidFrobeniusError(f"frobenius must be >= 1, got {frobenius}")
+    _check_frobenius(frobenius)
     if frobenius > _HULL_LIMIT:
         raise ScaleLimitError(f"hull chain over {frobenius} bits refused (limit {_HULL_LIMIT})")
-    xs = tuple(sorted({int(x) for x in X}))
+    xs = tuple(sorted(set(map(_integer, X))))
     if any(x < 1 or x > frobenius for x in xs):
         return ClosureResult(frobenius, xs, False, None, ())
     F, limit = frobenius, (1 << (frobenius + 1)) - 1
@@ -151,8 +152,7 @@ def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:
 def rank_one_catalog(frobenius: int) -> list[NumericalSemigroup]:
     """All rank-one members: multiples of m up to F plus everything past F,
     for each m with 2 <= m < F not dividing F.  Ascending in m."""
-    if frobenius < 2:
-        raise InvalidFrobeniusError(f"frobenius must be >= 2, got {frobenius}")
+    _check_frobenius(frobenius, least=2)
     top = 1 << (frobenius + 1)  # the multiples of m up to F miss F and are closed
     return [_closed(frobenius, _closure_mask(1 << m, top - 1) | top) for m in range(2, frobenius) if frobenius % m]
 
@@ -178,6 +178,5 @@ def _divisor_count(n: int) -> int:
 def count_rank_one(frobenius: int) -> int:
     """Size of the rank-one catalog without building it: F minus the number
     of divisors of F, counted from the factorisation of F."""
-    if frobenius < 2:
-        raise InvalidFrobeniusError(f"frobenius must be >= 2, got {frobenius}")
+    _check_frobenius(frobenius, least=2)
     return frobenius - _divisor_count(frobenius)

@@ -171,11 +171,25 @@ def _closure_mask(A: int, limit: int, reach: int = 1) -> int:
     return reach
 
 
+def _integer(x: object) -> int:
+    """An element of an input list as an int: integer strings and integral numbers as ``int()`` reads
+    them, and ``ValueError`` for a fractional part (2.5, Fraction(5, 2)), which it would truncate."""
+    n = x if type(x) is int else int(x)
+    if n is x or n == x or isinstance(x, (str, bytes)):
+        return n
+    raise ValueError(f"{x!r} is not an integer")
+
+
+def _check_frobenius(frobenius: int, least: int = 1) -> None:
+    """Refuse a Frobenius number below ``least`` with ``InvalidFrobeniusError``."""
+    if frobenius < least:
+        raise InvalidFrobeniusError(f"frobenius must be >= {least}, got {frobenius}")
+
+
 def _check_tree_frobenius(frobenius: int) -> None:
     """Refuse, before any walk, a Frobenius number whose tree on Ar(F) is not walked:
     F < 1 (``InvalidFrobeniusError``) or F above ``_TREE_LIMIT`` (``ScaleLimitError``)."""
-    if frobenius < 1:
-        raise InvalidFrobeniusError(f"frobenius must be >= 1, got {frobenius}")
+    _check_frobenius(frobenius)
     if frobenius > _TREE_LIMIT:
         raise ScaleLimitError(f"tree walk for Frobenius number {frobenius} refused (limit {_TREE_LIMIT})")
 
@@ -300,8 +314,7 @@ class NumericalSemigroup:
     @classmethod
     def delta(cls, frobenius: int) -> NumericalSemigroup:
         """{0, F+1, ->}: the smallest semigroup with the given Frobenius number."""
-        if frobenius < 1:
-            raise InvalidFrobeniusError(f"frobenius must be >= 1, got {frobenius}")
+        _check_frobenius(frobenius)
         return _closed(frobenius, 1 | (1 << (frobenius + 1)))
 
     @classmethod
@@ -311,7 +324,7 @@ class NumericalSemigroup:
         Raises ``EmptyInputError`` on an empty collection and
         ``NotCofiniteError`` when gcd(gens) != 1.
         """
-        gs = sorted({int(g) for g in gens})
+        gs = sorted(set(map(_integer, gens)))
         if not gs:
             raise EmptyInputError("at least one generator is required")
         if gs[0] < 1:

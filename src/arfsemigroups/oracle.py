@@ -7,8 +7,8 @@ search is exponential in F, so it is capped hard.
 
 from __future__ import annotations
 
-from .core import NumericalSemigroup
-from .errors import InvalidFrobeniusError, ScaleLimitError
+from .core import NumericalSemigroup, _check_frobenius
+from .errors import ScaleLimitError
 
 _MAX_BRUTE_FROBENIUS = 14
 
@@ -21,8 +21,7 @@ def brute_all_semigroups(frobenius: int) -> list[NumericalSemigroup]:
     branch that would exclude it dies immediately, and any branch whose
     chosen members sum to F dies as well.  Refuses F > 14.
     """
-    if frobenius < 1:
-        raise InvalidFrobeniusError(f"frobenius must be >= 1, got {frobenius}")
+    _check_frobenius(frobenius)
     if frobenius > _MAX_BRUTE_FROBENIUS:
         raise ScaleLimitError(
             f"subset search over 2^{frobenius - 1} candidates refused"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import (
-    NumericalSemigroup, _axioms_hold, _check_tree_frobenius, _closed, _difference_sequence, _refinement_free_masks
+    NumericalSemigroup, _axioms_hold, _check_tree_frobenius, _closed, _difference_sequence, _integer, _refinement_free_masks
 )
 from .errors import (
     EmptyInputError,
@@ -35,7 +35,7 @@ from .errors import (
 def _as_terms(seq: Iterable[int] | "ArfSequence") -> tuple[int, ...]:
     if isinstance(seq, ArfSequence):
         return seq.terms
-    xs = tuple(int(x) for x in seq)
+    xs = tuple(map(_integer, seq))
     if not xs:
         raise EmptyInputError("a sequence needs at least one term")
     return xs
@@ -81,14 +81,13 @@ def _unchecked(terms: tuple[int, ...]) -> ArfSequence:
 def semigroup_of_sequence(seq: Iterable[int] | ArfSequence) -> NumericalSemigroup:
     """The Arf semigroup {0, x_n, x_n + x_{n-1}, ..., x_n + ... + x_1, ->}.
 
-    The total of the sequence is F+1.  Invalid input raises
-    ``InvalidSequenceError``; an ``ArfSequence`` was validated when built.
+    The total of the sequence is F+1.  Any other input is built into an
+    ``ArfSequence``, which raises ``InvalidSequenceError`` if it is invalid.
     """
-    xs = _as_terms(seq)
-    if not isinstance(seq, ArfSequence) and not _axioms_hold(xs):
-        raise InvalidSequenceError(f"{xs} violates the sequence axioms")
+    if not isinstance(seq, ArfSequence):
+        seq = ArfSequence(seq)
     run, mask = 0, 1
-    for x in reversed(xs):
+    for x in reversed(seq.terms):
         run += x
         mask |= 1 << run
     return _closed(run - 1, mask)
@@ -133,13 +132,13 @@ def _valid_splits(xs: tuple[int, ...]) -> Iterator[tuple[int, int]]:
 def iter_refinements(seq: Iterable[int] | ArfSequence) -> Iterator[tuple[int, int, ArfSequence]]:
     """All valid single splits as (position, split value, refined sequence).
 
-    Input that violates the axioms raises ``InvalidSequenceError`` before
-    anything is yielded.  A valid split of a valid sequence is valid, so the
-    refined sequences are built unchecked.
+    Input other than an ``ArfSequence`` is built into one, which raises
+    ``InvalidSequenceError`` before anything is yielded.  A valid split of a
+    valid sequence is valid, so the refined sequences are built unchecked.
     """
-    xs = _as_terms(seq)
-    if not isinstance(seq, ArfSequence) and not _axioms_hold(xs):
-        raise InvalidSequenceError(f"{xs} violates the sequence axioms")
+    if not isinstance(seq, ArfSequence):
+        seq = ArfSequence(seq)
+    xs = seq.terms
     for i, a in _valid_splits(xs):
         yield i, a, _unchecked(xs[: i - 1] + (a, xs[i - 1] - a) + xs[i:])
 

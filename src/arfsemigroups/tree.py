@@ -67,9 +67,6 @@ class CovarietyTree:
         index = {mask: i for i, mask in enumerate(self.masks)}
         return sorted(index[mask] for mask in _refinement_free_masks(self.frobenius))
 
-    def maximal_semigroups(self) -> list[NumericalSemigroup]:
-        return [_closed(self.frobenius, self.masks[i]) for i in self.maximal_indices()]
-
 
 def is_member_ar(S: NumericalSemigroup, frobenius: int) -> bool:
     """True iff S is an Arf semigroup whose Frobenius number is ``frobenius``."""
@@ -125,7 +122,7 @@ def enumerate_ar(frobenius: int) -> CovarietyTree:
     """
     _check_tree_frobenius(frobenius)
     F = frobenius
-    masks, parents, mults = [NumericalSemigroup.delta(F).mask], [-1], [F + 1]
+    masks, parents, mults = [1 | 1 << (F + 1)], [-1], [F + 1]  # the root {0, F+1, ->}
     first, fill = 0, _fill(F)
     while first < len(masks):
         buckets = _level_step(masks, mults, first, fill)

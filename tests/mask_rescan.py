@@ -5,9 +5,12 @@ sequences, which tests each term once, on the terms before it, and never
 reaches the members below a term that splits.  Here every node of the whole
 tree is kept and every term of its sequence is tested afresh on its mask, so
 a fault in the walk's split test or in its pruning shows up as a
-disagreement with this scan.
+disagreement with this scan.  ``maximal_semigroups`` gives the nodes that the
+package's lookup ``CovarietyTree.maximal_indices`` picks, as semigroups, for
+the tests that compare the tree's maximal members with other routes.
 """
 
+from arfsemigroups.core import NumericalSemigroup
 from arfsemigroups.tree import _fill
 
 
@@ -30,3 +33,8 @@ def maximal_by_rescan(tree):
     """Indices of the nodes of ``tree`` whose masks admit no split, in node order."""
     F, fill = tree.frobenius, _fill(tree.frobenius)
     return [i for i, mask in enumerate(tree.masks) if next(mask_splits(F, mask | fill), None) is None]
+
+
+def maximal_semigroups(tree):
+    """The semigroups of the nodes ``tree.maximal_indices()`` names, in node order."""
+    return [NumericalSemigroup(tree.frobenius, tree.masks[i]) for i in tree.maximal_indices()]

@@ -15,7 +15,7 @@ from arfsemigroups.core import _iter_bits
 
 
 def pair_fixpoint(xs, F):
-    """(is_ar_set, mask over [0, F] of the fixpoint, added elements per round).
+    """(is_ar_set, mask over [0, F] of the fixpoint).
 
     ``xs`` are positive integers at most F.  The first rounds add the sums
     of elements of ``xs`` too.  On a refused set the mask is the one in
@@ -23,7 +23,6 @@ def pair_fixpoint(xs, F):
     """
     low = (1 << (F + 1)) - 1
     cur = 1 | sum(1 << x for x in xs)
-    stages = []
     while not (cur >> F) & 1:
         new = cur
         for y in _iter_bits(cur & ~1):
@@ -31,10 +30,9 @@ def pair_fixpoint(xs, F):
             for z in _iter_bits(cur & ((1 << (y + 1)) - 1)):
                 new |= (at_least_y << (y - z)) & low
         if new == cur:
-            return True, cur, tuple(stages)
-        stages.append(tuple(_iter_bits(new & ~cur)))
+            return True, cur
         cur = new
-    return False, cur, tuple(stages)
+    return False, cur
 
 
 def sums_of(xs, F):

@@ -38,7 +38,7 @@ from arfsemigroups import (
 )
 from arfsemigroups.core import _TREE_LIMIT, _canonical_key
 from cli_runner import run as run_cli
-from mask_rescan import maximal_by_rescan
+from mask_rescan import maximal_by_rescan, maximal_semigroups
 
 
 def test_01_enumerate_f5_gives_the_four_known_members():
@@ -149,7 +149,7 @@ def test_08_sequence_bijection_roundtrip_and_split_rule():
                     assert ((i, a) in splits) == validate_sequence(spliced)
     for F in range(1, 13):
         free = refinement_free_sequences(F)
-        maximal = enumerate_ar(F).maximal_semigroups()
+        maximal = maximal_semigroups(enumerate_ar(F))
         assert len(free) == len(maximal)
         assert {semigroup_of_sequence(s) for s in free} == set(maximal)
     assert time.perf_counter() - started < 60.0
@@ -176,7 +176,7 @@ def test_10_tree_walk_sequence_generator_and_oracle_agree():
             child, parent = differences[child_i], differences[parent_i]
             assert child[:-2] == parent[:-1] and child[-2] + child[-1] == parent[-1]
         free = {semigroup_of_sequence(q) for q in refinement_free_sequences(F)}
-        assert set(tree.maximal_semigroups()) == free
+        assert set(maximal_semigroups(tree)) == free
         if F <= 14:
             brute = [S for S in brute_all_semigroups(F) if brute_is_arf(S)]
             assert set(tree.semigroups()) == set(brute)

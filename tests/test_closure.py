@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
@@ -36,6 +37,9 @@ class TestClosure:
         assert res.closure.minimal_generators() == (6, 8, 10, 31, 33, 35)
         assert res.closure.small_elements() == (0,) + tuple(range(6, 29, 2))
         assert all(x in res.closure for x in (6, 8))
+        # integral numbers are read as their ints
+        assert ar_closure([6.0, Fraction(16, 2)], 29) == res
+        assert ar_closure([True, 2], 5).input_set == (1, 2)
 
     def test_stages_of_worked_example(self):
         res = ar_closure([6, 8], 29)
@@ -96,6 +100,12 @@ class TestClosure:
     def test_limits(self):
         with pytest.raises(InvalidFrobeniusError):
             ar_closure([2], 0)
+        with pytest.raises(InvalidFrobeniusError, match=r"^frobenius must be >= 1, got 0$"):
+            ar_closure([], 0)
+        # int() would truncate these to [6, 8]
+        for X in ([6.9, 8.2], [6, Fraction(17, 2)]):
+            with pytest.raises(ValueError, match="is not an integer"):
+                ar_closure(X, 29)
         with pytest.raises(ScaleLimitError):
             ar_closure([2], _HULL_LIMIT + 1)
 
@@ -119,7 +129,7 @@ class TestClosure:
 def assert_matches_pair_fixpoint(X, F):
     """The chain and the pair fixpoint agree on X; the stages split the hull minus <X>."""
     res = ar_closure(X, F)
-    accepted, mask, _ = pair_fixpoint(res.input_set, F)
+    accepted, mask = pair_fixpoint(res.input_set, F)
     assert res.is_ar_set == accepted, (X, F)
     seen = 0
     for stage in res.stages:
@@ -283,9 +293,9 @@ class TestRankOne:
         assert count_rank_one(F) == F - divisors
 
     def test_limits(self):
-        with pytest.raises(InvalidFrobeniusError):
+        with pytest.raises(InvalidFrobeniusError, match=r"^frobenius must be >= 2, got 1$"):
             rank_one_catalog(1)
-        with pytest.raises(InvalidFrobeniusError):
+        with pytest.raises(InvalidFrobeniusError, match=r"^frobenius must be >= 2, got 1$"):
             count_rank_one(1)
 
 

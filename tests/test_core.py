@@ -36,6 +36,10 @@ def sg(*gens):
     return NumericalSemigroup.from_generators(gens)
 
 
+class Int(int):
+    """An int subclass, read as the plain int it holds."""
+
+
 class TestConstruction:
     def test_from_generators_basic(self):
         S = sg(5, 7, 9)
@@ -45,6 +49,8 @@ class TestConstruction:
 
     def test_generator_order_and_duplicates_ignored(self):
         assert sg(9, 5, 7, 5) == sg(5, 7, 9)
+        # integral numbers and integer strings are read as their ints
+        assert sg(9.0, Fraction(10, 2), Int(7), "5") == sg(5, 7, 9)
 
     def test_gcd_failure(self):
         with pytest.raises(NotCofiniteError):
@@ -59,10 +65,15 @@ class TestConstruction:
             sg(0, 3)
         with pytest.raises(ValueError):
             sg(-2, 3)
+        # int() would truncate these to <2, 3>
+        for fractional in (2.5, Fraction(5, 2)):
+            with pytest.raises(ValueError, match="is not an integer"):
+                sg(fractional, 3)
 
     def test_one_generates_everything(self):
         assert sg(1).is_natural()
         assert sg(3, 5, 1).is_natural()
+        assert sg(True, 3).is_natural()
 
     def test_scale_limit(self):
         with pytest.raises(ScaleLimitError):
@@ -73,7 +84,7 @@ class TestConstruction:
         assert d.small_elements() == (0,)
         assert d.frobenius == 5
         assert d == sg(6, 7, 8, 9, 10, 11)
-        with pytest.raises(InvalidFrobeniusError):
+        with pytest.raises(InvalidFrobeniusError, match=r"^frobenius must be >= 1, got 0$"):
             NumericalSemigroup.delta(0)
 
     def test_from_small_elements(self):

@@ -45,7 +45,7 @@ def test_known_members_present():
 def test_scale_refusal():
     with pytest.raises(ScaleLimitError):
         brute_all_semigroups(15)
-    with pytest.raises(InvalidFrobeniusError):
+    with pytest.raises(InvalidFrobeniusError, match=r"^frobenius must be >= 1, got 0$"):
         brute_all_semigroups(0)
 
 

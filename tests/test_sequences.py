@@ -1,6 +1,7 @@
 """Tests for sequence validation, conversion, refinements and maximal members."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,6 +47,10 @@ def validate_by_axiom_walk(xs):
     return True
 
 
+class Int(int):
+    """An int subclass, read as the plain int it holds."""
+
+
 def compositions(total):
     """Every tuple of positive integers summing to ``total``."""
     if total == 0:
@@ -86,6 +91,14 @@ class TestValidation:
         with pytest.raises(EmptyInputError):
             validate_sequence(())
 
+    @pytest.mark.parametrize("term", [2.5, Fraction(5, 2)])
+    def test_fractional_terms_rejected(self, term):
+        # int() would truncate them to 2, a valid sequence with a proper refinement
+        for call in (ArfSequence, validate_sequence, semigroup_of_sequence, admits_proper_refinement,
+                     lambda xs: list(iter_refinements(xs))):
+            with pytest.raises(ValueError, match="is not an integer"):
+                call((2, 2, term, 8))
+
     def test_matches_axiom_walk_on_every_composition_up_to_14(self):
         checked = 0
         for total in range(1, 15):
@@ -114,11 +127,14 @@ class TestValidation:
         with pytest.raises(InvalidSequenceError):
             ArfSequence((2, 1))
 
-    @pytest.mark.parametrize("terms", [[2, 2, 4], ("2", "2", "4"), iter([2, 2, 4])])
+    @pytest.mark.parametrize(
+        "terms", [[2, 2, 4], ("2", "2", "4"), iter([2, 2, 4]), (2.0, Fraction(4, 2), Int(4))]
+    )
     def test_arf_sequence_keeps_the_terms_it_checked(self, terms):
-        # a list, strings or an iterator are stored as the tuple of ints that was validated
+        # a list, strings, an iterator or integral numbers are stored as the tuple of ints that
+        # was validated
         q = ArfSequence(terms)
-        assert q.terms == (2, 2, 4)
+        assert q.terms == (2, 2, 4) and all(type(x) is int for x in q.terms)
         assert q == ArfSequence((2, 2, 4)) and hash(q) == hash(ArfSequence((2, 2, 4)))
         assert q.total == 8
         assert semigroup_of_sequence(q) == semigroup_of_sequence((2, 2, 4))

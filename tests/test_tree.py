@@ -27,7 +27,7 @@ from arfsemigroups import (
 from arfsemigroups.core import _TREE_LIMIT, _iter_bits, _multiplicity
 from arfsemigroups.tree import _fill
 from full_check import assert_checked
-from mask_rescan import mask_splits
+from mask_rescan import mask_splits, maximal_semigroups
 from prefix_walk import splits_by_prefix_walk
 
 # |Ar(F)| for F = 1..12, frozen from the brute-force oracle
@@ -282,7 +282,7 @@ class TestEnumeration:
                 assert [child.multiplicity() for child in children(S)] == es, (F, S)
 
     def test_limits(self):
-        with pytest.raises(InvalidFrobeniusError):
+        with pytest.raises(InvalidFrobeniusError, match=r"^frobenius must be >= 1, got 0$"):
             enumerate_ar(0)
         with pytest.raises(ScaleLimitError, match=f"limit {_TREE_LIMIT}"):
             enumerate_ar(_TREE_LIMIT + 1)
@@ -299,7 +299,7 @@ class TestEnumeration:
     def test_maximal_against_sequence_route(self):
         for F in range(1, 13):
             tree = enumerate_ar(F)
-            via_tree = {S.small_elements() for S in tree.maximal_semigroups()}
+            via_tree = {S.small_elements() for S in maximal_semigroups(tree)}
             via_seq = {S.small_elements() for S in maximal_elements(F)}
             assert via_tree == via_seq
 
