@@ -5,14 +5,15 @@ parser's ``fn`` default.  The functions look up the library calls as module
 globals when they run, so those can be replaced from outside (a tracer
 wrapping ``enumerate_ar``, say) without rebuilding the parser.
 
-Exit codes: 0 on success, 1 for a negative domain outcome (a set with no
-hull, an invalid sequence, a non-Arf input where membership is required),
+Exit codes: 0 on success; 1 for a domain "no" (a set with no hull, an
+invalid sequence, a non-Arf input where membership is required), shown as
+the command's record on stdout or as the library's own message on stderr;
 2 for unusable input: a usage error reported by the parser, or ``Error:
-<message>`` on stderr for a value the command refuses.  A refusal is raised
-where it is decided, as ``CliError`` here or as a library error (an empty or
-non-cofinite generator set, a Frobenius number out of range, a scale limit),
-and ``main`` is the one place that turns it into status 2.  All stdout
-output is deterministic; the optional ``--stats`` report carries a wall-time
+<message>`` on stderr.  An outcome is raised where it is decided, as
+``CliError`` here or as a library error, and ``main`` is the one place that
+maps it to a status: ``NotInCovarietyError`` and ``InvalidSequenceError``
+to 1, any other ``SemigroupError`` and ``CliError`` to 2.  All stdout output
+is deterministic; the optional ``--stats`` report carries a wall-time
 measurement and therefore goes to stderr.
 """
 
@@ -27,14 +28,7 @@ from functools import partial
 from . import serialize
 from .closure import ar_closure, count_rank_one, minimal_ar_generators, rank_one_catalog
 from .core import NumericalSemigroup, _canonical_key, _refinement_free_masks
-from .errors import (
-    EmptyInputError,
-    InvalidFrobeniusError,
-    InvalidSequenceError,
-    NotCofiniteError,
-    NotInCovarietyError,
-    ScaleLimitError,
-)
+from .errors import InvalidSequenceError, NotInCovarietyError, SemigroupError
 from .sequences import (
     ArfSequence,
     admits_proper_refinement,
@@ -86,8 +80,6 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
 
 def _terms(text: str) -> tuple[int, ...]:
     xs = _int_list(text, "term")
-    if not xs:
-        raise CliError("at least one term is required")
     total = sum(xs)
     if total > _SEQ_LIMIT:
         raise CliError(f"sequence total {total} refused (limit {_SEQ_LIMIT})")
@@ -214,13 +206,9 @@ def cmd_closure(frobenius: str, elements: str, fmt: str) -> int | None:
         return 1
 
 
-def cmd_minimal_gens(generators: str, fmt: str) -> int | None:
+def cmd_minimal_gens(generators: str, fmt: str) -> None:
     S = _build_semigroup(generators)
-    try:
-        minimal = minimal_ar_generators(S)
-    except NotInCovarietyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    minimal = minimal_ar_generators(S)
     if fmt == "json":
         print(
             serialize.dumps(
@@ -285,13 +273,8 @@ def seq_validate(terms: str, fmt: str) -> int | None:
         )
 
 
-def seq_semigroup(terms: str, fmt: str) -> int | None:
-    xs = _terms(terms)
-    try:
-        S = semigroup_of_sequence(ArfSequence(xs))
-    except InvalidSequenceError:
-        print(f"{','.join(str(x) for x in xs)} violates the sequence axioms", file=sys.stderr)
-        return 1
+def seq_semigroup(terms: str, fmt: str) -> None:
+    S = semigroup_of_sequence(_terms(terms))
     semigroup = serialize.semigroup_dict(S)  # S is Arf, so MED: the type is m - 1
     if fmt == "json":
         print(serialize.dumps(semigroup))
@@ -299,13 +282,9 @@ def seq_semigroup(terms: str, fmt: str) -> int | None:
         print(serialize.render_pairs(semigroup.items()))
 
 
-def seq_refinements(terms: str, fmt: str) -> int | None:
+def seq_refinements(terms: str, fmt: str) -> None:
     xs = _terms(terms)
-    try:
-        refined = list(iter_refinements(ArfSequence(xs)))  # the one validation
-    except InvalidSequenceError:
-        print(f"{','.join(str(x) for x in xs)} violates the sequence axioms", file=sys.stderr)
-        return 1
+    refined = list(iter_refinements(xs))
     if fmt == "json":
         print(
             serialize.dumps(
@@ -420,7 +399,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run ``arfsg`` on ``argv`` (default ``sys.argv[1:]``) and return the exit status.
 
     Usage errors (status 2) and ``--help`` (status 0) leave through the
-    parser's ``SystemExit``.  When the reader of stdout has gone, as in
+    parser's ``SystemExit``; every other outcome a command raises is mapped
+    to its status here.  When the reader of stdout has gone, as in
     ``arfsg enumerate 80 | head -1``, the rest of the output is dropped
     quietly with status 1.
     """
@@ -431,7 +411,10 @@ def main(argv: list[str] | None = None) -> int:
             return fn(**params) or 0
         finally:
             sys.stdout.flush()  # a closed pipe raises here rather than at interpreter exit
-    except (CliError, EmptyInputError, InvalidFrobeniusError, NotCofiniteError, ScaleLimitError) as exc:
+    except (NotInCovarietyError, InvalidSequenceError) as exc:  # a domain "no"
+        print(exc, file=sys.stderr)
+        return 1
+    except (CliError, SemigroupError) as exc:
         print(f"Error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -114,11 +114,12 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
 
 
 def _is_arf(T: int, c: int) -> bool:
-    """Is the semigroup with mask T over [0, c], and everything above c, Arf?"""
-    gaps = ~T & ((1 << (c + 1)) - 1)
-    if not gaps:
-        return True  # the naturals
-    f = gaps.bit_length() - 1  # its Frobenius number: the sequence runs over the members up to f+1
+    """Is the semigroup with mask T over [0, c], and everything above c, Arf?
+
+    Precondition: T has a gap.  The hull chain calls this only when m > 1, so 1 is one.
+    """
+    # its Frobenius number: the sequence runs over the members up to f+1
+    f = (~T & ((1 << (c + 1)) - 1)).bit_length() - 1
     return _axioms_hold(_difference_sequence(T & ((1 << f) - 1) | 1 << (f + 1)))
 
 

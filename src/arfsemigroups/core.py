@@ -353,6 +353,12 @@ class NumericalSemigroup:
     # -- membership and element views --------------------------------------
 
     def __contains__(self, x: int) -> bool:
+        """Membership of an integer; an integral value such as 7.0 is tested as its int, and a
+        number with a fractional part is no member, below F as above it."""
+        if type(x) is not int:
+            if x % 1:
+                return False
+            x = int(x)
         if x < 0:
             return False
         if x > self.frobenius:

@@ -37,7 +37,7 @@ def _as_terms(seq: Iterable[int] | "ArfSequence") -> tuple[int, ...]:
         return seq.terms
     xs = tuple(map(_integer, seq))
     if not xs:
-        raise EmptyInputError("a sequence needs at least one term")
+        raise EmptyInputError("at least one term is required")
     return xs
 
 
@@ -55,7 +55,7 @@ class ArfSequence:
     def __post_init__(self):
         object.__setattr__(self, "terms", _as_terms(self.terms))
         if not validate_sequence(self):
-            raise InvalidSequenceError(f"{self.terms} violates the sequence axioms")
+            raise InvalidSequenceError(f"{','.join(map(str, self.terms))} violates the sequence axioms")
 
     @property
     def total(self) -> int:

@@ -240,5 +240,5 @@ def sequence_obj(
     obj: dict[str, Any] = {"sequence": list(terms), "valid": valid}
     if valid:
         obj["refinement_free"] = refinement_free
-        obj["semigroup"] = semigroup_dict(semigroup) if semigroup is not None else None
+        obj["semigroup"] = semigroup_dict(semigroup)
     return obj

@@ -122,6 +122,24 @@ def test_07_structural_properties_hold_on_every_node_up_to_f12():
             assert S.minimal_generators() == generators_by_membership(S)
 
 
+def test_07_abstract_properties_hold_as_mask_identities_up_to_f40():
+    # the abstract's three properties of Ar(F), on the tree's masks over [0, F+1] and plain AND:
+    # the minimum is {0, F+1, ->}, members are closed under intersection, and removing the
+    # multiplicity (the lowest positive bit) of any other member gives a member
+    for F in range(1, 41):
+        masks = enumerate_ar(F).masks
+        root = 1 | 1 << (F + 1)
+        universe = set(masks)
+        common = masks[0]
+        for i, a in enumerate(masks):
+            common &= a
+            assert all(a & b in universe for b in masks[i + 1:]), F
+            if a != root:
+                low = a & ~1
+                assert a ^ (low & -low) in universe, (F, a)
+        assert common == root, F
+
+
 def _nondecreasing_tuples(total, minimum=2):
     if total == 0:
         yield ()

@@ -361,10 +361,13 @@ class TestMinimalGens:
         assert obj["minimal_system"] == [6, 8] and obj["rank"] == 2
 
     def test_not_arf_exits_one(self):
-        res = run("minimal-gens", "5,7,9")
-        assert res.exit_code == 1
-        assert res.stdout == ""
-        assert res.stderr.strip()
+        for generators, described in [
+            ("5,7,9", "the semigroup with Frobenius number 13 and multiplicity 5"),
+            ("1", "the naturals"),
+        ]:
+            res = run("minimal-gens", generators)
+            message = f"{described} is not an Arf semigroup with positive Frobenius number\n"
+            assert (res.exit_code, res.stdout, res.stderr) == (1, "", message)
 
     def test_not_arf_error_is_short_for_a_large_semigroup(self):
         # F = 130,319: listing the members would write about 480 kB
@@ -471,9 +474,12 @@ class TestSeq:
         assert got["small_elements"] == "0,8,10,12"
         obj = json.loads(run("seq", "semigroup", "2,2,2,8", "--format", "json").stdout)
         assert obj["small_elements"] == [0, 8, 10, 12]
-        res = run("seq", "semigroup", "3,2")
-        assert res.exit_code == 1
-        assert "violates" in res.stderr
+
+    @pytest.mark.parametrize("command", ["semigroup", "refinements"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_invalid_terms_exit_one_with_the_library_message(self, command, fmt):
+        res = run("seq", command, "3,2", "--format", fmt)
+        assert (res.exit_code, res.stdout, res.stderr) == (1, "", "3,2 violates the sequence axioms\n")
 
     def test_refinements(self):
         res = run("seq", "refinements", "2,2,2,8")
@@ -726,6 +732,8 @@ class TestBadInput:
             (("rank-one", "1", "--count"), "frobenius must be >= 2, got 1"),
             (("rank-one", "1501"), "rank-one listing for Frobenius number 1501 refused (limit 1500; --count has none)"),
             (("seq", "validate", "8000,193"), "sequence total 8193 refused (limit 8192)"),
+            (("seq", "semigroup", ""), "at least one term is required"),
+            (("seq", "refinements", " "), "at least one term is required"),
         ],
     )
     def test_refusals_are_one_error_line(self, args, message):

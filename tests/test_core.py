@@ -92,10 +92,16 @@ class TestConstruction:
         assert S == sg(5, 7, 9)
 
     def test_mask_validation(self):
-        with pytest.raises(ValueError):
-            NumericalSemigroup(5, 0b1000001 | (1 << 5))  # frobenius bit set
-        with pytest.raises(ValueError):
-            NumericalSemigroup(5, 0b1000110)  # 1,2 in but 3=1+2 missing
+        for frobenius, mask, message in [
+            (5, 0b1000001 | (1 << 5), "mask must contain 0 and frobenius"),  # frobenius bit set
+            (5, 0b1000110, "mask must contain 0 and frobenius"),  # 0 left out
+            (5, 0b1000111, r"not additively closed: 1 \+ 2 = 3 is missing"),  # 1,2 in but 3=1+2 missing
+            (-1, 3, "the naturals are encoded as frobenius=-1, mask=1"),
+            (0, 3, "frobenius must be -1 or >= 1, got 0"),
+            (5, 0b1000001 | (1 << 7), r"mask has bits beyond frobenius\+1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                NumericalSemigroup(frobenius, mask)
 
     def test_full_check_runs_only_on_masks_from_outside(self, monkeypatch):
         calls = count_full_checks(monkeypatch)
@@ -111,6 +117,11 @@ class TestConstruction:
         S = sg(5, 7, 9)
         assert 0 in S and 5 in S and 14 in S and 10**9 in S
         assert 13 not in S and 4 not in S and -1 not in S
+        # one rule on both sides of F = 5: a fractional part is no member, an integral value is its int
+        d = NumericalSemigroup.delta(5)
+        assert 2.5 not in d and 7.5 not in d and Fraction(13, 2) not in d and -0.5 not in d
+        assert 0.0 in d and 6.0 in d and 7.0 in d and Fraction(12, 2) in d
+        assert 2.0 not in d and True not in d  # True is 1, a gap
 
 
 class TestAccessors:
@@ -133,6 +144,7 @@ class TestAccessors:
         assert N.small_count() == 0
         assert N.minimal_generators() == (1,)
         assert N.small_elements() == () and N.gaps() == ()
+        assert repr(N) == "NumericalSemigroup.natural()"
 
     def test_gap_count_complements_small_count(self):
         for gens in [(2, 7), (3, 7, 8), (4, 6, 21, 23), (5, 8, 9, 12)]:
@@ -166,6 +178,9 @@ class TestApery:
             sg(5, 7, 9).apery_set(6)
         with pytest.raises(NotAMemberError):
             sg(5, 7, 9).apery_set(0)
+        for n in (2.5, 7.5):  # below and above F = 5
+            with pytest.raises(NotAMemberError, match=rf"^{n} is not a nonzero member$"):
+                NumericalSemigroup.delta(5).apery_set(n)
 
     def test_apery_naturals(self):
         assert NumericalSemigroup.natural().apery_set(1) == (0,)

@@ -88,7 +88,7 @@ class TestValidation:
         assert validate_sequence((2, 3))
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(EmptyInputError, match=r"^at least one term is required$"):
             validate_sequence(())
 
     @pytest.mark.parametrize("term", [2.5, Fraction(5, 2)])
@@ -124,7 +124,7 @@ class TestValidation:
     def test_arf_sequence_type(self):
         q = ArfSequence((2, 2, 4))
         assert q.total == 8 and len(q) == 3 and q[2] == 4 and list(q) == [2, 2, 4]
-        with pytest.raises(InvalidSequenceError):
+        with pytest.raises(InvalidSequenceError, match=r"^2,1 violates the sequence axioms$"):
             ArfSequence((2, 1))
 
     @pytest.mark.parametrize(
