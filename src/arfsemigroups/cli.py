@@ -1,9 +1,13 @@
 """Command-line surface: the ``arfsg`` commands on one argparse parser, built at import.
 
 Each command is a plain function of its parsed parameters, chosen by the
-parser's ``fn`` default.  The functions look up the library calls as module
-globals when they run, so those can be replaced from outside (a tracer
-wrapping ``enumerate_ar``, say) without rebuilding the parser.
+parser's ``fn`` default.  A command is parsed by its own subparser, found
+from its name in ``argv``; the top-level parser handles only what no route
+matches (no command, ``--help``, an unknown command) and arguments the
+command leaves over, so its usage errors read as before.  The functions
+look up the library calls as module globals when they run, so those can be
+replaced from outside (a tracer wrapping ``enumerate_ar``, say) without
+rebuilding the parser.
 
 Exit codes: 0 on success; 1 for a domain "no" (a set with no hull, an
 invalid sequence, a non-Arf input where membership is required), shown as
@@ -305,8 +309,11 @@ def seq_refinements(terms: str, fmt: str) -> None:
     print("\n".join(lines))
 
 
-def _parser() -> argparse.ArgumentParser:
-    """The whole command tree.  Every parser takes ``--help`` and no abbreviated options."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The whole command tree, and each command's subparser keyed by the words that name it
+    (``("closure",)``, ``("seq", "validate")``).  Every parser takes ``--help`` and no
+    abbreviated options."""
+    routes = {}
 
     def parser(group, name: str, summary: str, more: str = ""):
         sub = group.add_parser(
@@ -319,6 +326,7 @@ def _parser() -> argparse.ArgumentParser:
         sub = parser(group, name, summary, more)
         sub.add_argument(argument.lower(), metavar=argument)
         sub.set_defaults(fn=fn)
+        routes[tuple(sub.prog.split()[1:])] = sub
         return sub
 
     def formats(sub, *choices: str) -> None:
@@ -389,22 +397,38 @@ def _parser() -> argparse.ArgumentParser:
         ("refinements", seq_refinements, "Every valid single split of TERMS.", "Exits 1 when TERMS is invalid."),
     ):
         formats(command(seq_commands, name, fn, "TERMS", summary, more), "table", "json")
-    return arfsg
+    return arfsg, routes
 
 
-_PARSER = _parser()
+_PARSER, _ROUTES = _parser()
+
+
+def _parse(argv: list[str]) -> dict:
+    """The parameters of ``argv``, parsed by its command's subparser alone when the first one or
+    two words name a command; anything else, and arguments the command leaves over, go to
+    ``_PARSER``, which reports them as the top level always has."""
+    for words in (1, 2):
+        sub = _ROUTES.get(tuple(argv[:words]))
+        if sub is not None:
+            params, rest = sub.parse_known_args(argv[words:])
+            if not rest:
+                return vars(params)
+            break
+    return vars(_PARSER.parse_args(argv))
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run ``arfsg`` on ``argv`` (default ``sys.argv[1:]``) and return the exit status.
 
-    Usage errors (status 2) and ``--help`` (status 0) leave through the
-    parser's ``SystemExit``; every other outcome a command raises is mapped
-    to its status here.  When the reader of stdout has gone, as in
+    The command is parsed by its own subparser; the top-level parser sees
+    only what no route matches and arguments a command leaves over.  Usage
+    errors (status 2) and ``--help`` (status 0) leave through the parser's
+    ``SystemExit``; every other outcome a command raises is mapped to its
+    status here.  When the reader of stdout has gone, as in
     ``arfsg enumerate 80 | head -1``, the rest of the output is dropped
     quietly with status 1.
     """
-    params = vars(_PARSER.parse_args(argv))
+    params = _parse(sys.argv[1:] if argv is None else argv)
     fn = params.pop("fn")
     try:
         try:

@@ -266,10 +266,10 @@ def _not_member_ar(S: NumericalSemigroup) -> NotInCovarietyError:
     The message names S by its Frobenius number and multiplicity, so it
     stays short however large S is.
     """
-    what = "the naturals" if S.is_natural() else (
-        f"the semigroup with Frobenius number {S.frobenius} and multiplicity {S.multiplicity()}"
+    what = "the naturals are" if S.is_natural() else (
+        f"the semigroup with Frobenius number {S.frobenius} and multiplicity {S.multiplicity()} is"
     )
-    return NotInCovarietyError(f"{what} is not an Arf semigroup with positive Frobenius number")
+    return NotInCovarietyError(f"{what} not an Arf semigroup with positive Frobenius number")
 
 
 @dataclass(frozen=True)
@@ -416,9 +416,11 @@ class NumericalSemigroup:
     # -- Apery sets and gap invariants ---------------------------------------
 
     def apery_set(self, n: int) -> tuple[int, ...]:
-        """Least member of each residue class mod ``n``, by residue (``n`` a nonzero member)."""
+        """Least member of each residue class mod ``n``, by residue (``n`` a nonzero member;
+        an integral value such as 7.0 is read as its int, as by ``in``)."""
         if n < 1 or n not in self:
             raise NotAMemberError(f"{n} is not a nonzero member")
+        n = int(n)
         entries = [0] * n
         for s in _iter_bits(_apery_mask(self.frobenius, self.mask, n)):
             entries[s % n] = s
@@ -489,9 +491,11 @@ class NumericalSemigroup:
 
         Adjoining the Frobenius number itself shrinks the Frobenius number to
         the next gap down (or yields the naturals).  ``ValueError`` if x is not special.
+        An integral value such as 7.0 is read as its int, as by ``in``.
         """
-        if x in self or x < 1:
+        if x in self or x < 1 or x % 1:
             raise NotAMemberError(f"{x} is not a gap")
+        x = int(x)
         mask = self.mask | (1 << x)
         if x != self.frobenius:
             # S is closed, so only a sum x + s with s a positive member can be a gap
@@ -506,9 +510,11 @@ class NumericalSemigroup:
 
     def remove(self, x: int) -> NumericalSemigroup:
         """S without the minimal generator ``x`` (requires 0 < x <= F, so F survives);
-        ``ValueError`` if x is a sum of two positive members."""
+        ``ValueError`` if x is a sum of two positive members.  An integral value such as 7.0
+        is read as its int, as by ``in``."""
         if x < 1 or x > self.frobenius or x not in self:
             raise NotAMemberError(f"{x} is not a member in [1, frobenius]")
+        x = int(x)
         below = self.mask & ((1 << x) - 1) & ~1  # the positive members below x
         # x = a + (x - a) iff bit a is set in `below` and in its mirror image k -> x - k
         if below & int(f"{below:0{x + 1}b}"[::-1], 2):

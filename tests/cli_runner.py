@@ -1,5 +1,6 @@
 """Run ``arfsg`` in this process with stdout and stderr captured."""
 
+import argparse
 import contextlib
 import io
 from dataclasses import dataclass
@@ -27,3 +28,13 @@ def run(*args: str) -> Result:
         except SystemExit as exc:  # the parser's usage errors and --help
             code = exc.code
     return Result(code, out.getvalue(), err.getvalue())
+
+
+def leaf_commands(parser, words=()):
+    """(words, subparser) for each command of ``parser``, found through its subparsers actions."""
+    (group,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in group.choices.items():
+        if "fn" in sub._defaults:
+            yield words + (name,), sub
+        else:
+            yield from leaf_commands(sub, words + (name,))

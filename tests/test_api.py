@@ -1,12 +1,12 @@
 """The public names of the package and the imports between its modules, frozen."""
 
-import argparse
 import ast
 from dataclasses import fields
 from pathlib import Path
 
 import arfsemigroups
 from arfsemigroups.cli import _PARSER
+from cli_runner import leaf_commands
 
 PUBLIC = [
     "ArfSequence",
@@ -170,17 +170,11 @@ def test_semigroup_surface_is_frozen():
 
 
 def test_cli_surface_is_frozen():
-    def commands(parser, prefix=""):
-        (group,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        for name, command in sorted(group.choices.items()):
-            if "fn" in command._defaults:
-                yield prefix + name, command
-            else:
-                yield from commands(command, prefix + name + " ")
-
     surface = {
-        name: [a.option_strings[0] if a.option_strings else a.metavar for a in command._actions if a.dest != "help"]
-        for name, command in commands(_PARSER)
+        " ".join(words): [
+            a.option_strings[0] if a.option_strings else a.metavar for a in sub._actions if a.dest != "help"
+        ]
+        for words, sub in leaf_commands(_PARSER)
     }
     assert surface == CLI
 

@@ -1,6 +1,8 @@
 """End-to-end tests of the arfsg command line."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -16,7 +18,7 @@ from arfsemigroups.cli import _RANK_ONE_LIMIT, _SEQ_LIMIT
 from arfsemigroups.closure import _HULL_LIMIT, rank_one_catalog
 from arfsemigroups.core import _SIEVE_LIMIT, _TREE_LIMIT, _med_generator_mask, _selector
 from arfsemigroups.tree import CovarietyTree, enumerate_ar
-from cli_runner import run
+from cli_runner import leaf_commands, run
 from full_check import count_full_checks
 import row_reference
 
@@ -362,11 +364,11 @@ class TestMinimalGens:
 
     def test_not_arf_exits_one(self):
         for generators, described in [
-            ("5,7,9", "the semigroup with Frobenius number 13 and multiplicity 5"),
-            ("1", "the naturals"),
+            ("5,7,9", "the semigroup with Frobenius number 13 and multiplicity 5 is"),
+            ("1", "the naturals are"),
         ]:
             res = run("minimal-gens", generators)
-            message = f"{described} is not an Arf semigroup with positive Frobenius number\n"
+            message = f"{described} not an Arf semigroup with positive Frobenius number\n"
             assert (res.exit_code, res.stdout, res.stderr) == (1, "", message)
 
     def test_not_arf_error_is_short_for_a_large_semigroup(self):
@@ -855,6 +857,44 @@ class TestParser:
         # a tracer replaces these module globals after the parser is built
         monkeypatch.setattr(cli, "count_rank_one", lambda F: -F)
         assert run("rank-one", "12", "--count").stdout == "-12\n"
+
+    def test_each_leaf_command_has_one_route_to_its_own_subparser(self):
+        assert cli._ROUTES == dict(leaf_commands(cli._PARSER))
+
+    def test_routed_parsing_matches_the_full_parser(self, monkeypatch):
+        # the expected side is whatever this Python's argparse makes of the whole tree
+        monkeypatch.setenv("COLUMNS", "80")
+        corpus = [(), ("seq",), ("seq", "bogus"), ("seq", "bogus", "2"), ("bogus",), ("--help",), ("-h",), ("-x",)]
+        corpus += [("--",), ("--", "enumerate", "5"), ("seq", "--help"), ("seq", "--", "validate", "2")]
+        corpus += [("--help", "closure")]
+        corpus += [("seq validate", "2"), ("closure 5",), ("CLOSURE", "5"), ("seq", "-x")]
+        for words, _ in leaf_commands(cli._PARSER):
+            for rest in [
+                (), ("5",), ("5", "extra"), ("5", "--bogus"), ("5", "--bogus=1"), ("-x",), ("-5",), ("5", "-5"),
+                ("5", "--form", "json"), ("5", "--maximal"), ("5", "--c"), ("5", "--se", "3"),  # no abbreviations
+                ("-h",), ("5", "-h"), ("--help",), ("5", "--help"), ("--help", "extra"), ("5", "--help=1"),
+                ("5", "--format", "json", "--format", "table"), ("5", "--format"), ("5", "--format", "bogus"),
+                ("5", "--format=json"), ("5", "--set=3"), ("5", "--set", "-3"), ("5", "--stats"), ("5", "--count"),
+                ("--", "5"), ("5", "--"), ("--", "--help"), ("--", "-5"), ("--", "5", "extra"),
+            ]:
+                corpus.append(words + rest)
+        for argv in corpus:
+            want = parse_outcome(lambda: vars(cli._PARSER.parse_args(list(argv))))
+            assert parse_outcome(lambda: cli._parse(list(argv))) == want, argv
+            if isinstance(want[0], int):  # a usage error or a help screen: main leaves the same way
+                res = run(*argv)
+                assert (res.exit_code, res.stdout, res.stderr) == want, argv
+
+
+def parse_outcome(parse):
+    """(SystemExit code or the parsed parameters, stdout, stderr) of ``parse()``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse()
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 # a fresh interpreter that imports the package from this checkout

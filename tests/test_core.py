@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import threading
 import time
 from fractions import Fraction
@@ -122,6 +123,22 @@ class TestConstruction:
         assert 2.5 not in d and 7.5 not in d and Fraction(13, 2) not in d and -0.5 not in d
         assert 0.0 in d and 6.0 in d and 7.0 in d and Fraction(12, 2) in d
         assert 2.0 not in d and True not in d  # True is 1, a gap
+
+    def test_adjoin_remove_and_apery_take_the_membership_rule(self):
+        S = sg(3, 5)  # F = 7; gaps 1, 2, 4, 7
+        for one in (1.0, Fraction(1)):  # an integral value is used as its int
+            assert S.adjoin(7 * one) == S.adjoin(7)
+            assert S.remove(3 * one) == S.remove(3)
+            assert S.apery_set(5 * one) == S.apery_set(5) and type(S.apery_set(5 * one)) is tuple
+        with pytest.raises(ValueError, match="^not additively closed"):
+            S.adjoin(4.0)  # 4 + 3 = 7 is a gap, as for adjoin(4)
+        for x in (2.5, 7.5, Fraction(9, 2)):  # a fractional part is no member, below F and above it
+            with pytest.raises(NotAMemberError, match=rf"^{re.escape(str(x))} is not a gap$"):
+                S.adjoin(x)
+            with pytest.raises(NotAMemberError, match=rf"^{re.escape(str(x))} is not a member in \[1, frobenius\]$"):
+                S.remove(x)
+            with pytest.raises(NotAMemberError, match=rf"^{re.escape(str(x))} is not a nonzero member$"):
+                S.apery_set(x)
 
 
 class TestAccessors:
