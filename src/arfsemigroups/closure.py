@@ -27,7 +27,6 @@ from typing import Iterable
 from .core import (
     NumericalSemigroup,
     _apery_mask,
-    _axioms_hold,
     _check_frobenius,
     _closed,
     _closure_mask,
@@ -35,6 +34,7 @@ from .core import (
     _integer,
     _iter_bits,
     _not_member_ar,
+    _read_off,
 )
 from .errors import ScaleLimitError
 
@@ -92,7 +92,7 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
         c = F - run  # T is T_step over [0, c], and limit has bits 0..c
         low = T & ((2 << m) - 1) & ~1  # m(T_{i+1}) <= m_i: m_i = 2m_i - m_i is in T_{i+1}
         m = (low & -low).bit_length() - 1 if low else c + 1
-        if m == 1 or (step & (step - 1) == 0 and _is_arf(T, c)):  # steps 0, 1, 2, 4, 8, ...
+        if m == 1 or (step & (step - 1) == 0 and _read_off(T, c).is_arf()):  # steps 0, 1, 2, 4, 8, ...
             rest = T << run  # Arf(T) = T: the rest of the hull
             break
         run += m
@@ -111,16 +111,6 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
     if (hull >> F) & 1:
         return ClosureResult(F, xs, False, None, tuple(stages))
     return ClosureResult(F, xs, True, _closed(F, hull | (1 << (F + 1))), tuple(stages))
-
-
-def _is_arf(T: int, c: int) -> bool:
-    """Is the semigroup with mask T over [0, c], and everything above c, Arf?
-
-    Precondition: T has a gap.  The hull chain calls this only when m > 1, so 1 is one.
-    """
-    # its Frobenius number: the sequence runs over the members up to f+1
-    f = (~T & ((1 << (c + 1)) - 1)).bit_length() - 1
-    return _axioms_hold(_difference_sequence(T & ((1 << f) - 1) | 1 << (f + 1)))
 
 
 def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:

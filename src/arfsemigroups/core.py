@@ -260,6 +260,14 @@ def _closed(frobenius: int, mask: int) -> NumericalSemigroup:
     return S
 
 
+def _read_off(mask: int, k: int) -> NumericalSemigroup:
+    """The semigroup whose members up to k >= 0 are the set bits of ``mask`` (bit 0 set, closed under
+    sums up to k) and that holds every integer above k: its Frobenius number is the largest gap up to
+    k, and it is the naturals when there is none.  Bits of ``mask`` above k are ignored."""
+    F = (~mask & ((2 << k) - 1)).bit_length() - 1
+    return _closed(F, mask & ((1 << (F + 1)) - 1) | 1 << (F + 1))
+
+
 def _not_member_ar(S: NumericalSemigroup) -> NotInCovarietyError:
     """The error for an S that is not Arf or is the naturals.
 
@@ -336,11 +344,7 @@ class NumericalSemigroup:
         bound = gs[0] * gs[-1]  # exceeds the Frobenius number of <min, max>
         if bound > _SIEVE_LIMIT:
             raise ScaleLimitError(f"membership sieve would need {bound} bits (limit {_SIEVE_LIMIT})")
-        limit = (1 << (bound + 1)) - 1
-        reach = _closure_mask(sum(1 << g for g in gs), limit)
-        gaps = ~reach & limit
-        F = gaps.bit_length() - 1
-        return _closed(F, reach & ((1 << (F + 2)) - 1))
+        return _read_off(_closure_mask(sum(1 << g for g in gs), (2 << bound) - 1), bound)
 
     @classmethod
     def from_small_elements(cls, frobenius: int, smalls: Iterable[int]) -> NumericalSemigroup:
@@ -354,9 +358,9 @@ class NumericalSemigroup:
 
     def __contains__(self, x: int) -> bool:
         """Membership of an integer; an integral value such as 7.0 is tested as its int, and a
-        number with a fractional part is no member, below F as above it."""
+        number with a fractional part is no member, below F as above it, nor is a str or bytes."""
         if type(x) is not int:
-            if x % 1:
+            if isinstance(x, (str, bytes)) or x % 1:
                 return False
             x = int(x)
         if x < 0:
@@ -418,7 +422,7 @@ class NumericalSemigroup:
     def apery_set(self, n: int) -> tuple[int, ...]:
         """Least member of each residue class mod ``n``, by residue (``n`` a nonzero member;
         an integral value such as 7.0 is read as its int, as by ``in``)."""
-        if n < 1 or n not in self:
+        if n not in self or n < 1:
             raise NotAMemberError(f"{n} is not a nonzero member")
         n = int(n)
         entries = [0] * n
@@ -493,26 +497,20 @@ class NumericalSemigroup:
         the next gap down (or yields the naturals).  ``ValueError`` if x is not special.
         An integral value such as 7.0 is read as its int, as by ``in``.
         """
-        if x in self or x < 1 or x % 1:
+        if x in self or x not in NumericalSemigroup.natural():
             raise NotAMemberError(f"{x} is not a gap")
-        x = int(x)
+        x, F = int(x), self.frobenius
         mask = self.mask | (1 << x)
-        if x != self.frobenius:
-            # S is closed, so only a sum x + s with s a positive member can be a gap
-            if ((mask & ~1) << x) & ~mask & ((1 << (self.frobenius + 1)) - 1):
-                raise ValueError(f"not additively closed: {x} plus a member is a gap")
-            return _closed(self.frobenius, mask)
-        gaps = ~mask & ((1 << (self.frobenius + 2)) - 1)
-        if not gaps:
-            return NumericalSemigroup.natural()
-        F = gaps.bit_length() - 1
-        return _closed(F, mask & ((1 << (F + 2)) - 1))
+        # S is closed, so only a sum x + s with s a positive member can be a gap; none is when x = F
+        if ((mask & ~1) << x) & ~mask & ((1 << (F + 1)) - 1):
+            raise ValueError(f"not additively closed: {x} plus a member is a gap")
+        return _read_off(mask, F)
 
     def remove(self, x: int) -> NumericalSemigroup:
         """S without the minimal generator ``x`` (requires 0 < x <= F, so F survives);
         ``ValueError`` if x is a sum of two positive members.  An integral value such as 7.0
         is read as its int, as by ``in``."""
-        if x < 1 or x > self.frobenius or x not in self:
+        if x not in self or x < 1 or x > self.frobenius:
             raise NotAMemberError(f"{x} is not a member in [1, frobenius]")
         x = int(x)
         below = self.mask & ((1 << x) - 1) & ~1  # the positive members below x
@@ -523,13 +521,9 @@ class NumericalSemigroup:
 
     def remove_multiplicity(self) -> NumericalSemigroup:
         """S without its least positive element (always a minimal generator)."""
-        if self.is_natural():
-            return NumericalSemigroup.delta(1)
         m = self.multiplicity()
-        if m == self.frobenius + 1:
-            # {0, F+1, ->} loses F+1 and becomes {0, F+2, ->}
-            return NumericalSemigroup.delta(self.frobenius + 1)
-        return _closed(self.frobenius, self.mask & ~(1 << m))
+        k = max(self.frobenius, m)  # m itself may be the new Frobenius number
+        return _read_off(self._extended_mask(k) & ~(1 << m), k)
 
     # -- set algebra ----------------------------------------------------------
 
@@ -540,21 +534,12 @@ class NumericalSemigroup:
 
     def intersect(self, other: NumericalSemigroup) -> NumericalSemigroup:
         """Intersection; its Frobenius number is the max of the two."""
-        if self.is_natural():
-            return other
-        if other.is_natural():
-            return self
-        F = max(self.frobenius, other.frobenius)
-        return _closed(F, self._extended_mask(F) & other._extended_mask(F))
+        k = max(self.frobenius, other.frobenius, 0)
+        return _read_off(self._extended_mask(k) & other._extended_mask(k), k)
 
     def issubset(self, other: NumericalSemigroup) -> bool:
-        if other.is_natural():
-            return True
-        if self.frobenius < other.frobenius:
-            # self contains everything above its own Frobenius number,
-            # in particular other's Frobenius number
-            return False
-        return self.mask & ~other._extended_mask(self.frobenius) == 0
+        k = max(self.frobenius, other.frobenius, 0)
+        return self._extended_mask(k) & ~other._extended_mask(k) == 0
 
     def __repr__(self) -> str:
         if self.is_natural():

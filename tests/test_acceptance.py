@@ -5,6 +5,7 @@ the promised wall-time bound where one exists.  Run with -v to get one
 pass/fail line per guarantee.
 """
 
+import functools
 import json
 import math
 import random
@@ -37,6 +38,7 @@ from arfsemigroups import (
     ScaleLimitError,
 )
 from arfsemigroups.core import _TREE_LIMIT, _canonical_key
+from arfsemigroups.oracle import _MAX_BRUTE_FROBENIUS
 from cli_runner import run as run_cli
 from mask_rescan import maximal_by_rescan, maximal_semigroups
 
@@ -57,12 +59,16 @@ def test_01_enumerate_f5_gives_the_four_known_members():
     assert elapsed < 1.0
 
 
-def test_02_tree_enumeration_equals_brute_force_for_f_up_to_12():
+@functools.cache
+def _brute_arf(F):
+    """The oracle's Arf semigroups with Frobenius number F, searched once for test_02 and test_10."""
+    return frozenset(S for S in brute_all_semigroups(F) if brute_is_arf(S))
+
+
+def test_02_tree_enumeration_equals_brute_force_up_to_the_oracle_cap():
     started = time.perf_counter()
-    for F in range(1, 13):
-        fast = set(enumerate_ar(F).semigroups())
-        brute = {S for S in brute_all_semigroups(F) if brute_is_arf(S)}
-        assert fast == brute, f"mismatch at F={F}"
+    for F in range(1, _MAX_BRUTE_FROBENIUS + 1):
+        assert set(enumerate_ar(F).semigroups()) == _brute_arf(F), f"mismatch at F={F}"
     assert time.perf_counter() - started < 120.0
 
 
@@ -122,11 +128,11 @@ def test_07_structural_properties_hold_on_every_node_up_to_f12():
             assert S.minimal_generators() == generators_by_membership(S)
 
 
-def test_07_abstract_properties_hold_as_mask_identities_up_to_f40():
+def test_07_abstract_properties_hold_as_mask_identities_up_to_f40_and_at_f50_f60():
     # the abstract's three properties of Ar(F), on the tree's masks over [0, F+1] and plain AND:
     # the minimum is {0, F+1, ->}, members are closed under intersection, and removing the
     # multiplicity (the lowest positive bit) of any other member gives a member
-    for F in range(1, 41):
+    for F in [*range(1, 41), 50, 60]:
         masks = enumerate_ar(F).masks
         root = 1 | 1 << (F + 1)
         universe = set(masks)
@@ -138,6 +144,30 @@ def test_07_abstract_properties_hold_as_mask_identities_up_to_f40():
                 low = a & ~1
                 assert a ^ (low & -low) in universe, (F, a)
         assert common == root, F
+
+
+def test_07_hull_is_the_and_of_the_members_containing_x_up_to_f40():
+    # the hull theorem on the tree's masks and plain AND, independent of the chain: the hull of X
+    # is the intersection of the members of Ar(F) that contain X, and X has none exactly when
+    # no member contains it
+    rng = random.Random(7)
+    refused = 0
+    for F in range(1, 41):
+        masks = enumerate_ar(F).masks
+        for _ in range(40):
+            X = rng.sample(range(1, F + 1), min(F, rng.randint(0, 3)))
+            bits = sum(1 << x for x in X)
+            containing = [a for a in masks if a & bits == bits]
+            res = ar_closure(X, F)
+            assert res.is_ar_set == bool(containing), (X, F)
+            if containing:
+                common = containing[0]
+                for a in containing:
+                    common &= a
+                assert res.closure.mask == common, (X, F)
+            else:
+                refused += 1
+    assert 0 < refused < 40 * 40
 
 
 def _nondecreasing_tuples(total, minimum=2):
@@ -195,9 +225,9 @@ def test_10_tree_walk_sequence_generator_and_oracle_agree():
             assert child[:-2] == parent[:-1] and child[-2] + child[-1] == parent[-1]
         free = {semigroup_of_sequence(q) for q in refinement_free_sequences(F)}
         assert set(maximal_semigroups(tree)) == free
-        if F <= 14:
-            brute = [S for S in brute_all_semigroups(F) if brute_is_arf(S)]
-            assert set(tree.semigroups()) == set(brute)
+        if F <= _MAX_BRUTE_FROBENIUS:
+            brute = _brute_arf(F)
+            assert set(tree.semigroups()) == brute
             # inclusion-maximal by definition, independent of the refinement test
             maximal = {S for S in brute if not any(S != T and S.issubset(T) for T in brute)}
             assert free == maximal

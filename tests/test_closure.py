@@ -21,7 +21,8 @@ from arfsemigroups import (
     minimal_ar_generators,
     rank_one_catalog,
 )
-from arfsemigroups.closure import _HULL_LIMIT, _is_arf
+from arfsemigroups.closure import _HULL_LIMIT
+from arfsemigroups.core import _read_off
 from full_check import assert_checked
 from pair_fixpoint import pair_fixpoint, sums_of
 
@@ -116,7 +117,7 @@ class TestClosure:
         for S in family:
             for c in (S.frobenius, S.frobenius + 3):  # T over [0, c], everything above a member
                 T = S._extended_mask(c) & ((1 << (c + 1)) - 1)
-                assert _is_arf(T, c) == S.is_arf(), (S, c)
+                assert _read_off(T, c) == S, (S, c)
 
     def test_slowest_known_chain_at_the_limit_finishes_in_time(self):
         # about F/3 steps of multiplicity 3, each shifting a mask over [0, F]

@@ -27,7 +27,7 @@ from arfsemigroups import (
     brute_all_semigroups,
     enumerate_ar,
 )
-from arfsemigroups.core import _DENSE, _canonical_key, _closure_mask, _iter_bits, _selector
+from arfsemigroups.core import _DENSE, _canonical_key, _closure_mask, _iter_bits, _read_off, _selector
 import member_shifts
 from pair_fixpoint import sums_of
 from full_check import assert_checked, count_full_checks, full_check_accepts
@@ -123,6 +123,9 @@ class TestConstruction:
         assert 2.5 not in d and 7.5 not in d and Fraction(13, 2) not in d and -0.5 not in d
         assert 0.0 in d and 6.0 in d and 7.0 in d and Fraction(12, 2) in d
         assert 2.0 not in d and True not in d  # True is 1, a gap
+        # a str or bytes is no member, as "7" in range(10) is False; `x % 1` on one would format it
+        assert "7" not in d and b"7" not in d and "%d" not in d and "" not in d
+        assert "1" not in NumericalSemigroup.natural()
 
     def test_adjoin_remove_and_apery_take_the_membership_rule(self):
         S = sg(3, 5)  # F = 7; gaps 1, 2, 4, 7
@@ -132,7 +135,8 @@ class TestConstruction:
             assert S.apery_set(5 * one) == S.apery_set(5) and type(S.apery_set(5 * one)) is tuple
         with pytest.raises(ValueError, match="^not additively closed"):
             S.adjoin(4.0)  # 4 + 3 = 7 is a gap, as for adjoin(4)
-        for x in (2.5, 7.5, Fraction(9, 2)):  # a fractional part is no member, below F and above it
+        # a fractional part is no member, below F and above it, nor is a str or bytes
+        for x in (2.5, 7.5, Fraction(9, 2), "7", "3", b"7"):
             with pytest.raises(NotAMemberError, match=rf"^{re.escape(str(x))} is not a gap$"):
                 S.adjoin(x)
             with pytest.raises(NotAMemberError, match=rf"^{re.escape(str(x))} is not a member in \[1, frobenius\]$"):
@@ -472,6 +476,19 @@ class TestElementOps:
                 S = S.remove_multiplicity()
                 assert_checked(S)
 
+    def test_read_off_passes_the_full_check(self):
+        # S read at widths F, F + 1 and F + 5, and S with F adjoined, whose Frobenius number moves down
+        for S in small_family():
+            F = S.frobenius
+            for k in (F, F + 1, F + 5):
+                mask = S._extended_mask(k)
+                assert _read_off(mask, k) == S and _read_off(mask & ((2 << k) - 1), k) == S, (S, k)
+                T = _read_off(mask | 1 << F, k)
+                assert_checked(T)
+                assert T.frobenius == max(S.gaps()[:-1], default=-1) and T._extended_mask(k) == mask | 1 << F
+        for k in (0, 1, 5):
+            assert _read_off((2 << k) - 1, k) == NumericalSemigroup.natural()
+
     def test_associated_chain(self):
         # stripping the multiplicity small_count - 1 times reaches {0, F+1, ->}
         chain = [sg(2, 7)]
@@ -492,12 +509,14 @@ class TestSetAlgebra:
         S = sg(5, 7, 9)
         N = NumericalSemigroup.natural()
         assert S.intersect(N) == S and N.intersect(S) == S
+        assert N.intersect(N) == N
 
     def test_issubset(self):
         assert NumericalSemigroup.delta(5).issubset(sg(2, 7))
         assert not sg(2, 7).issubset(sg(3, 7, 8))
         assert sg(2, 7).issubset(NumericalSemigroup.natural())
         assert not NumericalSemigroup.natural().issubset(sg(2, 7))
+        assert NumericalSemigroup.natural().issubset(NumericalSemigroup.natural())
         assert not NumericalSemigroup.delta(4).issubset(NumericalSemigroup.delta(5))
 
     def test_hash_and_equality(self):

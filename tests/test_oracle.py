@@ -9,6 +9,7 @@ from arfsemigroups import (
     brute_all_semigroups,
     brute_is_arf,
 )
+from arfsemigroups.oracle import _MAX_BRUTE_FROBENIUS
 
 
 def test_frobenius_one():
@@ -43,8 +44,8 @@ def test_known_members_present():
 
 
 def test_scale_refusal():
-    with pytest.raises(ScaleLimitError):
-        brute_all_semigroups(15)
+    with pytest.raises(ScaleLimitError, match=r"\(limit F <= 24\)$"):
+        brute_all_semigroups(_MAX_BRUTE_FROBENIUS + 1)
     with pytest.raises(InvalidFrobeniusError, match=r"^frobenius must be >= 1, got 0$"):
         brute_all_semigroups(0)
 
