@@ -138,7 +138,6 @@ def cmd_tree(frobenius: str, fmt: str) -> None:
 def cmd_check(generators: str, fmt: str) -> None:
     S = _build_semigroup(generators)
     gens = S.minimal_generators()  # S need not be Arf, so not the MED shortcut
-    semigroup = serialize.semigroup_dict(S, gens) if fmt == "json" else None
     if S.is_natural():
         pf = sg = seq = valid = None
     else:
@@ -146,43 +145,28 @@ def cmd_check(generators: str, fmt: str) -> None:
         sg = tuple(x for x in pf if 2 * x in S)  # the special gaps
         seq = S.difference_sequence()
         valid = validate_sequence(seq)
-    med, arf = len(gens) == S.multiplicity(), valid is not False  # the naturals are Arf
-    if semigroup:
-        semigroup["type"] = None if pf is None else len(pf)  # S need not be Arf
-        print(
-            serialize.dumps(
-                {
-                    "semigroup": semigroup,
-                    "pseudo_frobenius": list(pf) if pf is not None else None,
-                    "special_gaps": list(sg) if sg is not None else None,
-                    "is_med": med,
-                    "is_arf": arf,
-                    "sequence": list(seq) if seq is not None else None,
-                    "sequence_valid": valid,
-                }
-            )
-        )
-        return
-    print(
-        serialize.render_pairs(
-            [
-                ("frobenius", S.frobenius),
-                ("multiplicity", S.multiplicity()),
-                ("embedding_dim", len(gens)),
-                ("genus", S.genus()),
-                ("small_count", S.small_count()),
-                ("type", None if pf is None else len(pf)),
-                ("min_generators", gens),
-                ("small_elements", S.small_elements()),
-                ("pseudo_frobenius", pf),
-                ("special_gaps", sg),
-                ("is_med", med),
-                ("is_arf", arf),
-                ("sequence", seq),
-                ("sequence_valid", valid),
-            ]
-        )
-    )
+    rows = [
+        ("frobenius", S.frobenius),
+        ("multiplicity", S.multiplicity()),
+        ("embedding_dim", len(gens)),
+        ("genus", S.genus()),
+        ("small_count", S.small_count()),
+        ("type", None if pf is None else len(pf)),
+        ("min_generators", gens),
+        ("small_elements", S.small_elements()),
+        ("pseudo_frobenius", pf),
+        ("special_gaps", sg),
+        ("is_med", len(gens) == S.multiplicity()),
+        ("is_arf", valid is not False),  # the naturals are Arf
+        ("sequence", seq),
+        ("sequence_valid", valid),
+    ]
+    if fmt == "json":
+        # the semigroup's own rows, less the two counts, nest as one object
+        semigroup = {key: value for key, value in rows[:8] if key not in ("embedding_dim", "small_count")}
+        print(serialize.dumps({"semigroup": semigroup, **dict(rows[8:])}))
+    else:
+        print(serialize.render_pairs(rows))
 
 
 def cmd_closure(frobenius: str, elements: str, fmt: str) -> int | None:
@@ -213,13 +197,13 @@ def cmd_closure(frobenius: str, elements: str, fmt: str) -> int | None:
 def cmd_minimal_gens(generators: str, fmt: str) -> None:
     S = _build_semigroup(generators)
     minimal = minimal_ar_generators(S)
+    rows = [("minimal_system", minimal), ("rank", len(minimal))]
     if fmt == "json":
         print(
             serialize.dumps(
                 {
                     "semigroup": serialize.semigroup_dict(S),
-                    "minimal_system": list(minimal),
-                    "rank": len(minimal),
+                    **dict(rows),
                 }
             )
         )
@@ -229,8 +213,7 @@ def cmd_minimal_gens(generators: str, fmt: str) -> None:
                 [
                     ("semigroup", serialize.generator_label(S)),
                     ("frobenius", S.frobenius),
-                    ("minimal_system", minimal),
-                    ("rank", len(minimal)),
+                    *rows,
                 ]
             )
         )
@@ -253,15 +236,13 @@ def seq_validate(terms: str, fmt: str) -> int | None:
     try:
         seq = ArfSequence(xs)  # the one validation; the calls below take its terms as they are
     except InvalidSequenceError:
-        if fmt == "json":
-            print(serialize.dumps(serialize.sequence_obj(xs, False)))
-        else:
-            print(serialize.render_pairs([("sequence", xs), ("valid", False)]))
+        rows = [("sequence", xs), ("valid", False)]
+        print(serialize.dumps(dict(rows)) if fmt == "json" else serialize.render_pairs(rows))
         return 1
     S = semigroup_of_sequence(seq)
     free = not admits_proper_refinement(seq)
     if fmt == "json":
-        print(serialize.dumps(serialize.sequence_obj(xs, True, free, S)))
+        print(serialize.dumps(serialize.sequence_obj(xs, free, S)))
     else:
         print(
             serialize.render_pairs(
@@ -293,10 +274,10 @@ def seq_refinements(terms: str, fmt: str) -> None:
         print(
             serialize.dumps(
                 {
-                    "sequence": list(xs),
+                    "sequence": xs,
                     "refinement_free": not refined,
                     "refinements": [
-                        {"position": i, "value": a, "sequence": list(q.terms)}
+                        {"position": i, "value": a, "sequence": q.terms}
                         for i, a, q in refined
                     ],
                 }

@@ -358,9 +358,13 @@ class NumericalSemigroup:
 
     def __contains__(self, x: int) -> bool:
         """Membership of an integer; an integral value such as 7.0 is tested as its int, and a
-        number with a fractional part is no member, below F as above it, nor is a str or bytes."""
+        number with a fractional part is no member, below F as above it, nor is a str or bytes,
+        nor anything else that is no number (None, a list, a complex number)."""
         if type(x) is not int:
-            if isinstance(x, (str, bytes)) or x % 1:
+            try:
+                if isinstance(x, (str, bytes)) or x % 1:  # a str first: "%.0s" % 1 is ""
+                    return False
+            except TypeError:  # x % 1 is undefined: no number
                 return False
             x = int(x)
         if x < 0:
@@ -423,7 +427,7 @@ class NumericalSemigroup:
         """Least member of each residue class mod ``n``, by residue (``n`` a nonzero member;
         an integral value such as 7.0 is read as its int, as by ``in``)."""
         if n not in self or n < 1:
-            raise NotAMemberError(f"{n} is not a nonzero member")
+            raise NotAMemberError(f"{n!r} is not a nonzero member")
         n = int(n)
         entries = [0] * n
         for s in _iter_bits(_apery_mask(self.frobenius, self.mask, n)):
@@ -498,7 +502,7 @@ class NumericalSemigroup:
         An integral value such as 7.0 is read as its int, as by ``in``.
         """
         if x in self or x not in NumericalSemigroup.natural():
-            raise NotAMemberError(f"{x} is not a gap")
+            raise NotAMemberError(f"{x!r} is not a gap")
         x, F = int(x), self.frobenius
         mask = self.mask | (1 << x)
         # S is closed, so only a sum x + s with s a positive member can be a gap; none is when x = F
@@ -511,7 +515,7 @@ class NumericalSemigroup:
         ``ValueError`` if x is a sum of two positive members.  An integral value such as 7.0
         is read as its int, as by ``in``."""
         if x not in self or x < 1 or x > self.frobenius:
-            raise NotAMemberError(f"{x} is not a member in [1, frobenius]")
+            raise NotAMemberError(f"{x!r} is not a member in [1, frobenius]")
         x = int(x)
         below = self.mask & ((1 << x) - 1) & ~1  # the positive members below x
         # x = a + (x - a) iff bit a is set in `below` and in its mirror image k -> x - k

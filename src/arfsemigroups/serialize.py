@@ -9,8 +9,8 @@ sequences, the rank-one catalog, a ``minimal-gens`` input once verified),
 so MED.  Its minimal generators are therefore its multiplicity m and the
 nonzero Apery elements modulo m, the bits of one mask with no sums to
 remove, and a row's generator cell joins the decimal names that the mask's
-bits select.  ``check``, whose input is arbitrary, passes its own
-generators to ``semigroup_dict``.
+bits select.  ``check``, whose input is arbitrary, writes its rows itself
+from the general minimal generators and never calls ``semigroup_dict``.
 
 Lists of semigroups (the nodes of ``enumerate`` and ``tree``, the maximal
 members of ``enumerate --maximal-only``, the ``rank-one`` catalog) are rows
@@ -23,8 +23,9 @@ multiplicity e and then its parent's positive ones, so the rows of a whole
 tree (``nodes_json``, ``tree_json``) read them from the parent's text; the
 maximal members and the ``rank-one`` catalog come with no tree, so their
 rows (``members_json``) join them from the names.  Each command that prints
-one object builds it with ``semigroup_dict`` and the other ``*_obj`` helpers
-and renders it with ``dumps``.
+one object builds it once, from its table rows or with ``semigroup_dict``
+and the other ``*_obj`` helpers, and renders it with ``dumps``, which
+writes a tuple as an array.
 """
 
 from __future__ import annotations
@@ -54,19 +55,16 @@ def _med_generators(S: NumericalSemigroup) -> list[int]:
     return [*_iter_bits(gens & ((1 << cut) - 1)), *map(cut.__add__, _iter_bits(gens >> cut))]
 
 
-def semigroup_dict(S: NumericalSemigroup, generators: Sequence[int] | None = None) -> dict[str, Any]:
-    """The JSON object of an Arf semigroup, so MED: the type is m - 1 (null for the
-    naturals).  A caller holding any other semigroup passes its ``generators`` and sets ``type``."""
+def semigroup_dict(S: NumericalSemigroup) -> dict[str, Any]:
+    """The JSON object of an Arf semigroup other than the naturals, so MED: the type is m - 1."""
     m = S.multiplicity()
-    if generators is None:
-        generators = _med_generators(S)
     return {
         "frobenius": S.frobenius,
         "multiplicity": m,
         "genus": S.genus(),
-        "type": None if S.is_natural() else m - 1,
-        "min_generators": list(generators),
-        "small_elements": list(S.small_elements()),
+        "type": m - 1,
+        "min_generators": _med_generators(S),
+        "small_elements": S.small_elements(),
     }
 
 
@@ -224,21 +222,18 @@ def tree_dot(tree: CovarietyTree) -> str:
 def closure_obj(result: ClosureResult, rank: int | None) -> dict[str, Any]:
     return {
         "F": result.frobenius,
-        "X": list(result.input_set),
+        "X": result.input_set,
         "is_ar_set": result.is_ar_set,
         "closure": semigroup_dict(result.closure) if result.closure is not None else None,
         "rank": rank,
     }
 
 
-def sequence_obj(
-    terms: Sequence[int],
-    valid: bool,
-    refinement_free: bool | None = None,
-    semigroup: NumericalSemigroup | None = None,
-) -> dict[str, Any]:
-    obj: dict[str, Any] = {"sequence": list(terms), "valid": valid}
-    if valid:
-        obj["refinement_free"] = refinement_free
-        obj["semigroup"] = semigroup_dict(semigroup)
-    return obj
+def sequence_obj(terms: Sequence[int], refinement_free: bool, semigroup: NumericalSemigroup) -> dict[str, Any]:
+    """The record of a valid sequence; an invalid one is its ``sequence`` and ``valid`` rows alone."""
+    return {
+        "sequence": terms,
+        "valid": True,
+        "refinement_free": refinement_free,
+        "semigroup": semigroup_dict(semigroup),
+    }

@@ -23,14 +23,14 @@ from arfsemigroups import NumericalSemigroup, cli, enumerate_ar, serialize
 from mask_rescan import maximal_by_rescan
 
 
-def semigroup_dict(S, generators=None):
+def semigroup_dict(S):
     m = S.multiplicity()
     return {
         "frobenius": S.frobenius,
         "multiplicity": m,
         "genus": S.genus(),
-        "type": None if S.is_natural() else m - 1,
-        "min_generators": list(S.minimal_generators() if generators is None else generators),
+        "type": m - 1,  # Arf, so MED, and never the naturals
+        "min_generators": list(S.minimal_generators()),
         "small_elements": list(S.small_elements()),
     }
 

@@ -253,8 +253,8 @@ class TestCheck:
             assert got["is_med"] == S.is_med(), gens
 
     # check's input need not be Arf, so it builds the general minimal generators, never the
-    # MED generator mask, and passes them to serialize.semigroup_dict, which reads the type off
-    # the multiplicity; check overwrites it with the len(pf) it holds
+    # MED generator mask, and writes its own rows, the type being the len(pf) it holds, for
+    # both formats without serialize.semigroup_dict
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_invariants_are_built_once(self, monkeypatch, fmt):
         counts = Counter()
@@ -522,6 +522,51 @@ class TestSeq:
         obj = json.loads(run("seq", "refinements", "2,2,2,2,2,2,2", "--format", "json").stdout)
         assert obj["refinement_free"] is True
         assert obj["refinements"] == []
+
+
+def table_rows(text):
+    """The ``(key, cell)`` rows of a ``render_pairs`` table, in order."""
+    return [tuple(line.split(None, 1)) for line in text.splitlines()]
+
+
+def json_cell(value):
+    """A JSON value as the table writes it: a semigroup object as its generator label, anything
+    else by ``render_pairs``' own cell rule."""
+    if isinstance(value, dict):
+        return "<" + ",".join(map(str, value["min_generators"])) + ">"
+    return serialize._cell(value)
+
+
+class TestFormatsAgree:
+    # a single-record command writes every key of its JSON object as a table row with the same
+    # cell; check's JSON nests its semigroup rows, less the two counts, as one object
+    @pytest.mark.parametrize(
+        "args, status",
+        [
+            (("check", "1"), 0),  # the naturals
+            (("check", "4,6,21,23"), 0),  # Arf
+            (("check", "4,17,18,23"), 0),  # not Arf
+            (("closure", "29", "--set", "6,8"), 0),
+            (("closure", "8", "--set", "4"), 1),  # no hull
+            (("minimal-gens", "6,8,10,31,33,35"), 0),
+            (("seq", "validate", "2,2,4"), 0),
+            (("seq", "validate", "3,2"), 1),  # invalid
+            (("seq", "semigroup", "2,2,4"), 0),
+        ],
+    )
+    def test_every_json_key_is_a_row_with_the_same_cell(self, args, status):
+        table, res = run(*args), run(*args, "--format", "json")
+        assert table.exit_code == res.exit_code == status
+        rows, obj = table_rows(table.stdout), json.loads(res.stdout)
+        if args[0] == "check":
+            semigroup = obj.pop("semigroup")
+            head = [row for row in rows[:8] if row[0] not in ("embedding_dim", "small_count")]
+            assert [(key, json_cell(value)) for key, value in semigroup.items()] == head
+            assert [key for key, _ in rows[8:]] == list(obj)
+        cells = dict(rows)
+        assert obj.keys() <= cells.keys(), args
+        for key, value in obj.items():
+            assert json_cell(value) == cells[key], (args, key)
 
 
 def assert_matches_the_reference(monkeypatch, *args):

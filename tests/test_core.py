@@ -126,6 +126,9 @@ class TestConstruction:
         # a str or bytes is no member, as "7" in range(10) is False; `x % 1` on one would format it
         assert "7" not in d and b"7" not in d and "%d" not in d and "" not in d
         assert "1" not in NumericalSemigroup.natural()
+        # nor is anything on which `x % 1` is undefined, as None in range(10) is False
+        for x in (None, [1], (7,), 1j, 7 + 0j, object()):
+            assert x not in d and x not in S and x not in NumericalSemigroup.natural()
 
     def test_adjoin_remove_and_apery_take_the_membership_rule(self):
         S = sg(3, 5)  # F = 7; gaps 1, 2, 4, 7
@@ -135,14 +138,17 @@ class TestConstruction:
             assert S.apery_set(5 * one) == S.apery_set(5) and type(S.apery_set(5 * one)) is tuple
         with pytest.raises(ValueError, match="^not additively closed"):
             S.adjoin(4.0)  # 4 + 3 = 7 is a gap, as for adjoin(4)
-        # a fractional part is no member, below F and above it, nor is a str or bytes
-        for x in (2.5, 7.5, Fraction(9, 2), "7", "3", b"7"):
-            with pytest.raises(NotAMemberError, match=rf"^{re.escape(str(x))} is not a gap$"):
+        # a fractional part is no member, below F and above it, nor is a str, bytes or a non-number;
+        # the refusal quotes the argument with repr, so "7" does not read as the gap 7
+        for x in (2.5, 7.5, Fraction(9, 2), "7", "3", b"7", None, [7], 7j):
+            with pytest.raises(NotAMemberError, match=rf"^{re.escape(repr(x))} is not a gap$"):
                 S.adjoin(x)
-            with pytest.raises(NotAMemberError, match=rf"^{re.escape(str(x))} is not a member in \[1, frobenius\]$"):
+            with pytest.raises(NotAMemberError, match=rf"^{re.escape(repr(x))} is not a member in \[1, frobenius\]$"):
                 S.remove(x)
-            with pytest.raises(NotAMemberError, match=rf"^{re.escape(str(x))} is not a nonzero member$"):
+            with pytest.raises(NotAMemberError, match=rf"^{re.escape(repr(x))} is not a nonzero member$"):
                 S.apery_set(x)
+        with pytest.raises(NotAMemberError, match="^'7' is not a gap$"):
+            S.adjoin("7")
 
 
 class TestAccessors:
