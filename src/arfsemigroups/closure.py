@@ -27,6 +27,7 @@ from typing import Iterable
 from .core import (
     NumericalSemigroup,
     _apery_mask,
+    _axioms_hold,
     _check_frobenius,
     _closed,
     _closure_mask,
@@ -116,25 +117,24 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
 def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:
     """The unique minimal X whose hull is S.
 
-    A minimal generator x below F belongs to X exactly when S without x is
-    still an Arf semigroup (its Frobenius number is unchanged by removing
-    x < F).  On members, the sequence axioms say that S is Arf iff 2v - u is
-    a member for any two consecutive members u < v up to F+1.  Removing x
-    joins its neighbours u < x < v into one pair, whose 2v - u is a member
-    above x since S is Arf, and drops x.  So S without x is Arf iff x is no
-    2v - u of S.  An Arf S is MED, so its minimal generators are m and the
-    nonzero Apery elements modulo m: one shift of the mask.  Raises
-    ``NotInCovarietyError`` for the naturals and for non-Arf input: S is not
-    Arf exactly when some 2v - u up to F is a gap.
+    Raises ``NotInCovarietyError`` unless S's difference sequence keeps the
+    sequence axioms (``core._axioms_hold``): that refuses every non-Arf S and
+    the naturals, whose sequence is empty.  A minimal generator x below F
+    belongs to X exactly when S without x is still an Arf semigroup (its
+    Frobenius number is unchanged by removing x < F).  On members, the
+    axioms say that S is Arf iff 2v - u is a member for any two consecutive
+    members u < v up to F+1.  Removing x joins its neighbours u < x < v into
+    one pair, whose 2v - u is a member above x since S is Arf, and drops x.
+    So S without x is Arf iff x is no 2v - u of S.  An Arf S is MED, so its
+    minimal generators are m and the nonzero Apery elements modulo m: one
+    shift of the mask.
     """
-    if S.is_natural():
-        raise _not_member_ar(S)
     F, mask = S.frobenius, S.mask
-    terms = _difference_sequence(mask)[::-1]  # bottom up: m first
-    mirrors = set(map(add, accumulate(terms), terms))  # v + (v - u) for consecutive u < v
-    digits = bin(mask)[:1:-1]  # digits[x] == "1" for the members x up to F+1
-    if any(digits[x] == "0" for x in mirrors if x <= F):
+    seq = _difference_sequence(mask)
+    if not _axioms_hold(seq):
         raise _not_member_ar(S)
+    terms = seq[::-1]  # bottom up: m first
+    mirrors = set(map(add, accumulate(terms), terms))  # v + (v - u) for consecutive u < v
     m = terms[0]
     gens = (_apery_mask(F, mask, m) | 1 << m) & ((1 << F) - 2)  # the minimal generators below F
     return tuple(x for x in _iter_bits(gens) if x not in mirrors)

@@ -104,8 +104,11 @@ def _difference_sequence(mask: int) -> tuple[int, ...]:
 
 
 def _axioms_hold(xs: tuple[int, ...]) -> bool:
-    """Both sequence axioms (see ``sequences``) on a nonempty tuple of ints, with no conversion."""
-    if xs[0] < 2:
+    """Both sequence axioms (see ``sequences``) on a tuple of ints, with no conversion.
+
+    The empty tuple, the naturals' difference sequence, fails them.
+    """
+    if not xs or xs[0] < 2:
         return False
     if any(b < a for a, b in zip(xs, xs[1:])):
         return False
@@ -408,12 +411,10 @@ class NumericalSemigroup:
 
         These are m and the nonzero elements of the Apery set modulo m that
         are not a sum of two of them, so only the m bits of the Apery mask
-        are shifted.
+        are shifted.  The naturals have m = 1 and Apery set {0}: just (1,).
         """
-        if self.is_natural():
-            return (1,)
         F, mask = self.frobenius, self.mask
-        m = _multiplicity(mask)
+        m = self.multiplicity()
         ap = _apery_mask(F, mask, m) & ~1  # the nonzero Apery elements, all above m
         sums = 0
         # the smaller summand of a sum within F+m is at most (F+m)/2
@@ -462,10 +463,9 @@ class NumericalSemigroup:
     def special_gaps(self) -> tuple[int, ...]:
         """Gaps whose adjunction leaves the set additively closed.
 
-        These are the pseudo-Frobenius numbers x with 2x a member.
+        These are the pseudo-Frobenius numbers x with 2x a member; the naturals
+        have none and raise ``NoGapsError``.
         """
-        if self.is_natural():
-            raise NoGapsError("the naturals have no gaps")
         return tuple(x for x in self.pseudo_frobenius() if 2 * x in self)
 
     # -- structural predicates ----------------------------------------------

@@ -24,12 +24,7 @@ from typing import Iterable, Iterator
 from .core import (
     NumericalSemigroup, _axioms_hold, _check_tree_frobenius, _closed, _difference_sequence, _integer, _refinement_free_masks
 )
-from .errors import (
-    EmptyInputError,
-    InvalidSequenceError,
-    NoGapsError,
-    NotArfError,
-)
+from .errors import EmptyInputError, InvalidSequenceError, NotArfError
 
 
 def _as_terms(seq: Iterable[int] | "ArfSequence") -> tuple[int, ...]:
@@ -94,13 +89,15 @@ def semigroup_of_sequence(seq: Iterable[int] | ArfSequence) -> NumericalSemigrou
 
 
 def sequence_of_semigroup(S: NumericalSemigroup) -> ArfSequence:
-    """Inverse of ``semigroup_of_sequence``; requires an Arf semigroup."""
-    if S.is_natural():
-        raise NoGapsError("the naturals have no associated sequence")
-    try:
-        return ArfSequence(S.difference_sequence())
-    except InvalidSequenceError:
-        raise NotArfError(f"{S!r} is not an Arf semigroup") from None
+    """Inverse of ``semigroup_of_sequence``; requires an Arf semigroup.
+
+    The naturals raise ``NoGapsError`` (no difference sequence), any other
+    non-Arf S ``NotArfError``.
+    """
+    seq = S.difference_sequence()
+    if not _axioms_hold(seq):
+        raise NotArfError(f"{S!r} is not an Arf semigroup")
+    return _unchecked(seq)
 
 
 def _valid_splits(xs: tuple[int, ...]) -> Iterator[tuple[int, int]]:

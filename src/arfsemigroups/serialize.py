@@ -105,17 +105,16 @@ def semigroups_json(F: int, masks: Sequence[int], smalls: Sequence[str]) -> str:
     F >= 1, written as text: ``dumps`` of that list, byte for byte.
 
     ``smalls`` holds each semigroup's positive small elements as text, each
-    after a comma.  A row reads m off its generator mask and the genus off
-    the membership mask (F + 2 minus the members up to F+1).
+    after a comma.  A row takes its generators from ``_generator_cells``, as
+    ``_node_rows`` does, and reads m and the genus off the membership mask
+    (F + 2 minus the members up to F+1).
     """
-    gen_masks = [_med_generator_mask(F, mask) for mask in masks]
-    names = _names(gen_masks)
     rows = []
-    for mask, gens, small in zip(masks, gen_masks, smalls):
-        m = (gens & -gens).bit_length() - 1  # Arf, so MED: the type is m - 1
+    for mask, cell, small in zip(masks, _generator_cells(F, masks, ","), smalls):
+        m = _multiplicity(mask)  # Arf, so MED: the type is m - 1
         rows.append(
             f'{{"frobenius":{F},"multiplicity":{m},"genus":{F + 2 - mask.bit_count()},"type":{m - 1},'
-            f'"min_generators":[{_joined(gens, names, ",")}],"small_elements":[0{small}]}}'
+            f'"min_generators":[{cell}],"small_elements":[0{small}]}}'
         )
     return "[" + ",".join(rows) + "]"
 

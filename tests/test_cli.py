@@ -747,6 +747,20 @@ class TestBadInput:
         assert run("seq", "validate", "").exit_code == 2
         assert run("closure", "5", "--set", "1,x").exit_code == 2
 
+    def test_lists_that_start_with_a_negative_value(self):
+        # argparse may read "-2,4" as an option (CPython 3.11 does); "--" before a positional
+        # list and "=" after an option pass it on on every version, to the command's own verdict
+        res = run("seq", "validate", "--", "-2,4")
+        assert (res.exit_code, res.stdout, res.stderr) == (1, "sequence  -2,4\nvalid     false\n", "")
+        res = run("seq", "validate", "--format", "json", "--", "-2,4")
+        assert (res.exit_code, res.stdout, res.stderr) == (1, '{"sequence":[-2,4],"valid":false}\n', "")
+        res = run("closure", "10", "--set=-3,5")
+        assert res.exit_code == 1 and res.stderr == ""
+        assert pairs(res.stdout)["X"] == "-3,5" and pairs(res.stdout)["is_ar_set"] == "false"
+        res = run("closure", "10", "--set=-3,5", "--format", "json")
+        assert (res.exit_code, res.stderr) == (1, "")
+        assert json.loads(res.stdout) == {"F": 10, "X": [-3, 5], "is_ar_set": False, "closure": None, "rank": None}
+
     def test_error_messages_on_stderr(self):
         res = run("check", "abc")
         assert res.stdout == ""

@@ -162,7 +162,8 @@ class TestConversion:
     def test_sequence_of_semigroup_rejects(self):
         with pytest.raises(NotArfError):
             sequence_of_semigroup(NumericalSemigroup.from_generators([5, 7, 9]))
-        with pytest.raises(NoGapsError):
+        # refused by difference_sequence: the naturals have no gaps, so no sequence to test
+        with pytest.raises(NoGapsError, match="^the naturals have no difference sequence$"):
             sequence_of_semigroup(NumericalSemigroup.natural())
 
     def test_semigroups_of_sequences_pass_the_full_check(self):
