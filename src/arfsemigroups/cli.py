@@ -384,14 +384,31 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.A
 _PARSER, _ROUTES = _parser()
 
 
+def _as_values(args: list[str]) -> list[str]:
+    """``args`` with each word that starts with ``-`` and a digit, which argparse takes for an option
+    unless it is a plain number (``-2,4``), read as a value: joined to a ``--set`` or ``--format``
+    before it, else moved behind a ``--``.  No option name has that form."""
+    out, moved = [], []
+    for i, word in enumerate(args):
+        if word == "--":
+            return out + ["--", *moved, *args[i + 1 :]]
+        if not (word[:1] == "-" and word[1:2].isdigit()):
+            out.append(word)
+        elif out[-1:] in (["--set"], ["--format"]):
+            out[-1] += "=" + word
+        else:
+            moved.append(word)
+    return out + ["--", *moved] if moved else out
+
+
 def _parse(argv: list[str]) -> dict:
     """The parameters of ``argv``, parsed by its command's subparser alone when the first one or
-    two words name a command; anything else, and arguments the command leaves over, go to
-    ``_PARSER``, which reports them as the top level always has."""
+    two words name a command (after ``_as_values``); anything else, and arguments the command
+    leaves over, go to ``_PARSER``, which reports them as the top level always has."""
     for words in (1, 2):
         sub = _ROUTES.get(tuple(argv[:words]))
         if sub is not None:
-            params, rest = sub.parse_known_args(argv[words:])
+            params, rest = sub.parse_known_args(_as_values(argv[words:]))
             if not rest:
                 return vars(params)
             break

@@ -9,8 +9,9 @@ Branco, "Arf numerical semigroups", 2004): Arf(T) is 0 together with m + Arf(<T 
 m = m(T) is the multiplicity and T - m holds the t - m for the positive members t.  So with
 m_i = m(T_i) and T_{i+1} = <T_i - m_i>, the hull's members are 0, m_0, m_0 + m_1, ...: its
 difference sequence, read from the bottom up.  X has no hull precisely when F is one of these
-running sums.  <X> and every <T_i - m_i> come from ``core._closure_mask``, the package's one
-additive closure, which the chain starts from T_i (inside <T_i - m_i>, as t = (t + m_i) - m_i).
+running sums.  The chain runs on generator sets: if T_i = <G> with everything above c, then
+T_{i+1} = <m_i, g - m_i for g in G> with everything above c - m_i, as every t - m_i is one g - m_i
+plus generators.
 
 The module also computes the minimal generating data of a member S relative
 to this hull operator: the unique minimal set X with hull X = S, its size
@@ -35,14 +36,14 @@ from .core import (
     _integer,
     _iter_bits,
     _not_member_ar,
-    _read_off,
 )
 from .errors import ScaleLimitError
 
-# The chain shifts a bitmask over [0, F] per step and can take F/3 steps, so its cost is
-# quadratic in F.  Budget: every accepted F finishes within 2 s.  The slowest inputs found at
-# 2^16, [5, 52272, 52273, 52279, 52283, 52284] and [3, F - 2], took 0.64-0.87 s in a fresh
-# process (CPython 3.11, shared 2-core Xeon); at 2^17 - 1, [3, F - 2] took 2.4 s.
+# Budget: every accepted F finishes within 2 s.  A round of the chain costs O(|G|) integer operations,
+# so the cost left is <X> over F bits.  At 2^16 in a fresh process (CPython 3.11, shared 2-core Xeon),
+# [5, 52272, 52273, 52279, 52283, 52284] and [3, F - 2] take 0.10-0.13 s, and the 16,384 odd numbers
+# from 32,769 up at F = 2^16 - 1, a 96 KiB argument, 0.35-0.55 s; in process, X = 32,768..65,535 takes
+# 0.56-0.83 s, nearly all of it <X>.  A higher limit waits for budgets set from time and memory.
 _HULL_LIMIT = 1 << 16
 
 
@@ -65,17 +66,16 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
     F), because F is a sum of elements of X, or because the multiplicity
     chain reaches F.
 
-    The chain walks T_i as a bitmask over [0, F - r], r = m_0 + ... + m_{i-1} the running sum,
-    with everything above counted as a member; T_{i+1} = <T_i - m_i> is ``core._closure_mask``
-    of T_i shifted down by m_i, started from T_i.  It stops when r passes F (nothing is left to
-    add), when r equals F (refused), or when T_i is already Arf: the hull is then the sums so far
-    plus r + T_i, refused if that holds F.  The naturals (m = 1) are Arf.  The Arf test is linear
-    in F, so it runs only at steps 0, 1, 2, 4, 8, ...; a chain that turned Arf in between just
-    goes on reading T_i off term by term.
+    The chain holds T_i as a generator set G, every generator at most c = F - r, r = m_0 + ... +
+    m_{i-1} the running sum, with everything above c a member.  Each round drops the generators
+    above c and takes m = min(G) (c + 1 when none is left); a generator is redundant unless it is
+    the least of its residue class mod m other than 0.  With g the least generator kept, the next
+    k = g // m multiplicities are all m (c // m + 1 of them, to past F, when none is kept), so one
+    round adds those k running sums up to F and leaves G = {m} and the g - k m.  m falls from round
+    to round, and the chain stops once r reaches F.
 
-    ``stages`` holds the elements up to F outside <X> that each step added,
-    ascending, for the steps that added any: the running sum, or r + T_i at
-    the last step.  On an accepted set their union is the hull minus <X>.
+    ``stages`` holds one ``(s,)`` per running sum s up to F outside <X>,
+    ascending: on an accepted set their union is the hull minus <X>.
     """
     _check_frobenius(frobenius)
     if frobenius > _HULL_LIMIT:
@@ -83,35 +83,27 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
     xs = tuple(sorted(set(map(_integer, X))))
     if any(x < 1 or x > frobenius for x in xs):
         return ClosureResult(frobenius, xs, False, None, ())
-    F, limit = frobenius, (1 << (frobenius + 1)) - 1
-    base = _closure_mask(sum(1 << x for x in xs), limit)
+    F = frobenius
+    base = _closure_mask(sum(1 << x for x in xs), (1 << (F + 1)) - 1)
     if (base >> F) & 1:
         return ClosureResult(F, xs, False, None, ())
-    sums: list[int] = []  # the running sums m_0 + ... + m_i up to F
-    T, m, run, step, rest = base, F + 1, 0, 0, 0
+    digits = bytearray(b"1" + b"0" * F)  # digit s is 1 for 0 and each running sum s up to F
+    gens, run = xs, 0
     while run < F:
-        c = F - run  # T is T_step over [0, c], and limit has bits 0..c
-        low = T & ((2 << m) - 1) & ~1  # m(T_{i+1}) <= m_i: m_i = 2m_i - m_i is in T_{i+1}
-        m = (low & -low).bit_length() - 1 if low else c + 1
-        if m == 1 or (step & (step - 1) == 0 and _read_off(T, c).is_arf()):  # steps 0, 1, 2, 4, 8, ...
-            rest = T << run  # Arf(T) = T: the rest of the hull
-            break
-        run += m
-        if run > F:
-            break
-        sums.append(run)
-        limit >>= m
-        T = _closure_mask(T >> m, limit, T & limit)
-        step += 1
-    chain = sum(1 << s for s in sums)  # a shift per sum, a few per cent of a long chain
-    stages = [(s,) for s in _iter_bits(chain & ~base)]
-    last = rest & ~(base | chain)
-    if last:
-        stages.append(tuple(_iter_bits(last)))
-    hull = base | chain | rest
+        c = F - run
+        gens = [g for g in gens if g <= c]
+        m = min(gens, default=c + 1)
+        kept = {g % m: g for g in sorted(gens, reverse=True) if g % m}  # the least of each class
+        k = min(kept.values()) // m if kept else c // m + 1
+        n = min(k, c // m)  # the sums run + m, ..., run + k m that are at most F
+        digits[run + m : run + n * m + 1 : m] = b"1" * n
+        run += k * m
+        gens = [m, *(g - k * m for g in kept.values())]
+    hull = int(digits[::-1], 2)
+    stages = tuple((s,) for s in _iter_bits(hull & ~base))
     if (hull >> F) & 1:
-        return ClosureResult(F, xs, False, None, tuple(stages))
-    return ClosureResult(F, xs, True, _closed(F, hull | (1 << (F + 1))), tuple(stages))
+        return ClosureResult(F, xs, False, None, stages)
+    return ClosureResult(F, xs, True, _closed(F, hull | (1 << (F + 1))), stages)
 
 
 def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:

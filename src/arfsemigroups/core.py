@@ -151,17 +151,15 @@ def _med_generator_mask(F: int, mask: int) -> int:
     return (_apery_mask(F, mask, m) & ~1) | (1 << m)
 
 
-def _closure_mask(A: int, limit: int, reach: int = 1) -> int:
+def _closure_mask(A: int, limit: int) -> int:
     """<A>, the sums of elements of the mask A, within ``limit``, a mask of bits 0..k.
 
-    Bits of A above k are ignored.  ``reach``, a closed mask inside <A>, is where it starts
-    ({0} by default).  Each round adjoins the least element g of A not yet reached, shifting by
-    g, 2g, 4g, ... until a shift adds nothing: that covers every multiple of g and keeps
-    ``reach`` closed under every step it was closed under.
+    Bits of A above k are ignored.  Each round adjoins the least element g of A not yet reached,
+    shifting by g, 2g, 4g, ... until a shift adds nothing: that covers every multiple of g and
+    keeps the mask closed under every step it was closed under.
     """
-    if A > limit:  # a bit above k: masking every call would cost a pass per hull chain step
-        A &= limit
-    missing = A & ~reach
+    A &= limit
+    reach, missing = 1, A & ~1
     while missing:
         step = (missing & -missing).bit_length() - 1
         while True:

@@ -748,8 +748,8 @@ class TestBadInput:
         assert run("closure", "5", "--set", "1,x").exit_code == 2
 
     def test_lists_that_start_with_a_negative_value(self):
-        # argparse may read "-2,4" as an option (CPython 3.11 does); "--" before a positional
-        # list and "=" after an option pass it on on every version, to the command's own verdict
+        # argparse reads "-2,4" as an option unless told otherwise: "--" before a positional list and
+        # "=" after an option pass it on, and the CLI adds them itself, so each pair reads the same
         res = run("seq", "validate", "--", "-2,4")
         assert (res.exit_code, res.stdout, res.stderr) == (1, "sequence  -2,4\nvalid     false\n", "")
         res = run("seq", "validate", "--format", "json", "--", "-2,4")
@@ -760,6 +760,22 @@ class TestBadInput:
         res = run("closure", "10", "--set=-3,5", "--format", "json")
         assert (res.exit_code, res.stderr) == (1, "")
         assert json.loads(res.stdout) == {"F": 10, "X": [-3, 5], "is_ar_set": False, "closure": None, "rank": None}
+        for plain, marked in (
+            (("seq", "validate", "-2,4"), ("seq", "validate", "--", "-2,4")),
+            (("seq", "validate", "-2,4", "--format", "json"), ("seq", "validate", "--format", "json", "--", "-2,4")),
+            (("seq", "semigroup", "-2,4"), ("seq", "semigroup", "--", "-2,4")),
+            (("closure", "10", "--set", "-3,5"), ("closure", "10", "--set=-3,5")),
+            (("closure", "--set", "-3,5", "10", "--format", "json"), ("closure", "10", "--set=-3,5", "--format", "json")),
+            (("check", "-2,4"), ("check", "--", "-2,4")),
+            (("enumerate", "5", "--format", "-2,4"), ("enumerate", "5", "--format=-2,4")),
+        ):
+            assert run(*plain) == run(*marked), plain
+        assert run("seq", "validate", "-2,4").exit_code == 1
+        assert run("closure", "10", "--set", "-3,5").exit_code == 1
+        assert "invalid choice: '-2,4'" in run("enumerate", "5", "--format", "-2,4").stderr
+        # a list left over after the command's argument is still the top level's usage error
+        res = run("seq", "validate", "5", "-2,4")
+        assert res.exit_code == 2 and res.stderr.startswith("usage: arfsg [--help] COMMAND")
 
     def test_error_messages_on_stderr(self):
         res = run("check", "abc")
@@ -795,6 +811,8 @@ class TestBadInput:
             (("seq", "validate", "8000,193"), "sequence total 8193 refused (limit 8192)"),
             (("seq", "semigroup", ""), "at least one term is required"),
             (("seq", "refinements", " "), "at least one term is required"),
+            # a list that starts with a negative value is an argument too
+            (("check", "-1,5"), "generators must be positive: [-1, 5]"),
         ],
     )
     def test_refusals_are_one_error_line(self, args, message):
@@ -812,7 +830,7 @@ class TestBadInput:
             ("enumerate", "5", "extra"),
             ("enumerate", "5", "--format", "dot"),
             ("closure", "5", "--set"),
-            ("check", "-1,5"),
+            ("check", "5", "--format", "-1,5"),
             ("enumerate", "5", "-h"),
             # no option may be abbreviated
             ("enumerate", "5", "--form", "json"),
