@@ -20,13 +20,13 @@ to this hull operator: the unique minimal set X with hull X = S, its size
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import accumulate
 from operator import add
-from typing import Iterable
 
 from .core import (
     NumericalSemigroup,
+    _Value,
     _apery_mask,
     _axioms_hold,
     _check_frobenius,
@@ -47,15 +47,18 @@ from .errors import ScaleLimitError
 _HULL_LIMIT = 1 << 16
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(_Value):
     """Outcome of the hull computation, with the elements each chain step added."""
 
-    frobenius: int
-    input_set: tuple[int, ...]
-    is_ar_set: bool
-    closure: NumericalSemigroup | None
-    stages: tuple[tuple[int, ...], ...]
+    __match_args__ = ("frobenius", "input_set", "is_ar_set", "closure", "stages")
+
+    def __init__(self, frobenius: int, input_set: tuple[int, ...], is_ar_set: bool, closure: NumericalSemigroup | None,
+                 stages: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "frobenius", frobenius)
+        object.__setattr__(self, "input_set", input_set)
+        object.__setattr__(self, "is_ar_set", is_ar_set)
+        object.__setattr__(self, "closure", closure)
+        object.__setattr__(self, "stages", stages)
 
 
 def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:

@@ -25,9 +25,8 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import compress
-from typing import Iterable, Iterator
 
 from .errors import (
     EmptyInputError,
@@ -281,8 +280,34 @@ def _not_member_ar(S: NumericalSemigroup) -> NotInCovarietyError:
     return NotInCovarietyError(f"{what} not an Arf semigroup with positive Frobenius number")
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class _Value:
+    """A frozen value whose fields, named in order by the class's ``__match_args__``, are set once
+    by ``object.__setattr__``: equal to a value of the same class with equal fields, and hashed
+    and shown as the tuple of them."""
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class NumericalSemigroup(_Value):
     """An additively closed, cofinite subset of the naturals containing 0.
 
     Only masks from outside (this constructor, ``from_small_elements``) get
@@ -290,11 +315,12 @@ class NumericalSemigroup:
     construction and skip it.
     """
 
-    frobenius: int
-    mask: int
+    __match_args__ = ("frobenius", "mask")
 
-    def __post_init__(self):
-        F, mask = self.frobenius, self.mask
+    def __init__(self, frobenius: int, mask: int):
+        object.__setattr__(self, "frobenius", frobenius)
+        object.__setattr__(self, "mask", mask)
+        F = frobenius
         if F == -1:
             if mask != 1:
                 raise ValueError("the naturals are encoded as frobenius=-1, mask=1")

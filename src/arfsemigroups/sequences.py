@@ -18,11 +18,11 @@ its prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .core import (
-    NumericalSemigroup, _axioms_hold, _check_tree_frobenius, _closed, _difference_sequence, _integer, _refinement_free_masks
+    NumericalSemigroup, _Value, _axioms_hold, _check_tree_frobenius, _closed, _difference_sequence, _integer,
+    _refinement_free_masks,
 )
 from .errors import EmptyInputError, InvalidSequenceError, NotArfError
 
@@ -41,14 +41,13 @@ def validate_sequence(seq: Iterable[int] | "ArfSequence") -> bool:
     return _axioms_hold(_as_terms(seq))
 
 
-@dataclass(frozen=True)
-class ArfSequence:
+class ArfSequence(_Value):
     """A tuple of integers satisfying both sequence axioms; any iterable of integers is stored as one."""
 
-    terms: tuple[int, ...]
+    __match_args__ = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _as_terms(self.terms))
+    def __init__(self, terms: Iterable[int]):
+        object.__setattr__(self, "terms", _as_terms(terms))
         if not validate_sequence(self):
             raise InvalidSequenceError(f"{','.join(map(str, self.terms))} violates the sequence axioms")
 

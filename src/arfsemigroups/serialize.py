@@ -31,9 +31,9 @@ writes a tuple as an array.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
 
 from .closure import ClosureResult
 from .core import NumericalSemigroup, _iter_bits, _med_generator_mask, _multiplicity, _scan_bits, _selector
@@ -55,7 +55,7 @@ def _med_generators(S: NumericalSemigroup) -> list[int]:
     return [*_iter_bits(gens & ((1 << cut) - 1)), *map(cut.__add__, _iter_bits(gens >> cut))]
 
 
-def semigroup_dict(S: NumericalSemigroup) -> dict[str, Any]:
+def semigroup_dict(S: NumericalSemigroup) -> dict[str, object]:
     """The JSON object of an Arf semigroup other than the naturals, so MED: the type is m - 1."""
     m = S.multiplicity()
     return {
@@ -68,7 +68,7 @@ def semigroup_dict(S: NumericalSemigroup) -> dict[str, Any]:
     }
 
 
-def dumps(obj: Any) -> str:
+def dumps(obj: object) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -144,7 +144,7 @@ def members_json(F: int, masks: Sequence[int]) -> str:
     return semigroups_json(F, masks, [_joined(mask ^ (1 << (F + 1)), names, ",")[1:] for mask in masks])
 
 
-def render_table(header: Sequence[str], rows: Iterable[tuple[Any, ...]]) -> str:
+def render_table(header: Sequence[str], rows: Iterable[tuple[object, ...]]) -> str:
     """Tuples in left-aligned columns as wide as their headers, two spaces apart; the last is not padded.
 
     Precondition: no cell but the last is wider than its header.  Tree rows meet it for every
@@ -154,7 +154,7 @@ def render_table(header: Sequence[str], rows: Iterable[tuple[Any, ...]]) -> str:
     return "\n".join([line % tuple(header), *map(line.__mod__, rows)])
 
 
-def _cell(value: Any) -> str:
+def _cell(value: object) -> str:
     """``-`` for None or an empty list, ``true``/``false`` for a bool, a list comma-joined."""
     if value is None:
         return "-"
@@ -165,7 +165,7 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def render_pairs(pairs: Iterable[tuple[str, Any]]) -> str:
+def render_pairs(pairs: Iterable[tuple[str, object]]) -> str:
     """One ``key  value`` line per pair, keys padded to the widest."""
     items = list(pairs)
     width = max(len(k) for k, _ in items)
@@ -192,7 +192,7 @@ def tree_csv(F: int, masks: Sequence[int]) -> str:
     return "\n".join([CSV_HEADER, *map(line.__mod__, _node_rows(F, masks, ";"))])
 
 
-def tree_json_obj(tree: CovarietyTree) -> dict[str, Any]:
+def tree_json_obj(tree: CovarietyTree) -> dict[str, object]:
     """The tree as a JSON object; ``tree_json`` writes its ``dumps`` as text."""
     return {
         "frobenius": tree.frobenius,
@@ -218,7 +218,7 @@ def tree_dot(tree: CovarietyTree) -> str:
     return "\n".join(lines)
 
 
-def closure_obj(result: ClosureResult, rank: int | None) -> dict[str, Any]:
+def closure_obj(result: ClosureResult, rank: int | None) -> dict[str, object]:
     return {
         "F": result.frobenius,
         "X": result.input_set,
@@ -228,7 +228,7 @@ def closure_obj(result: ClosureResult, rank: int | None) -> dict[str, Any]:
     }
 
 
-def sequence_obj(terms: Sequence[int], refinement_free: bool, semigroup: NumericalSemigroup) -> dict[str, Any]:
+def sequence_obj(terms: Sequence[int], refinement_free: bool, semigroup: NumericalSemigroup) -> dict[str, object]:
     """The record of a valid sequence; an invalid one is its ``sequence`` and ``valid`` rows alone."""
     return {
         "sequence": terms,

@@ -27,22 +27,22 @@ multiplicity, that reads: 2m - e and 2e are members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import NumericalSemigroup, _check_tree_frobenius, _closed, _not_member_ar, _refinement_free_masks
+from .core import NumericalSemigroup, _Value, _check_tree_frobenius, _closed, _not_member_ar, _refinement_free_masks
 
 
-@dataclass(frozen=True)
-class CovarietyTree:
+class CovarietyTree(_Value):
     """The tree of all Arf semigroups with Frobenius number ``frobenius``.
 
     Node i is the member with membership mask ``masks[i]``, and it hangs
     below node ``parents[i]``.  The root {0, F+1, ->} is node 0, with parent -1.
     """
 
-    frobenius: int
-    masks: tuple[int, ...]
-    parents: tuple[int, ...]
+    __match_args__ = ("frobenius", "masks", "parents")
+
+    def __init__(self, frobenius: int, masks: tuple[int, ...], parents: tuple[int, ...]):
+        object.__setattr__(self, "frobenius", frobenius)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "parents", parents)
 
     def __len__(self) -> int:
         return len(self.masks)

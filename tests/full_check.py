@@ -26,11 +26,11 @@ def assert_checked(S):
 def count_full_checks(monkeypatch):
     """Count the full checks from now on; the count is the list's only item."""
     calls = [0]
-    check = NumericalSemigroup.__post_init__
+    checked_init = NumericalSemigroup.__init__
 
-    def counted(S):
+    def counted(S, frobenius, mask):
         calls[0] += 1
-        check(S)
+        checked_init(S, frobenius, mask)
 
-    monkeypatch.setattr(NumericalSemigroup, "__post_init__", counted)
+    monkeypatch.setattr(NumericalSemigroup, "__init__", counted)
     return calls

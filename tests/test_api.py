@@ -1,10 +1,21 @@
-"""The public names of the package and the imports between its modules, frozen."""
+"""The public names of the package, the contract of its value classes and the imports between its modules, frozen."""
 
 import ast
-from dataclasses import fields
+import copy
+import pickle
 from pathlib import Path
 
+import pytest
+
 import arfsemigroups
+from arfsemigroups import (
+    ArfSequence,
+    ClosureResult,
+    CovarietyTree,
+    InvalidSequenceError,
+    NumericalSemigroup,
+    ar_closure,
+)
 from arfsemigroups.cli import _PARSER
 from cli_runner import leaf_commands
 
@@ -154,19 +165,60 @@ def test_removed_names_are_gone():
 def test_results_are_plain_values():
     S = arfsemigroups.NumericalSemigroup.from_generators([5, 7, 9])
     assert type(S.minimal_generators()) is tuple and type(S.apery_set(5)) is tuple
-    assert [f.name for f in fields(arfsemigroups.CovarietyTree)] == ["frobenius", "masks", "parents"]
+    assert arfsemigroups.CovarietyTree.__match_args__ == ("frobenius", "masks", "parents")
     tree = arfsemigroups.enumerate_ar(5)
     assert type(tree.masks) is tuple and type(tree.parents) is tuple
     assert not hasattr(arfsemigroups.NumericalSemigroup, "__and__")
 
 
 def test_semigroup_surface_is_frozen():
-    NumericalSemigroup = arfsemigroups.NumericalSemigroup
-    assert [f.name for f in fields(NumericalSemigroup)] == SEMIGROUP_FIELDS
+    assert list(NumericalSemigroup.__match_args__) == SEMIGROUP_FIELDS
     assert [name for name in dir(NumericalSemigroup) if not name.startswith("_")] == SEMIGROUP_PUBLIC
     S = NumericalSemigroup.from_generators([5, 7, 9])
     public = sorted(SEMIGROUP_FIELDS + SEMIGROUP_PUBLIC)
     assert [name for name in dir(S) if not name.startswith("_")] == public
+
+
+# each value class by its repr; its fields are named by __match_args__, in order
+VALUES = {
+    "ArfSequence(terms=(2, 2, 4))": lambda: ArfSequence((2, 2, 4)),
+    "CovarietyTree(frobenius=3, masks=(17, 21), parents=(-1, 0))": lambda: CovarietyTree(3, (17, 21), (-1, 0)),
+    "ClosureResult(frobenius=29, input_set=(6, 8), is_ar_set=True, closure=NumericalSemigroup(F=29, members="
+    "{0, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, ->}), stages=((10,),))": lambda: ar_closure([6, 8], 29),
+    "NumericalSemigroup.natural()": NumericalSemigroup.natural,
+}
+
+
+@pytest.mark.parametrize("text", VALUES)
+def test_values_are_frozen_and_compare_by_their_fields(text):
+    value = VALUES[text]()
+    cls = type(value)
+    assert repr(value) == text
+    fields = tuple(getattr(value, name) for name in cls.__match_args__)
+    assert value == cls(*fields) == cls(**dict(zip(cls.__match_args__, fields))) and hash(value) == hash(fields)
+    assert value.__eq__(fields) is NotImplemented and value != fields
+    for name in cls.__match_args__:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in cls.__match_args__) == fields
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value) and repr(twin) == text
+
+
+def test_values_check_their_input_and_match_by_position():
+    assert NumericalSemigroup.from_generators([3, 5]) != NumericalSemigroup.from_generators([3, 7])
+    with pytest.raises(ValueError, match="mask must contain 0"):
+        NumericalSemigroup(5, 0b110)
+    assert ArfSequence([2, 2, 4]).terms == (2, 2, 4) and type(ArfSequence([2, 2, 4]).terms) is tuple
+    with pytest.raises(InvalidSequenceError):
+        ArfSequence((3, 2))
+    match ar_closure([6, 8], 29):
+        case ClosureResult(29, (6, 8), True, NumericalSemigroup(F, mask), stages):
+            assert (F, mask.bit_count(), stages) == (29, 14, ((10,),))
+        case other:
+            pytest.fail(f"no match: {other!r}")
 
 
 def test_cli_surface_is_frozen():

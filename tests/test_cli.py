@@ -1003,3 +1003,12 @@ class TestProcess:
         code = "import sys, arfsemigroups.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=FRESH_ENV, check=True)
         assert out.stdout == "[]\n"
+
+    def test_importing_the_cli_leaves_dataclasses_inspect_and_typing_out(self):
+        # against the modules already loaded: a site .pth file may import typing before the package
+        code = (
+            "import sys; before = set(sys.modules); import arfsemigroups.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=FRESH_ENV, check=True)
+        assert out.stdout == "[]\n"
