@@ -39,21 +39,21 @@ from .core import (
 )
 from .errors import ScaleLimitError
 
-# Budget: every accepted F finishes within 2 s.  A round of the chain costs O(|G|) integer operations,
-# so the cost left is <X> over F bits.  At 2^16 in a fresh process (CPython 3.11, shared 2-core Xeon),
-# [5, 52272, 52273, 52279, 52283, 52284] and [3, F - 2] take 0.10-0.13 s, and the 16,384 odd numbers
-# from 32,769 up at F = 2^16 - 1, a 96 KiB argument, 0.35-0.55 s; in process, X = 32,768..65,535 takes
-# 0.56-0.83 s, nearly all of it <X>.  A higher limit waits for budgets set from time and memory.
+# Budget: every accepted F finishes within 2 s.  A round sorts its generators, |X| at first and then at
+# most the last multiplicity, and the falling multiplicities sum to about F at most.  At 2^16 through
+# the CLI in a fresh process (CPython 3.11, shared 2-core Xeon), the 16,384 odd numbers from 32,769 up,
+# a 96 KiB argument, take 0.07-0.10 s, and [5, 52272, ...] and [3, F - 2] 0.06-0.09 s; in process,
+# X = 32,768..65,535 takes 12-16 ms.  A higher limit waits for budgets set from time and memory.
 _HULL_LIMIT = 1 << 16
 
 
 class ClosureResult(_Value):
-    """Outcome of the hull computation, with the elements each chain step added."""
+    """Outcome of the hull computation, with the running sums each round of the chain added."""
 
     __match_args__ = ("frobenius", "input_set", "is_ar_set", "closure", "stages")
 
     def __init__(self, frobenius: int, input_set: tuple[int, ...], is_ar_set: bool, closure: NumericalSemigroup | None,
-                 stages: tuple[tuple[int, ...], ...]):
+                 stages: tuple[range, ...]):
         object.__setattr__(self, "frobenius", frobenius)
         object.__setattr__(self, "input_set", input_set)
         object.__setattr__(self, "is_ar_set", is_ar_set)
@@ -66,8 +66,8 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
 
     ``is_ar_set`` is false (with ``closure`` None) when no such semigroup
     contains X: either syntactically (some element is 0, negative, or beyond
-    F), because F is a sum of elements of X, or because the multiplicity
-    chain reaches F.
+    F), or because the multiplicity chain reaches F.  That covers F being a
+    sum of elements of X, as T_0 lies in its Arf closure.
 
     The chain holds T_i as a generator set G, every generator at most c = F - r, r = m_0 + ... +
     m_{i-1} the running sum, with everything above c a member.  Each round drops the generators
@@ -77,8 +77,9 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
     round adds those k running sums up to F and leaves G = {m} and the g - k m.  m falls from round
     to round, and the chain stops once r reaches F.
 
-    ``stages`` holds one ``(s,)`` per running sum s up to F outside <X>,
-    ascending: on an accepted set their union is the hull minus <X>.
+    ``stages`` holds one ``range`` per round that adds a running sum up to F, its step that round's
+    multiplicity, so the steps fall strictly.  Joined, the stages are the running sums up to F in
+    order: the hull's positive small elements on an accepted set, ending at F on a refused one.
     """
     _check_frobenius(frobenius)
     if frobenius > _HULL_LIMIT:
@@ -87,11 +88,8 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
     if any(x < 1 or x > frobenius for x in xs):
         return ClosureResult(frobenius, xs, False, None, ())
     F = frobenius
-    base = _closure_mask(sum(1 << x for x in xs), (1 << (F + 1)) - 1)
-    if (base >> F) & 1:
-        return ClosureResult(F, xs, False, None, ())
     digits = bytearray(b"1" + b"0" * F)  # digit s is 1 for 0 and each running sum s up to F
-    gens, run = xs, 0
+    gens, run, stages = xs, 0, []
     while run < F:
         c = F - run
         gens = [g for g in gens if g <= c]
@@ -100,13 +98,14 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
         k = min(kept.values()) // m if kept else c // m + 1
         n = min(k, c // m)  # the sums run + m, ..., run + k m that are at most F
         digits[run + m : run + n * m + 1 : m] = b"1" * n
+        if n:
+            stages.append(range(run + m, run + n * m + 1, m))
         run += k * m
         gens = [m, *(g - k * m for g in kept.values())]
     hull = int(digits[::-1], 2)
-    stages = tuple((s,) for s in _iter_bits(hull & ~base))
     if (hull >> F) & 1:
-        return ClosureResult(F, xs, False, None, stages)
-    return ClosureResult(F, xs, True, _closed(F, hull | (1 << (F + 1))), stages)
+        return ClosureResult(F, xs, False, None, tuple(stages))
+    return ClosureResult(F, xs, True, _closed(F, hull | (1 << (F + 1))), tuple(stages))
 
 
 def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:

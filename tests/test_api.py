@@ -184,7 +184,8 @@ VALUES = {
     "ArfSequence(terms=(2, 2, 4))": lambda: ArfSequence((2, 2, 4)),
     "CovarietyTree(frobenius=3, masks=(17, 21), parents=(-1, 0))": lambda: CovarietyTree(3, (17, 21), (-1, 0)),
     "ClosureResult(frobenius=29, input_set=(6, 8), is_ar_set=True, closure=NumericalSemigroup(F=29, members="
-    "{0, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, ->}), stages=((10,),))": lambda: ar_closure([6, 8], 29),
+    "{0, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, ->}), stages=(range(6, 7, 6), range(8, 29, 2)))":
+    lambda: ar_closure([6, 8], 29),
     "NumericalSemigroup.natural()": NumericalSemigroup.natural,
 }
 
@@ -216,7 +217,8 @@ def test_values_check_their_input_and_match_by_position():
         ArfSequence((3, 2))
     match ar_closure([6, 8], 29):
         case ClosureResult(29, (6, 8), True, NumericalSemigroup(F, mask), stages):
-            assert (F, mask.bit_count(), stages) == (29, 14, ((10,),))
+            assert (F, mask.bit_count(), stages) == (29, 14, (range(6, 7, 6), range(8, 29, 2)))
+            assert [stage.step for stage in stages] == [6, 2]
         case other:
             pytest.fail(f"no match: {other!r}")
 

@@ -23,7 +23,7 @@ from arfsemigroups import (
 )
 from arfsemigroups.closure import _HULL_LIMIT
 from full_check import assert_checked
-from pair_fixpoint import pair_fixpoint, sums_of
+from pair_fixpoint import pair_fixpoint
 
 
 def sg(*gens):
@@ -42,15 +42,10 @@ class TestClosure:
         assert ar_closure([True, 2], 5).input_set == (1, 2)
 
     def test_stages_of_worked_example(self):
+        # one round of multiplicity 6, then 2 up to F: the hull's positive small elements
         res = ar_closure([6, 8], 29)
-        assert res.stages
-        assert 10 in res.stages[0]  # 8 + 8 - 6
-        seen: set[int] = set()
-        for stage in res.stages:
-            assert list(stage) == sorted(stage)
-            assert not seen & set(stage)
-            seen |= set(stage)
-        assert seen <= set(res.closure.small_elements())
+        assert [tuple(s) for s in res.stages] == [(6,), tuple(range(8, 29, 2))]
+        assert [s.step for s in res.stages] == [6, 2]
 
     def test_empty_input_gives_minimum(self):
         res = ar_closure([], 5)
@@ -70,12 +65,14 @@ class TestClosure:
         res = ar_closure([4], 8)  # 4 + 4 hits the Frobenius number
         assert not res.is_ar_set
         assert res.closure is None
-        assert res.stages == ()
+        assert [tuple(s) for s in res.stages] == [(4, 8)]
+        assert [s.step for s in res.stages] == [4]
 
     def test_blocked_after_a_round(self):
         res = ar_closure([4, 7], 10)  # 7 + 7 - 4 hits it
         assert not res.is_ar_set
-        assert res.stages
+        assert [tuple(s) for s in res.stages] == [(4,), (7,), (8, 9, 10)]
+        assert [s.step for s in res.stages] == [4, 3, 1]
 
     def test_frobenius_itself_is_never_allowed(self):
         assert not ar_closure([5], 5).is_ar_set
@@ -110,30 +107,39 @@ class TestClosure:
             ar_closure([2], _HULL_LIMIT + 1)
 
     def test_slowest_known_chain_at_the_limit_finishes_in_time(self):
-        # the slowest inputs of the chain on F-bit masks: about F/3 steps of multiplicity 3, and
-        # 10,454 of multiplicity 5 before a tail of small multiplicities
-        for X in ([3, _HULL_LIMIT - 2], [5, 52272, 52273, 52279, 52283, 52284]):
+        # about F/3 running sums of multiplicity 3, and 10,454 of multiplicity 5 before a tail of small
+        # multiplicities; then the largest inputs known: 32,768 generators, F being a sum of two, and
+        # the 16,384 odd numbers from 32,769 up, refused at F = 2^16 - 1 and accepted at 2^16
+        odd = range(32_769, 65_536, 2)
+        for X, F, accepted, sizes in (
+            ([3, _HULL_LIMIT - 2], _HULL_LIMIT, False, [21_844, 1, 2]),
+            ([5, 52272, 52273, 52279, 52283, 52284], _HULL_LIMIT, False, [10_454, 1, 13_264]),
+            (range(32_768, 65_536), _HULL_LIMIT, False, [1, 32_768]),
+            (odd, _HULL_LIMIT - 1, False, [1, 16_383]),
+            (odd, _HULL_LIMIT, True, [1, 16_383]),
+        ):
             started = time.perf_counter()
-            res = ar_closure(X, _HULL_LIMIT)
+            res = ar_closure(X, F)
             assert time.perf_counter() - started < 2.0
-            assert not res.is_ar_set
+            assert res.is_ar_set == accepted
+            assert [len(s) for s in res.stages] == sizes
 
 
 def assert_matches_pair_fixpoint(X, F):
-    """The chain and the pair fixpoint agree on X; the stages split the hull minus <X>."""
+    """The chain and the pair fixpoint agree on X; the stages are the hull's running sums up to F."""
     res = ar_closure(X, F)
     accepted, mask = pair_fixpoint(res.input_set, F)
     assert res.is_ar_set == accepted, (X, F)
-    seen = 0
-    for stage in res.stages:
-        assert list(stage) == sorted(stage)
-        bits = sum(1 << s for s in stage)
-        assert not bits & seen
-        seen |= bits
+    steps = [stage.step for stage in res.stages]
+    assert steps == sorted(set(steps), reverse=True), (X, F)  # the multiplicities fall strictly
+    sums = [s for stage in res.stages for s in stage]
     if accepted:
         assert res.closure.mask == mask | (1 << (F + 1)), (X, F)
         assert res.closure.semigroup_type() == res.closure.multiplicity() - 1  # Arf, so MED
-        assert seen == mask & ~sums_of(res.input_set, F)
+        assert sum(1 << s for s in sums) == mask & ~1
+        assert [stage.step for stage in res.stages for _ in stage] == list(res.closure.difference_sequence()[:0:-1])
+    else:
+        assert sums[-1] == F, (X, F)
 
 
 class TestAgainstPairFixpoint:
