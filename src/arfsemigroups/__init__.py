@@ -21,7 +21,6 @@ from .errors import (
     InvalidSequenceError,
     NoGapsError,
     NotAMemberError,
-    NotArfError,
     NotCofiniteError,
     NotInCovarietyError,
     ScaleLimitError,
@@ -57,7 +56,6 @@ __all__ = [
     "InvalidSequenceError",
     "NoGapsError",
     "NotAMemberError",
-    "NotArfError",
     "NotCofiniteError",
     "NotInCovarietyError",
     "NumericalSemigroup",

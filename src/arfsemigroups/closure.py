@@ -28,14 +28,12 @@ from .core import (
     NumericalSemigroup,
     _Value,
     _apery_mask,
-    _axioms_hold,
+    _arf_terms,
     _check_frobenius,
     _closed,
     _closure_mask,
-    _difference_sequence,
     _integer,
     _iter_bits,
-    _not_member_ar,
 )
 from .errors import ScaleLimitError
 
@@ -111,11 +109,10 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
 def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:
     """The unique minimal X whose hull is S.
 
-    Raises ``NotInCovarietyError`` unless S's difference sequence keeps the
-    sequence axioms (``core._axioms_hold``): that refuses every non-Arf S and
-    the naturals, whose sequence is empty.  A minimal generator x below F
-    belongs to X exactly when S without x is still an Arf semigroup (its
-    Frobenius number is unchanged by removing x < F).  On members, the
+    Raises ``NotInCovarietyError`` for a non-Arf S and for the naturals
+    (``core._arf_terms``).  A minimal generator x below F belongs to X
+    exactly when S without x is still an Arf semigroup (its Frobenius
+    number is unchanged by removing x < F).  On members, the
     axioms say that S is Arf iff 2v - u is a member for any two consecutive
     members u < v up to F+1.  Removing x joins its neighbours u < x < v into
     one pair, whose 2v - u is a member above x since S is Arf, and drops x.
@@ -124,10 +121,7 @@ def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:
     shift of the mask.
     """
     F, mask = S.frobenius, S.mask
-    seq = _difference_sequence(mask)
-    if not _axioms_hold(seq):
-        raise _not_member_ar(S)
-    terms = seq[::-1]  # bottom up: m first
+    terms = _arf_terms(S)[::-1]  # bottom up: m first
     mirrors = set(map(add, accumulate(terms), terms))  # v + (v - u) for consecutive u < v
     m = terms[0]
     gens = (_apery_mask(F, mask, m) | 1 << m) & ((1 << F) - 2)  # the minimal generators below F

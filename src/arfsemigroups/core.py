@@ -13,7 +13,8 @@ shifted at most m - 1 times, however many members S has.  The difference
 sequence is read off the runs of zeros in the mask's binary digits.
 
 The family Ar(F) of Arf semigroups with Frobenius number F has its helpers
-here too, shared by ``tree``, ``sequences`` and ``cli``: the one limit on F
+here too, shared by ``tree``, ``sequences``, ``closure`` and ``cli``: the one
+refusal of a semigroup outside the family (``_arf_terms``), the one limit on F
 that every walk of the family checks (``_check_tree_frobenius``), the sort key
 of the family's canonical order (``_canonical_key``), and the pruned walk
 that yields its inclusion-maximal members (``_refinement_free_masks``).
@@ -105,11 +106,12 @@ def _difference_sequence(mask: int) -> tuple[int, ...]:
 def _axioms_hold(xs: tuple[int, ...]) -> bool:
     """Both sequence axioms (see ``sequences``) on a tuple of ints, with no conversion.
 
-    The empty tuple, the naturals' difference sequence, fails them.
+    Only x_1 >= 2 and axiom 2 are tested: once x_1..x_i are nondecreasing from
+    2, all positive, a consecutive suffix sum of them, or anything above their
+    total, is at least x_i, so axiom 2 keeps x_{i+1} >= x_i.  The empty tuple,
+    the naturals' difference sequence, fails.
     """
     if not xs or xs[0] < 2:
-        return False
-    if any(b < a for a, b in zip(xs, xs[1:])):
         return False
     # axiom 2 on prefix sums P_i = x_1 + ... + x_i: x_{i+1} is a consecutive
     # suffix sum P_i - P_j of its predecessors iff P_i - x_{i+1} is a P_j, j < i
@@ -268,16 +270,20 @@ def _read_off(mask: int, k: int) -> NumericalSemigroup:
     return _closed(F, mask & ((1 << (F + 1)) - 1) | 1 << (F + 1))
 
 
-def _not_member_ar(S: NumericalSemigroup) -> NotInCovarietyError:
-    """The error for an S that is not Arf or is the naturals.
+def _arf_terms(S: NumericalSemigroup) -> tuple[int, ...]:
+    """S's difference sequence, or ``NotInCovarietyError`` unless it keeps the sequence axioms.
 
-    The message names S by its Frobenius number and multiplicity, so it
-    stays short however large S is.
+    That refuses every non-Arf S and the naturals, whose sequence is empty.
+    The message names S by its Frobenius number and multiplicity, so it stays
+    short however large S is.
     """
+    xs = _difference_sequence(S.mask)
+    if _axioms_hold(xs):
+        return xs
     what = "the naturals are" if S.is_natural() else (
         f"the semigroup with Frobenius number {S.frobenius} and multiplicity {S.multiplicity()} is"
     )
-    return NotInCovarietyError(f"{what} not an Arf semigroup with positive Frobenius number")
+    raise NotInCovarietyError(f"{what} not an Arf semigroup with positive Frobenius number")
 
 
 class _Value:

@@ -25,10 +25,6 @@ class NoGapsError(SemigroupError):
     """The operation needs a gap (the semigroup is all of the naturals)."""
 
 
-class NotArfError(SemigroupError):
-    """The semigroup does not satisfy the Arf condition."""
-
-
 class NotInCovarietyError(SemigroupError):
     """The semigroup is not an Arf semigroup with the expected Frobenius number."""
 

@@ -8,6 +8,10 @@ The admissible sequences satisfy two axioms:
 2. each ``x_{i+1}`` is a consecutive suffix sum ``x_i + x_{i-1} + ... + x_j``
    of its predecessors, or exceeds the sum of all of them.
 
+Only ``x_1 >= 2`` and axiom 2 are tested (``core._axioms_hold``): axiom 1
+follows from them, as a consecutive suffix sum of x_1..x_i that are
+nondecreasing from 2, or anything above their total, is at least x_i.
+
 Splitting a term ``x_i`` into an adjacent pair ``(a, x_i - a)`` that keeps the
 axioms is called a proper refinement; sequences with no proper refinement and
 total F+1 correspond exactly to the maximal members of the covariety of Arf
@@ -21,10 +25,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from .core import (
-    NumericalSemigroup, _Value, _axioms_hold, _check_tree_frobenius, _closed, _difference_sequence, _integer,
-    _refinement_free_masks,
+    NumericalSemigroup, _Value, _arf_terms, _axioms_hold, _check_tree_frobenius, _closed, _difference_sequence,
+    _integer, _refinement_free_masks,
 )
-from .errors import EmptyInputError, InvalidSequenceError, NotArfError
+from .errors import EmptyInputError, InvalidSequenceError
 
 
 def _as_terms(seq: Iterable[int] | "ArfSequence") -> tuple[int, ...]:
@@ -88,15 +92,12 @@ def semigroup_of_sequence(seq: Iterable[int] | ArfSequence) -> NumericalSemigrou
 
 
 def sequence_of_semigroup(S: NumericalSemigroup) -> ArfSequence:
-    """Inverse of ``semigroup_of_sequence``; requires an Arf semigroup.
+    """Inverse of ``semigroup_of_sequence``: the difference sequence of an Arf semigroup.
 
-    The naturals raise ``NoGapsError`` (no difference sequence), any other
-    non-Arf S ``NotArfError``.
+    A non-Arf S and the naturals raise ``NotInCovarietyError``, as for
+    ``minimal_ar_generators`` and ``children`` (``core._arf_terms``).
     """
-    seq = S.difference_sequence()
-    if not _axioms_hold(seq):
-        raise NotArfError(f"{S!r} is not an Arf semigroup")
-    return _unchecked(seq)
+    return _unchecked(_arf_terms(S))
 
 
 def _valid_splits(xs: tuple[int, ...]) -> Iterator[tuple[int, int]]:

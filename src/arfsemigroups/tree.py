@@ -27,7 +27,7 @@ multiplicity, that reads: 2m - e and 2e are members.
 
 from __future__ import annotations
 
-from .core import NumericalSemigroup, _Value, _check_tree_frobenius, _closed, _not_member_ar, _refinement_free_masks
+from .core import NumericalSemigroup, _Value, _arf_terms, _check_tree_frobenius, _closed, _refinement_free_masks
 
 
 class CovarietyTree(_Value):
@@ -99,10 +99,10 @@ def _level_step(masks: list[int], mults: list[int], first: int, fill: int) -> li
 
 
 def children(S: NumericalSemigroup) -> list[NumericalSemigroup]:
-    """The children of S in the tree for F = F(S), ascending in multiplicity."""
-    if not is_member_ar(S, S.frobenius):
-        raise _not_member_ar(S)
-    buckets = _level_step([S.mask], [S.multiplicity()], 0, _fill(S.frobenius))
+    """The children of S in the tree for F = F(S), ascending in multiplicity; ``NotInCovarietyError``
+    for a non-Arf S and for the naturals (``core._arf_terms``)."""
+    m = _arf_terms(S)[-1]  # the last term is the multiplicity
+    buckets = _level_step([S.mask], [m], 0, _fill(S.frobenius))
     return [_closed(S.frobenius, S.mask | 1 << e) for e, ks in enumerate(buckets) if ks]
 
 

@@ -28,7 +28,6 @@ PUBLIC = [
     "InvalidSequenceError",
     "NoGapsError",
     "NotAMemberError",
-    "NotArfError",
     "NotCofiniteError",
     "NotInCovarietyError",
     "NumericalSemigroup",
@@ -99,6 +98,7 @@ CLI = {
 # the Apery/MED-adjunction route lives in tests/apery_route.py; its errors are asserts there;
 # minimal_generators() and apery_set() return plain tuples; single splits come from iter_refinements;
 # a tree node is its mask and parent index in CovarietyTree, with no TreeNode object
+# a non-Arf semigroup is refused by NotInCovarietyError alone, with no NotArfError
 REMOVED = [
     "AperyTable",
     "ContradictionError",
@@ -108,6 +108,7 @@ REMOVED = [
     "InternalInvariantError",
     "InvalidAdjunctionError",
     "InvalidRefinementError",
+    "NotArfError",
     "NotMedError",
     "TreeNode",
     "apery_after_adjoin",

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,14 +12,15 @@ from arfsemigroups import (
     EmptyInputError,
     InvalidFrobeniusError,
     InvalidSequenceError,
-    NoGapsError,
-    NotArfError,
+    NotInCovarietyError,
     NumericalSemigroup,
     ScaleLimitError,
     admits_proper_refinement,
     arf_sequences_with_total,
+    children,
     iter_refinements,
     maximal_elements,
+    minimal_ar_generators,
     refinement_free_sequences,
     semigroup_of_sequence,
     sequence_of_semigroup,
@@ -107,6 +109,16 @@ class TestValidation:
                 checked += 1
         assert checked == 2**14 - 1
 
+    def test_matches_axiom_walk_on_every_short_tuple_of_small_terms(self):
+        # zero, negative and decreasing terms included: the package tests x_1 >= 2 and axiom 2
+        # only, and this pins that axiom 1 follows from them
+        checked = 0
+        for n in range(1, 6):
+            for xs in product(range(-2, 9), repeat=n):
+                assert validate_sequence(xs) == validate_by_axiom_walk(xs), xs
+                checked += 1
+        assert checked == sum(11**n for n in range(1, 6))
+
     @given(
         st.one_of(
             st.lists(st.integers(min_value=-3, max_value=40), min_size=1, max_size=12),
@@ -160,11 +172,22 @@ class TestConversion:
         assert sequence_of_semigroup(NumericalSemigroup.from_generators([2, 7])).terms == (2, 2, 2)
 
     def test_sequence_of_semigroup_rejects(self):
-        with pytest.raises(NotArfError):
+        with pytest.raises(NotInCovarietyError):
             sequence_of_semigroup(NumericalSemigroup.from_generators([5, 7, 9]))
-        # refused by difference_sequence: the naturals have no gaps, so no sequence to test
-        with pytest.raises(NoGapsError, match="^the naturals have no difference sequence$"):
+        # the naturals' difference sequence is empty, which the axioms refuse
+        with pytest.raises(NotInCovarietyError, match="^the naturals are not an Arf semigroup"):
             sequence_of_semigroup(NumericalSemigroup.natural())
+
+    @pytest.mark.parametrize("gens", [[361, 363], [5, 7, 9], [1]])
+    def test_one_short_refusal_for_a_non_arf_semigroup(self, gens):
+        # F = 130,319 for <361, 363>: the message names F and m instead of listing the members
+        S = NumericalSemigroup.from_generators(gens)
+        messages = set()
+        for call in (minimal_ar_generators, sequence_of_semigroup, children):
+            with pytest.raises(NotInCovarietyError) as exc:
+                call(S)
+            messages.add(str(exc.value))
+        assert len(messages) == 1 and len(messages.pop()) < 200
 
     def test_semigroups_of_sequences_pass_the_full_check(self):
         # an ArfSequence was validated when built, so its conversion skips validation
