@@ -52,14 +52,6 @@ INT_CAP = 2**31 - 1
 # shared 2-core Xeon) and 2.2 s at 2^14; dense twos and `2,T` stay near 0.2 s at 2^13.
 _SEQ_LIMIT = 1 << 13
 
-# `rank-one F` lists about F semigroups, the one of multiplicity m with about F/m + m
-# generators and small elements: Theta(F^2) numbers.  `--count` is O(sqrt F) and needs no
-# limit.  Budget: every accepted listing finishes within 2 s.  At F = 1,499 (1,497 members)
-# the json (5.8 MB out) took 0.2-0.4 s and 33 MB, the table 0.2-0.3 s and 34 MB (fresh process,
-# CPython 3.11, shared 2-core Xeon); as json, F = 2,039 took 0.3-0.4 s (48 MB) and F = 2,999
-# 0.6-0.7 s (85 MB).
-_RANK_ONE_LIMIT = 1500
-
 
 class CliError(Exception):
     """Unusable input the library does not refuse itself: ``main`` prints ``Error: <message>``
@@ -221,8 +213,6 @@ def cmd_minimal_gens(generators: str, fmt: str) -> None:
 
 def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
     F = _to_int(frobenius, "frobenius")
-    if not count_only and F > _RANK_ONE_LIMIT:
-        raise CliError(f"rank-one listing for Frobenius number {F} refused (limit {_RANK_ONE_LIMIT}; --count has none)")
     if count_only:
         n = count_rank_one(F)
         print(serialize.dumps({"F": F, "count": n}) if fmt == "json" else str(n))

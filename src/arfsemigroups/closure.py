@@ -44,6 +44,14 @@ from .errors import ScaleLimitError
 # X = 32,768..65,535 takes 12-16 ms.  A higher limit waits for budgets set from time and memory.
 _HULL_LIMIT = 1 << 16
 
+# The rank-one catalog holds about F semigroups, the one of multiplicity m with about F/m + m
+# generators and small elements: Theta(F^2) numbers, and F masks of F bits.  `count_rank_one` is
+# O(sqrt F) and needs no limit.  Budget: every accepted listing finishes within 2 s.  At F = 1,499
+# (1,497 members) `arfsg rank-one` as json (5.8 MB out) took 0.2-0.4 s and 33 MB, the table
+# 0.2-0.3 s and 34 MB (fresh process, CPython 3.11, shared 2-core Xeon); as json, F = 2,039 took
+# 0.3-0.4 s (48 MB) and F = 2,999 0.6-0.7 s (85 MB).
+_RANK_ONE_LIMIT = 1500
+
 
 class ClosureResult(_Value):
     """Outcome of the hull computation, with the running sums each round of the chain added."""
@@ -130,8 +138,13 @@ def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:
 
 def rank_one_catalog(frobenius: int) -> list[NumericalSemigroup]:
     """All rank-one members: multiples of m up to F plus everything past F,
-    for each m with 2 <= m < F not dividing F.  Ascending in m."""
+    for each m with 2 <= m < F not dividing F.  Ascending in m.  F above
+    ``_RANK_ONE_LIMIT`` raises ``ScaleLimitError`` before any is built."""
     _check_frobenius(frobenius, least=2)
+    if frobenius > _RANK_ONE_LIMIT:
+        raise ScaleLimitError(
+            f"rank-one listing for Frobenius number {frobenius} refused (limit {_RANK_ONE_LIMIT}; --count has none)"
+        )
     top = 1 << (frobenius + 1)  # the multiples of m up to F miss F and are closed
     return [_closed(frobenius, _closure_mask(1 << m, top - 1) | top) for m in range(2, frobenius) if frobenius % m]
 

@@ -220,7 +220,7 @@ def _refinement_free_masks(frobenius: int) -> list[int]:
     of the prefix or exceeds their total, and bit 0 is v itself.  The next
     term y is valid iff bit y is set (and y <= v / 2 or y = v), and it splits
     as (a, y - a) iff bits a and y - 2a are set, the test of
-    ``sequences._valid_splits``.  So the splitting y are the sumset
+    ``sequences.iter_refinements``.  So the splitting y are the sumset
     {2a + b : a >= 2 and b set bits of ``up``}, cleared from the valid y in
     one pass over the a, ``up << 2a`` each; a > v / 2 clears only y > v.
     At v = 0 the extended mask cut to bits 0..F+1 is the member's mask.

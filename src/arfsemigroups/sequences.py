@@ -76,16 +76,18 @@ def _unchecked(terms: tuple[int, ...]) -> ArfSequence:
     return q
 
 
+def _arf(seq: Iterable[int] | ArfSequence) -> ArfSequence:
+    return seq if isinstance(seq, ArfSequence) else ArfSequence(seq)
+
+
 def semigroup_of_sequence(seq: Iterable[int] | ArfSequence) -> NumericalSemigroup:
     """The Arf semigroup {0, x_n, x_n + x_{n-1}, ..., x_n + ... + x_1, ->}.
 
     The total of the sequence is F+1.  Any other input is built into an
     ``ArfSequence``, which raises ``InvalidSequenceError`` if it is invalid.
     """
-    if not isinstance(seq, ArfSequence):
-        seq = ArfSequence(seq)
     run, mask = 0, 1
-    for x in reversed(seq.terms):
+    for x in reversed(_arf(seq).terms):
         run += x
         mask |= 1 << run
     return _closed(run - 1, mask)
@@ -100,14 +102,19 @@ def sequence_of_semigroup(S: NumericalSemigroup) -> ArfSequence:
     return _unchecked(_arf_terms(S))
 
 
-def _valid_splits(xs: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """(i, a) for every valid split, by position and then split value.
+def iter_refinements(seq: Iterable[int] | ArfSequence) -> Iterator[tuple[int, int, ArfSequence]]:
+    """All valid single splits as (position, split value, refined sequence), by position and then
+    split value.
 
-    A split value above x_i / 2 leaves x_i - 2a < 0, which no sequence of
-    positive terms accepts, so only a <= x_i / 2 is tried.  The partial sums
-    above each term are gathered from the top down, so a search that stops
-    at the first split costs no more than the terms it has passed.
+    Input other than an ``ArfSequence`` is built into one, which raises
+    ``InvalidSequenceError`` before anything is yielded.  A split value above
+    x_i / 2 leaves x_i - 2a < 0, which no sequence of positive terms accepts,
+    so only a <= x_i / 2 is tried.  The partial sums above each term are
+    gathered from the top down, so a search that stops at the first split
+    costs no more than the terms it has passed.  A valid split of a valid
+    sequence is valid, so the refined sequences are built unchecked.
     """
+    xs = _arf(seq).terms
     total = v = sum(xs)
     above: set[int] = set()
     for i, x in enumerate(xs, start=1):
@@ -121,27 +128,14 @@ def _valid_splits(xs: tuple[int, ...]) -> Iterator[tuple[int, int]]:
         for a in range(2, x // 2 + 1):
             t, w = v + a, v + x - 2 * a
             if (t > total or t in above) and (w == v or w > total or w in above):
-                yield i, a
+                yield i, a, _unchecked(xs[: i - 1] + (a, x - a) + xs[i:])
         above.add(v)
         v -= x
 
 
-def iter_refinements(seq: Iterable[int] | ArfSequence) -> Iterator[tuple[int, int, ArfSequence]]:
-    """All valid single splits as (position, split value, refined sequence).
-
-    Input other than an ``ArfSequence`` is built into one, which raises
-    ``InvalidSequenceError`` before anything is yielded.  A valid split of a
-    valid sequence is valid, so the refined sequences are built unchecked.
-    """
-    if not isinstance(seq, ArfSequence):
-        seq = ArfSequence(seq)
-    xs = seq.terms
-    for i, a in _valid_splits(xs):
-        yield i, a, _unchecked(xs[: i - 1] + (a, xs[i - 1] - a) + xs[i:])
-
-
 def admits_proper_refinement(seq: Iterable[int] | ArfSequence) -> bool:
-    return next(_valid_splits(_as_terms(seq)), None) is not None
+    """Whether ``iter_refinements`` yields anything; it refuses what that refuses."""
+    return next(iter_refinements(seq), None) is not None
 
 
 def arf_sequences_with_total(total: int) -> list[ArfSequence]:

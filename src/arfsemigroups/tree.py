@@ -73,17 +73,14 @@ def is_member_ar(S: NumericalSemigroup, frobenius: int) -> bool:
     return not S.is_natural() and S.frobenius == frobenius and S.is_arf()
 
 
-def _fill(F: int) -> int:
-    """The members F+2..2F+2, which extend a mask far enough for every bit test below."""
-    return ((1 << (F + 1)) - 1) << (F + 2)
-
-
-def _level_step(masks: list[int], mults: list[int], first: int, fill: int) -> list[list[int]]:
+def _level_step(masks: list[int], mults: list[int], first: int) -> list[list[int]]:
     """The parents of the children of the level ``first..``, the tail of ``masks``, bucketed by
     the new multiplicity e: a node of multiplicity m (``mults``) has the e in [m/2, m - 2] with
     2m - e and 2e members.  With j = m - e and w the members from m up, shifted to bit 0, that
     reads: j in 2..m/2 is a set bit of w, and so is m - 2j.  So the loop visits the set bits
     of w in 2..m/2 only.  The last node has the level's largest m, which bounds every e."""
+    top = masks[first].bit_length() - 1  # F+1
+    fill = ((1 << top) - 1) << (top + 1)  # the members F+2..2F+2, far enough for every bit test
     buckets: list[list[int]] = [[] for _ in range(mults[-1] - 1)]
     for k in range(first, len(masks)):
         m = mults[k]
@@ -102,7 +99,7 @@ def children(S: NumericalSemigroup) -> list[NumericalSemigroup]:
     """The children of S in the tree for F = F(S), ascending in multiplicity; ``NotInCovarietyError``
     for a non-Arf S and for the naturals (``core._arf_terms``)."""
     m = _arf_terms(S)[-1]  # the last term is the multiplicity
-    buckets = _level_step([S.mask], [m], 0, _fill(S.frobenius))
+    buckets = _level_step([S.mask], [m], 0)
     return [_closed(S.frobenius, S.mask | 1 << e) for e, ks in enumerate(buckets) if ks]
 
 
@@ -123,9 +120,9 @@ def enumerate_ar(frobenius: int) -> CovarietyTree:
     _check_tree_frobenius(frobenius)
     F = frobenius
     masks, parents, mults = [1 | 1 << (F + 1)], [-1], [F + 1]  # the root {0, F+1, ->}
-    first, fill = 0, _fill(F)
+    first = 0
     while first < len(masks):
-        buckets = _level_step(masks, mults, first, fill)
+        buckets = _level_step(masks, mults, first)
         first = len(masks)
         for e, ks in enumerate(buckets):
             if ks:

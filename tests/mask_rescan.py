@@ -11,14 +11,14 @@ the tests that compare the tree's maximal members with other routes.
 """
 
 from arfsemigroups.core import NumericalSemigroup
-from arfsemigroups.tree import _fill
 
 
-def mask_splits(F, ext):
+def mask_splits(F, mask):
     """(v, a) for every valid split (a, v - u - a) of a term of the sequence of the
-    member of Ar(F) with extended mask ``ext``, u < v consecutive members up to
-    F+1, from the top term down, a ascending."""
-    bits = format(ext, "b")[::-1]  # bits[j] == "1" iff j is a member
+    member of Ar(F) with mask ``mask``, u < v consecutive members up to F+1, from
+    the top term down, a ascending."""
+    # bits[j] == "1" iff j is a member; every j past F+1 is one, and no test reads past 2F+2
+    bits = format(mask, "b")[::-1] + "1" * (F + 1)
     v = F + 1
     while v:
         u = bits.rfind("1", 0, v)
@@ -31,8 +31,7 @@ def mask_splits(F, ext):
 
 def maximal_by_rescan(tree):
     """Indices of the nodes of ``tree`` whose masks admit no split, in node order."""
-    F, fill = tree.frobenius, _fill(tree.frobenius)
-    return [i for i, mask in enumerate(tree.masks) if next(mask_splits(F, mask | fill), None) is None]
+    return [i for i, mask in enumerate(tree.masks) if next(mask_splits(tree.frobenius, mask), None) is None]
 
 
 def maximal_semigroups(tree):

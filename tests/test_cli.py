@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from arfsemigroups import NumericalSemigroup, cli, core, sequences, serialize
-from arfsemigroups.cli import _RANK_ONE_LIMIT, _SEQ_LIMIT
-from arfsemigroups.closure import _HULL_LIMIT, rank_one_catalog
+from arfsemigroups.cli import _SEQ_LIMIT
+from arfsemigroups.closure import _HULL_LIMIT, _RANK_ONE_LIMIT, rank_one_catalog
 from arfsemigroups.core import _SIEVE_LIMIT, _TREE_LIMIT, _med_generator_mask, _selector
 from arfsemigroups.tree import CovarietyTree, enumerate_ar
 from cli_runner import leaf_commands, run

@@ -313,6 +313,16 @@ class TestRankOne:
         with pytest.raises(InvalidFrobeniusError, match=r"^frobenius must be >= 2, got 1$"):
             count_rank_one(1)
 
+    def test_listing_limit_is_checked_by_the_catalog(self):
+        # the catalog holds about F masks of F bits; the count has no limit
+        assert len(rank_one_catalog(1500)) == count_rank_one(1500)
+        for F in (1501, 2**31 - 1):
+            started = time.perf_counter()
+            message = f"^rank-one listing for Frobenius number {F} refused \\(limit 1500; --count has none\\)$"
+            with pytest.raises(ScaleLimitError, match=message):
+                rank_one_catalog(F)
+            assert time.perf_counter() - started < 0.1  # refused before any member is built
+
 
 @given(st.data())
 def test_random_hulls_pass_the_full_check(data):

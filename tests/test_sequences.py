@@ -27,9 +27,8 @@ from arfsemigroups import (
     validate_sequence,
 )
 from arfsemigroups.core import _TREE_LIMIT
-from arfsemigroups.sequences import _valid_splits
 from full_check import assert_checked
-from prefix_walk import split_keeps_axioms, splits_by_prefix_walk, unpruned_sequences_with_total
+from prefix_walk import splits_by_prefix_walk, unpruned_sequences_with_total
 
 
 def validate_by_axiom_walk(xs):
@@ -47,6 +46,19 @@ def validate_by_axiom_walk(xs):
             if xs[i] <= total:
                 return False
     return True
+
+
+def assert_splits_match_the_prefix_walk(xs):
+    """On valid terms, the (i, a) of ``iter_refinements`` are the prefix walk's splits and
+    ``admits_proper_refinement`` says whether there are any; on invalid ones both refuse."""
+    if validate_sequence(xs):
+        want = splits_by_prefix_walk(xs)  # tries every a in 2..x_i - 1, a > x_i / 2 included
+        assert [(i, a) for i, a, _ in iter_refinements(xs)] == want, xs
+        assert admits_proper_refinement(xs) == bool(want), xs
+        return
+    for call in (admits_proper_refinement, lambda xs: list(iter_refinements(xs))):
+        with pytest.raises(InvalidSequenceError):
+            call(xs)
 
 
 class Int(int):
@@ -90,8 +102,10 @@ class TestValidation:
         assert validate_sequence((2, 3))
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError, match=r"^at least one term is required$"):
-            validate_sequence(())
+        for call in (ArfSequence, validate_sequence, semigroup_of_sequence, admits_proper_refinement,
+                     lambda xs: list(iter_refinements(xs))):
+            with pytest.raises(EmptyInputError, match=r"^at least one term is required$"):
+                call(())
 
     @pytest.mark.parametrize("term", [2.5, Fraction(5, 2)])
     def test_fractional_terms_rejected(self, term):
@@ -224,22 +238,15 @@ class TestRefinements:
         assert admits_proper_refinement((7,))  # splits into (2, 5) or (3, 4)
 
     def test_member_tests_match_the_prefix_walk_on_every_composition_up_to_14(self):
-        # invalid tuples included: the tests only read the neighbourhood of a split
+        # invalid tuples included: both entry points refuse them
         for total in range(1, 15):
             for xs in compositions(total):
-                want = splits_by_prefix_walk(xs)  # tries every a in 2..x_i - 1, a > x_i / 2 included
-                assert list(_valid_splits(xs)) == want, xs
-                assert admits_proper_refinement(xs) == bool(want), xs
-                if validate_sequence(xs):
-                    assert [(i, a) for i, a, _ in iter_refinements(xs)] == want, xs
+                assert_splits_match_the_prefix_walk(xs)
 
     @given(st.lists(st.integers(min_value=-6, max_value=14), min_size=1, max_size=8))
     def test_closed_form_matches_the_prefix_walk_on_any_terms(self, xs):
-        # zero and negative terms make the partial sums repeat and fall; admits_proper_refinement
-        # runs _valid_splits on such unvalidated input
-        xs = tuple(xs)
-        want = [(i, a) for i, x in enumerate(xs, start=1) for a in range(2, x // 2 + 1) if split_keeps_axioms(xs, i, a)]
-        assert list(_valid_splits(xs)) == want, xs
+        # zero and negative terms make the partial sums repeat and fall; no such tuple is valid
+        assert_splits_match_the_prefix_walk(tuple(xs))
 
     def test_long_inputs_finish_in_time(self):
         # a mask shift per candidate (first input) or prefix work per term (second) is quadratic here
@@ -252,10 +259,12 @@ class TestRefinements:
         assert time.perf_counter() - started < 2.0
 
     def test_refinements_of_invalid_input_are_validated(self):
-        # both violate the axioms: (5, 2) has a split, (3, 2) has none
-        for bad in ((5, 2), (3, 2)):
-            with pytest.raises(InvalidSequenceError):
-                list(iter_refinements(bad))
+        # all violate the axioms: (5, 2) splits as (2, 3, 2), itself invalid, (3, 2) has no split,
+        # and zero and negative terms break x_1 >= 2
+        for bad in ((5, 2), (3, 2), (0,), (-3,)):
+            for call in (admits_proper_refinement, lambda xs: list(iter_refinements(xs))):
+                with pytest.raises(InvalidSequenceError, match="violates the sequence axioms"):
+                    call(bad)
 
     def test_closed_form_matches_revalidation(self):
         for total in range(2, 17):

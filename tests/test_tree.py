@@ -25,7 +25,6 @@ from arfsemigroups import (
     maximal_elements,
 )
 from arfsemigroups.core import _TREE_LIMIT, _iter_bits, _multiplicity
-from arfsemigroups.tree import _fill
 from full_check import assert_checked
 from mask_rescan import mask_splits, maximal_semigroups
 from prefix_walk import splits_by_prefix_walk
@@ -144,7 +143,7 @@ class TestMaskSplits:
                 xs = S.difference_sequence()
                 # term x_i spans [u, v] with v = F + 1 - (x_1 + ... + x_{i-1})
                 want = {(F + 1 - sum(xs[: i - 1]), a) for i, a in splits_by_prefix_walk(xs)}
-                got = list(mask_splits(F, S.mask | _fill(F)))
+                got = list(mask_splits(F, S.mask))
                 assert len(got) == len(set(got)) and set(got) == want, (F, xs)
                 m = S.multiplicity()
                 assert kids[k] == sorted(m - a for v, a in want if v == m), (F, xs)
