@@ -1,13 +1,17 @@
-"""Command-line surface: the ``arfsg`` commands on one argparse parser, built at import.
+"""Command-line surface: the ``arfsg`` commands, read off one command table.
 
-Each command is a plain function of its parsed parameters, chosen by the
-parser's ``fn`` default.  A command is parsed by its own subparser, found
-from its name in ``argv``; the top-level parser handles only what no route
-matches (no command, ``--help``, an unknown command) and arguments the
-command leaves over, so its usage errors read as before.  The functions
-look up the library calls as module globals when they run, so those can be
-replaced from outside (a tracer wrapping ``enumerate_ar``, say) without
-rebuilding the parser.
+``_COMMANDS`` holds each command under the words that name it: its function,
+the metavar of its one positional, its description and its options.  A
+command is a plain function of its parameters.  ``_read`` reads an argv off
+the table and gives up on anything it does not read in full (``--help``, an
+unknown word, a missing or bad value); only then is the argparse tree built
+from the same table, once, and it parses the argv, so help screens and usage
+errors are argparse's and a command that runs imports no argparse.  Within
+that tree a command is parsed by its own subparser, and the top level
+handles only what no route matches and arguments the command leaves over,
+so its usage errors read as before.  The functions look up the library calls
+as module globals when they run, so those can be replaced from outside (a
+tracer wrapping ``enumerate_ar``, say) without touching the table.
 
 Exit codes: 0 on success; 1 for a domain "no" (a set with no hull, an
 invalid sequence, a non-Arf input where membership is required), shown as
@@ -23,11 +27,10 @@ measurement and therefore goes to stderr.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 from . import serialize
 from .closure import ar_closure, count_rank_one, minimal_ar_generators, rank_one_catalog
@@ -280,11 +283,114 @@ def seq_refinements(terms: str, fmt: str) -> None:
     print("\n".join(lines))
 
 
-def _parser() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
-    """The whole command tree, and each command's subparser keyed by the words that name it
-    (``("closure",)``, ``("seq", "validate")``).  Every parser takes ``--help`` and no
-    abbreviated options."""
-    routes = {}
+def _format(*choices: str) -> dict:
+    """``--format`` with the given choices, the first being the default."""
+    return {"dest": "fmt", "choices": choices, "default": choices[0], "help": "Output format (default: %(default)s)."}
+
+
+def _flag(dest: str, help: str) -> dict:
+    return {"dest": dest, "action": "store_true", "default": False, "help": help}
+
+
+# Each command keyed by the words that name it: (fn, the metavar of its one positional, summary,
+# extra description, options).  An option is its add_argument keywords under its name, in the order
+# of the help screen; a flag is the one with an action.
+_COMMANDS = {
+    ("enumerate",): (
+        cmd_enumerate, "FROBENIUS", "List every Arf semigroup with Frobenius number FROBENIUS.", "",
+        {
+            "--format": _format("table", "json", "csv"),
+            "--stats": _flag("stats", "Print an enumeration report to stderr."),
+            "--maximal-only": _flag("maximal_only", "Only inclusion-maximal members."),
+        },
+    ),
+    ("tree",): (
+        cmd_tree, "FROBENIUS", "Export the rooted tree on Ar(FROBENIUS) (edges point child -> parent).", "",
+        {"--format": _format("dot", "json")},
+    ),
+    ("check",): (
+        cmd_check, "GENERATORS", "Report the invariants of the semigroup generated by GENERATORS.", "",
+        {"--format": _format("table", "json")},
+    ),
+    ("closure",): (
+        cmd_closure, "FROBENIUS", "Smallest Arf semigroup with Frobenius number FROBENIUS containing --set.",
+        "Exits 1 when no such semigroup exists.",
+        {
+            "--set": {"dest": "elements", "default": "", "metavar": "X", "help": "Comma-separated positive integers."},
+            "--format": _format("table", "json"),
+        },
+    ),
+    ("minimal-gens",): (
+        cmd_minimal_gens, "GENERATORS", "Minimal hull-generating set of the Arf semigroup generated by GENERATORS.",
+        "Exits 1 when the generated semigroup is not Arf.",
+        {"--format": _format("table", "json")},
+    ),
+    ("rank-one",): (
+        cmd_rank_one, "FROBENIUS", "All rank-one members of Ar(FROBENIUS), or their count.", "",
+        {"--count": _flag("count_only", "Print only how many there are."), "--format": _format("table", "json")},
+    ),
+    ("seq", "validate"): (
+        seq_validate, "TERMS", "Check the two sequence axioms.", "Exits 1 when they fail.",
+        {"--format": _format("table", "json")},
+    ),
+    ("seq", "semigroup"): (
+        seq_semigroup, "TERMS", "The semigroup whose difference sequence is TERMS.", "Exits 1 when invalid.",
+        {"--format": _format("table", "json")},
+    ),
+    ("seq", "refinements"): (
+        seq_refinements, "TERMS", "Every valid single split of TERMS.", "Exits 1 when TERMS is invalid.",
+        {"--format": _format("table", "json")},
+    ),
+}
+_GROUPS = {"seq": "Validate and convert difference sequences."}
+
+
+def _read(argv: list[str]) -> dict | None:
+    """The parameters of ``argv`` read off ``_COMMANDS``, exactly as ``_parse`` gives them, or
+    ``None`` for anything not read in full: no command, ``--``, ``--help`` or any other unknown
+    word that starts with ``-`` and no digit, a missing value or one that starts so, a value not
+    among its choices, ``=`` on a flag, or other than one positional.  A word of ``-`` and a digit
+    is a value where it stands, as ``_as_values`` arranges for argparse."""
+    for words in (1, 2):
+        entry = _COMMANDS.get(tuple(argv[:words]))
+        if entry is not None:
+            break
+    else:
+        return None
+    fn, metavar, _, _, options = entry
+    params = {spec["dest"]: spec["default"] for spec in options.values()}
+    values = []
+    args = iter(argv[words:])
+    for word in args:
+        if word[:1] != "-" or word[1:2].isdigit():
+            values.append(word)
+            continue
+        name, eq, value = word.partition("=")
+        spec = options.get(name)
+        if spec is None:
+            return None
+        if "action" in spec:
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(args, None)
+            if value is None or value[:1] == "-" and not value[1:2].isdigit():
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        params[spec["dest"]] = value
+    if len(values) != 1:
+        return None
+    return {metavar.lower(): values[0], **params, "fn": fn}
+
+
+@cache
+def _parser():
+    """The argparse tree of ``_COMMANDS``, and each command's subparser keyed by its words, built
+    the first time ``_read`` refuses an argv.  Every parser takes ``--help`` and no abbreviated
+    options."""
+    import argparse
 
     def parser(group, name: str, summary: str, more: str = ""):
         sub = group.add_parser(
@@ -292,19 +398,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.A
         )
         sub.add_argument("--help", action="help", help="Show this message and exit.")
         return sub
-
-    def command(group, name: str, fn, argument: str, summary: str, more: str = ""):
-        sub = parser(group, name, summary, more)
-        sub.add_argument(argument.lower(), metavar=argument)
-        sub.set_defaults(fn=fn)
-        routes[tuple(sub.prog.split()[1:])] = sub
-        return sub
-
-    def formats(sub, *choices: str) -> None:
-        """``--format`` with the given choices, the first being the default."""
-        sub.add_argument(
-            "--format", dest="fmt", choices=choices, default=choices[0], help="Output format (default: %(default)s)."
-        )
 
     arfsg = argparse.ArgumentParser(
         prog="arfsg",
@@ -315,63 +408,20 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.A
         formatter_class=partial(argparse.HelpFormatter, max_help_position=16),
     )
     arfsg.add_argument("--help", action="help", help="Show this message and exit.")
-    commands = arfsg.add_subparsers(title="commands", metavar="COMMAND", required=True)
-
-    sub = command(
-        commands, "enumerate", cmd_enumerate, "FROBENIUS", "List every Arf semigroup with Frobenius number FROBENIUS."
-    )
-    formats(sub, "table", "json", "csv")
-    sub.add_argument("--stats", action="store_true", help="Print an enumeration report to stderr.")
-    sub.add_argument("--maximal-only", action="store_true", help="Only inclusion-maximal members.")
-
-    sub = command(
-        commands, "tree", cmd_tree, "FROBENIUS", "Export the rooted tree on Ar(FROBENIUS) (edges point child -> parent)."
-    )
-    formats(sub, "dot", "json")
-
-    sub = command(
-        commands, "check", cmd_check, "GENERATORS", "Report the invariants of the semigroup generated by GENERATORS."
-    )
-    formats(sub, "table", "json")
-
-    sub = command(
-        commands,
-        "closure",
-        cmd_closure,
-        "FROBENIUS",
-        "Smallest Arf semigroup with Frobenius number FROBENIUS containing --set.",
-        "Exits 1 when no such semigroup exists.",
-    )
-    sub.add_argument("--set", dest="elements", default="", metavar="X", help="Comma-separated positive integers.")
-    formats(sub, "table", "json")
-
-    sub = command(
-        commands,
-        "minimal-gens",
-        cmd_minimal_gens,
-        "GENERATORS",
-        "Minimal hull-generating set of the Arf semigroup generated by GENERATORS.",
-        "Exits 1 when the generated semigroup is not Arf.",
-    )
-    formats(sub, "table", "json")
-
-    sub = command(commands, "rank-one", cmd_rank_one, "FROBENIUS", "All rank-one members of Ar(FROBENIUS), or their count.")
-    sub.add_argument("--count", dest="count_only", action="store_true", help="Print only how many there are.")
-    formats(sub, "table", "json")
-
-    seq = parser(commands, "seq", "Validate and convert difference sequences.")
-    seq.formatter_class = partial(argparse.HelpFormatter, max_help_position=15)  # as arfsg's
-    seq_commands = seq.add_subparsers(title="commands", metavar="COMMAND", required=True)
-    for name, fn, summary, more in (
-        ("validate", seq_validate, "Check the two sequence axioms.", "Exits 1 when they fail."),
-        ("semigroup", seq_semigroup, "The semigroup whose difference sequence is TERMS.", "Exits 1 when invalid."),
-        ("refinements", seq_refinements, "Every valid single split of TERMS.", "Exits 1 when TERMS is invalid."),
-    ):
-        formats(command(seq_commands, name, fn, "TERMS", summary, more), "table", "json")
+    groups = {(): arfsg.add_subparsers(title="commands", metavar="COMMAND", required=True)}
+    routes = {}
+    for words, (fn, metavar, summary, more, options) in _COMMANDS.items():
+        if words[:-1] not in groups:  # the group's first command adds the group
+            group = parser(groups[()], words[0], _GROUPS[words[0]])
+            group.formatter_class = partial(argparse.HelpFormatter, max_help_position=15)  # as arfsg's
+            groups[words[:-1]] = group.add_subparsers(title="commands", metavar="COMMAND", required=True)
+        sub = parser(groups[words[:-1]], words[-1], summary, more)
+        sub.add_argument(metavar.lower(), metavar=metavar)
+        for option, spec in options.items():
+            sub.add_argument(option, **spec)
+        sub.set_defaults(fn=fn)
+        routes[words] = sub
     return arfsg, routes
-
-
-_PARSER, _ROUTES = _parser()
 
 
 def _as_values(args: list[str]) -> list[str]:
@@ -392,31 +442,32 @@ def _as_values(args: list[str]) -> list[str]:
 
 
 def _parse(argv: list[str]) -> dict:
-    """The parameters of ``argv``, parsed by its command's subparser alone when the first one or
-    two words name a command (after ``_as_values``); anything else, and arguments the command
-    leaves over, go to ``_PARSER``, which reports them as the top level always has."""
+    """The parameters of ``argv`` by argparse: parsed by its command's subparser alone when the first
+    one or two words name a command (after ``_as_values``); anything else, and arguments the command
+    leaves over, go to the whole tree, which reports them as the top level always has."""
+    arfsg, routes = _parser()
     for words in (1, 2):
-        sub = _ROUTES.get(tuple(argv[:words]))
+        sub = routes.get(tuple(argv[:words]))
         if sub is not None:
             params, rest = sub.parse_known_args(_as_values(argv[words:]))
             if not rest:
                 return vars(params)
             break
-    return vars(_PARSER.parse_args(argv))
+    return vars(arfsg.parse_args(argv))
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run ``arfsg`` on ``argv`` (default ``sys.argv[1:]``) and return the exit status.
 
-    The command is parsed by its own subparser; the top-level parser sees
-    only what no route matches and arguments a command leaves over.  Usage
-    errors (status 2) and ``--help`` (status 0) leave through the parser's
-    ``SystemExit``; every other outcome a command raises is mapped to its
-    status here.  When the reader of stdout has gone, as in
+    The command is read off the command table; argparse sees only what the
+    reader refuses.  Usage errors (status 2) and ``--help`` (status 0) leave
+    through argparse's ``SystemExit``; every other outcome a command raises
+    is mapped to its status here.  When the reader of stdout has gone, as in
     ``arfsg enumerate 80 | head -1``, the rest of the output is dropped
     quietly with status 1.
     """
-    params = _parse(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    params = _read(argv) or _parse(argv)
     fn = params.pop("fn")
     try:
         try:

@@ -86,11 +86,13 @@ def semigroup_of_sequence(seq: Iterable[int] | ArfSequence) -> NumericalSemigrou
     The total of the sequence is F+1.  Any other input is built into an
     ``ArfSequence``, which raises ``InvalidSequenceError`` if it is invalid.
     """
-    run, mask = 0, 1
-    for x in reversed(_arf(seq).terms):
+    terms = _arf(seq).terms
+    digits = bytearray(b"1" + b"0" * sum(terms))  # digit s is 1 for 0 and each partial sum s from the top
+    run = 0
+    for x in reversed(terms):
         run += x
-        mask |= 1 << run
-    return _closed(run - 1, mask)
+        digits[run] = 49  # "1"
+    return _closed(run - 1, int(digits[::-1], 2))
 
 
 def sequence_of_semigroup(S: NumericalSemigroup) -> ArfSequence:

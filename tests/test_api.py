@@ -16,7 +16,7 @@ from arfsemigroups import (
     NumericalSemigroup,
     ar_closure,
 )
-from arfsemigroups.cli import _PARSER
+from arfsemigroups.cli import _parser
 from cli_runner import leaf_commands
 
 PUBLIC = [
@@ -229,7 +229,7 @@ def test_cli_surface_is_frozen():
         " ".join(words): [
             a.option_strings[0] if a.option_strings else a.metavar for a in sub._actions if a.dest != "help"
         ]
-        for words, sub in leaf_commands(_PARSER)
+        for words, sub in leaf_commands(_parser()[0])
     }
     assert surface == CLI
 

@@ -12,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arfsemigroups import NumericalSemigroup, cli, core, sequences, serialize
 from arfsemigroups.cli import _SEQ_LIMIT
@@ -903,6 +904,48 @@ options:
 """
 
 
+# what a command line is drawn from: values, among them lists that start with a negative value; each
+# option as it may be written, with its value after "=" or as the next word, and as the parser refuses it
+# (a value on a flag, none or one taken for an option); and any words, among them ones no command takes
+VALUES = ["5", "0", "6,8", "2,2,4", "-3", "-2,4", "-5,", "", "json"]
+WRITTEN = {
+    "--format": [("--format", "json"), ("--format", "table"), ("--format=json",), ("--format=csv",),
+                 ("--format", "dot")],
+    "--set": [("--set", "3"), ("--set", "-2,4"), ("--set=-3",), ("--set=",), ("--set", "")],
+    "--stats": [("--stats",)],
+    "--maximal-only": [("--maximal-only",)],
+    "--count": [("--count",)],
+}
+REFUSED = {
+    "--format": [("--format", "bogus"), ("--format=",), ("--format", "--stats"), ("--format",)],
+    "--set": [("--set", "-x"), ("--set", "-"), ("--set", "--format"), ("--set",)],
+    "--stats": [("--stats=1",)],
+    "--maximal-only": [("--maximal-only=",)],
+    "--count": [("--count=",)],
+}
+WORDS = VALUES + sorted({word for units in WRITTEN.values() for unit in units for word in unit})
+WORDS += sorted({word for words in cli._COMMANDS for word in words})
+WORDS += ["seq", "bogus", "CLOSURE", "--form", "--bogus", "--bogus=1", "--", "--help", "--help=1", "-h", "-x", "-",
+          "a=b", "x y", "-x y"]
+
+
+@st.composite
+def argvs(draw):
+    """A command's words, then a value and the command's options in any order, and at most one flaw: an
+    option of the command written as the parser refuses it, or any word anywhere."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[command][4]
+    units = draw(st.lists(st.sampled_from([unit for name in options for unit in WRITTEN[name]]), max_size=3))
+    units.insert(draw(st.integers(0, len(units))), (draw(st.sampled_from(VALUES)),))
+    flaw = draw(st.sampled_from(["none", "option", "word"]))
+    if flaw == "option":
+        units.insert(draw(st.integers(0, len(units))), draw(st.sampled_from([u for n in options for u in REFUSED[n]])))
+    words = [*command, *(word for unit in units for word in unit)]
+    if flaw == "word":
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(WORDS)))
+    return words
+
+
 class TestParser:
     @pytest.mark.parametrize(
         "args, text", [(("--help",), ARFSG_HELP), (("closure", "--help"), CLOSURE_HELP), (("seq", "--help"), SEQ_HELP)]
@@ -935,8 +978,10 @@ class TestParser:
         monkeypatch.setattr(cli, "count_rank_one", lambda F: -F)
         assert run("rank-one", "12", "--count").stdout == "-12\n"
 
-    def test_each_leaf_command_has_one_route_to_its_own_subparser(self):
-        assert cli._ROUTES == dict(leaf_commands(cli._PARSER))
+    def test_the_tables_keys_are_exactly_the_leaf_commands_of_argparse(self):
+        arfsg, routes = cli._parser()
+        assert routes == dict(leaf_commands(arfsg))
+        assert list(routes) == list(cli._COMMANDS)
 
     def test_routed_parsing_matches_the_full_parser(self, monkeypatch):
         # the expected side is whatever this Python's argparse makes of the whole tree
@@ -945,7 +990,7 @@ class TestParser:
         corpus += [("--",), ("--", "enumerate", "5"), ("seq", "--help"), ("seq", "--", "validate", "2")]
         corpus += [("--help", "closure")]
         corpus += [("seq validate", "2"), ("closure 5",), ("CLOSURE", "5"), ("seq", "-x")]
-        for words, _ in leaf_commands(cli._PARSER):
+        for words, _ in leaf_commands(cli._parser()[0]):
             for rest in [
                 (), ("5",), ("5", "extra"), ("5", "--bogus"), ("5", "--bogus=1"), ("-x",), ("-5",), ("5", "-5"),
                 ("5", "--form", "json"), ("5", "--maximal"), ("5", "--c"), ("5", "--se", "3"),  # no abbreviations
@@ -956,11 +1001,26 @@ class TestParser:
             ]:
                 corpus.append(words + rest)
         for argv in corpus:
-            want = parse_outcome(lambda: vars(cli._PARSER.parse_args(list(argv))))
+            want = parse_outcome(lambda: vars(cli._parser()[0].parse_args(list(argv))))
             assert parse_outcome(lambda: cli._parse(list(argv))) == want, argv
             if isinstance(want[0], int):  # a usage error or a help screen: main leaves the same way
                 res = run(*argv)
                 assert (res.exit_code, res.stdout, res.stderr) == want, argv
+
+    @settings(max_examples=800, deadline=None)
+    @given(argv=argvs())
+    def test_the_reader_gives_the_parsers_parameters_or_gives_up(self, argv):
+        read = cli._read(argv)
+        if read is not None:
+            assert parse_outcome(lambda: cli._parse(argv)) == (read, "", ""), argv
+
+    def test_the_reader_reads_every_workload_command(self):
+        # so that a reader which gives up on everything cannot pass the test above
+        for workload in ("enumerate", "maximal", "queries"):
+            for seed in range(4):
+                for smoke in (False, True):
+                    for op in workloads.build(workload, seed, smoke=smoke):
+                        assert not op.argv or cli._read(list(op.argv)) is not None, op.argv
 
 
 def parse_outcome(parse):
@@ -1012,3 +1072,19 @@ class TestProcess:
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=FRESH_ENV, check=True)
         assert out.stdout == "[]\n"
+
+    def test_a_command_that_runs_loads_no_argparse(self):
+        # against the modules already loaded, as above; argparse also brings gettext.  The help
+        # asked for afterwards builds the parser in the same interpreter and reads as pinned.
+        code = (
+            "import sys; before = set(sys.modules); from arfsemigroups.cli import main; "
+            "main(['rank-one', '12', '--count']); main(['closure', '29', '--set', '6,8', '--format', 'json']); "
+            "print(sorted({'argparse', 'gettext'} & (set(sys.modules) - before))); main(['--help'])"
+        )
+        env = dict(FRESH_ENV, COLUMNS="80")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        closure = run("closure", "29", "--set", "6,8", "--format", "json").stdout
+        assert (out.returncode, out.stdout, out.stderr) == (0, "6\n" + closure + "[]\n" + ARFSG_HELP, "")
+        with arfsg_process("--bogus") as proc:
+            assert (proc.wait(timeout=30), proc.stdout.read()) == (2, b"")
+            assert proc.stderr.read().startswith(b"usage: arfsg [--help] COMMAND ...\narfsg: error: ")

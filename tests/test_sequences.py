@@ -212,6 +212,23 @@ class TestConversion:
                 assert semigroup_of_sequence(q.terms) == S
                 assert S.semigroup_type() == S.multiplicity() - 1  # Arf, so MED
 
+    def test_masks_match_one_shift_per_partial_sum(self):
+        for total in range(1, 31):
+            for q in arf_sequences_with_total(total):
+                run, mask = 0, 1
+                for x in reversed(q.terms):
+                    run += x
+                    mask |= 1 << run
+                assert semigroup_of_sequence(q).mask == mask, q
+
+    def test_long_sequences_convert_in_linear_time(self):
+        # one shift per term copied a mask as wide as the running sum: about 1.5 s here
+        q = ArfSequence((2,) * 400_000)
+        started = time.perf_counter()
+        S = semigroup_of_sequence(q)
+        assert time.perf_counter() - started < 0.25
+        assert (S.frobenius, S.multiplicity()) == (799_999, 2)
+
     def test_round_trip_exhaustive_small_totals(self):
         for total in range(2, 21):
             for q in arf_sequences_with_total(total):
