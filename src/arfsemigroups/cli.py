@@ -102,14 +102,11 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
     maximal = _refinement_free_masks(F) if stats or maximal_only else None
     # the walk yields the maximal members in the order of their sequences
     masks = sorted(maximal, key=_canonical_key) if maximal_only else tree.masks
-    if fmt == "table":
-        print(serialize.tree_table(F, masks))
-    elif fmt == "csv":
-        print(serialize.tree_csv(F, masks))
-    elif maximal_only:
-        print(serialize.members_json(F, masks))
-    else:
-        print(serialize.nodes_json(tree))
+    if fmt == "json":
+        print(serialize.members_json(F, masks) if maximal_only else serialize.nodes_json(tree))
+    else:  # a tree's generator masks are read off the parents, a list's from each mask
+        gens = serialize.generator_masks(F, masks) if maximal_only else serialize.tree_generator_masks(tree)
+        print(serialize.tree_table(F, masks, gens) if fmt == "table" else serialize.tree_csv(F, masks, gens))
     if stats:
         print(
             serialize.render_pairs(

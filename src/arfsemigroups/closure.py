@@ -143,7 +143,7 @@ def rank_one_catalog(frobenius: int) -> list[NumericalSemigroup]:
     _check_frobenius(frobenius, least=2)
     if frobenius > _RANK_ONE_LIMIT:
         raise ScaleLimitError(
-            f"rank-one listing for Frobenius number {frobenius} refused (limit {_RANK_ONE_LIMIT}; --count has none)"
+            f"rank-one listing for Frobenius number {frobenius} refused (limit {_RANK_ONE_LIMIT}; the count has none)"
         )
     top = 1 << (frobenius + 1)  # the multiples of m up to F miss F and are closed
     return [_closed(frobenius, _closure_mask(1 << m, top - 1) | top) for m in range(2, frobenius) if frobenius % m]

@@ -1,12 +1,13 @@
 """Generator text from the general minimal generators: the tests' reference for the renderer.
 
 The package renders every Arf semigroup's generators off one mask, the
-multiplicity m and the nonzero Apery elements modulo m, and joins the
-decimal names that the mask's bits select.  Here each row's semigroup is
-built from its (F, mask) by the checked constructor, the generators come from
-``NumericalSemigroup.minimal_generators()``, which removes the sums of Apery
-elements and so assumes nothing of the semigroup, each is turned into text
-by ``str``, tables are padded one cell at a time, and JSON lists of
+multiplicity m and the nonzero Apery elements modulo m, which a tree node
+reads off its parent's mask and a list's member off its own, and joins the
+texts of the mask's hex digits.  Here each row's semigroup, on either route,
+is built from its (F, mask) by the checked constructor, the generators come
+from ``NumericalSemigroup.minimal_generators()``, which removes the sums of
+Apery elements and so assumes nothing of the semigroup, each is turned into
+text by ``str``, tables are padded one cell at a time, and JSON lists of
 semigroups go through ``json.dumps`` over one dict per semigroup, whose
 small elements come from the semigroup itself, not from a tree parent.
 The maximal members of ``enumerate --maximal-only`` are the nodes of the
@@ -39,8 +40,17 @@ def generator_label(S):
     return "<" + ",".join(str(g) for g in S.minimal_generators()) + ">"
 
 
-def generator_cells(F, masks, sep):
-    return [sep.join(map(str, NumericalSemigroup(F, mask).minimal_generators())) for mask in masks]
+def generator_masks(F, masks):
+    # the package's rows hand these only to generator_cells below, so they need not be masks
+    return [NumericalSemigroup(F, mask).minimal_generators() for mask in masks]
+
+
+def tree_generator_masks(tree):
+    return generator_masks(tree.frobenius, tree.masks)
+
+
+def generator_cells(gens, sep):
+    return [sep.join(map(str, g)) for g in gens]
 
 
 def semigroups_json(F, masks):
@@ -82,6 +92,8 @@ def install(monkeypatch):
     """Render, and find the maximal members, through this module until ``monkeypatch`` is undone."""
     monkeypatch.setattr(serialize, "semigroup_dict", semigroup_dict)
     monkeypatch.setattr(serialize, "generator_label", generator_label)
+    monkeypatch.setattr(serialize, "generator_masks", generator_masks)
+    monkeypatch.setattr(serialize, "tree_generator_masks", tree_generator_masks)
     monkeypatch.setattr(serialize, "_generator_cells", generator_cells)
     monkeypatch.setattr(serialize, "render_table", render_table)
     monkeypatch.setattr(serialize, "nodes_json", nodes_json)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from arfsemigroups import NumericalSemigroup, cli, core, sequences, serialize
 from arfsemigroups.cli import _SEQ_LIMIT
 from arfsemigroups.closure import _HULL_LIMIT, _RANK_ONE_LIMIT, rank_one_catalog
-from arfsemigroups.core import _SIEVE_LIMIT, _TREE_LIMIT, _med_generator_mask, _selector
+from arfsemigroups.core import _SIEVE_LIMIT, _TREE_LIMIT, _med_generator_mask
 from arfsemigroups.tree import CovarietyTree, enumerate_ar
 from cli_runner import leaf_commands, run
 from full_check import count_full_checks
@@ -419,7 +419,7 @@ class TestRankOne:
         assert res.exit_code == 0 and len(json.loads(res.stdout)) == 1500 - 24  # 24 divisors
         for F in ("1501", "2147483647"):
             for fmt in ("table", "json"):
-                message = f"rank-one listing for Frobenius number {F} refused (limit 1500; --count has none)"
+                message = f"rank-one listing for Frobenius number {F} refused (limit 1500; the count has none)"
                 assert_refused(message, "rank-one", F, "--format", fmt)
             assert run("rank-one", F, "--count").exit_code == 0
 
@@ -671,9 +671,11 @@ class TestRowsMatchTheReference:
         assert run("tree", "40", "--format", "json").stdout.startswith(f'{{"frobenius":40,"root":0,"nodes":[{root},')
 
     def test_json_sparse_rows(self, monkeypatch):
-        # fewer than one bit in 8 set in both masks: the names are scanned, not selected
+        # fewer than one bit in 8 set in both masks, which the table join reads one hex digit at a
+        # time, zero digits included, as it reads a dense mask
         S = next(S for S in rank_one_catalog(80) if S.multiplicity() == 9)
-        assert _selector(_med_generator_mask(80, S.mask)) is None and _selector(S.mask ^ (1 << 81)) is None
+        for mask in (_med_generator_mask(80, S.mask), S.mask ^ (1 << 81)):
+            assert mask.bit_count() * 8 < mask.bit_length()
         row = ('{"frobenius":80,"multiplicity":9,"genus":72,"type":8,"min_generators":[9,82,83,84,85,86,87,88,89],'
                '"small_elements":[0,9,18,27,36,45,54,63,72]}')
         assert f",{row}," in run("rank-one", "80", "--format", "json").stdout
@@ -696,11 +698,12 @@ class TestRowsMatchTheReference:
         }
 
         # with the reference installed, no command may reach the package's own rows: a renderer
-        # that install misses would read the generator mask or select names, and fail here
+        # that install misses would read a generator mask, from the parent or from the mask, or
+        # join cells through the digit tables, and fail here
         def unused(*args):
             raise AssertionError("a row renderer ran past row_reference.install")
 
-        for name in ("_med_generator_mask", "_iter_bits", "_selector", "_scan_bits"):
+        for name in ("_med_generator_mask", "_inherited", "_digit_tables", "_cells", "_iter_bits"):
             monkeypatch.setattr(serialize, name, unused)
         commands = [("enumerate", "12", "--format", fmt, *flag)
                     for fmt in ("table", "csv", "json") for flag in ((), ("--maximal-only",))]
@@ -808,7 +811,8 @@ class TestBadInput:
             (("minimal-gens", "4,6"), "gcd of [4, 6] is 2, complement would be infinite"),
             (("minimal-gens", "1000,1001"), "membership sieve would need 1001000 bits (limit 131072)"),
             (("rank-one", "1", "--count"), "frobenius must be >= 2, got 1"),
-            (("rank-one", "1501"), "rank-one listing for Frobenius number 1501 refused (limit 1500; --count has none)"),
+            (("rank-one", "1501"),
+             "rank-one listing for Frobenius number 1501 refused (limit 1500; the count has none)"),
             (("seq", "validate", "8000,193"), "sequence total 8193 refused (limit 8192)"),
             (("seq", "semigroup", ""), "at least one term is required"),
             (("seq", "refinements", " "), "at least one term is required"),

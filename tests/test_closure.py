@@ -318,7 +318,7 @@ class TestRankOne:
         assert len(rank_one_catalog(1500)) == count_rank_one(1500)
         for F in (1501, 2**31 - 1):
             started = time.perf_counter()
-            message = f"^rank-one listing for Frobenius number {F} refused \\(limit 1500; --count has none\\)$"
+            message = f"^rank-one listing for Frobenius number {F} refused \\(limit 1500; the count has none\\)$"
             with pytest.raises(ScaleLimitError, match=message):
                 rank_one_catalog(F)
             assert time.perf_counter() - started < 0.1  # refused before any member is built
