@@ -45,12 +45,18 @@ from .errors import ScaleLimitError
 _HULL_LIMIT = 1 << 16
 
 # The rank-one catalog holds about F semigroups, the one of multiplicity m with about F/m + m
-# generators and small elements: Theta(F^2) numbers, and F masks of F bits.  `count_rank_one` is
-# O(sqrt F) and needs no limit.  Budget: every accepted listing finishes within 2 s.  At F = 1,499
-# (1,497 members) `arfsg rank-one` as json (5.8 MB out) took 0.2-0.4 s and 33 MB, the table
-# 0.2-0.3 s and 34 MB (fresh process, CPython 3.11, shared 2-core Xeon); as json, F = 2,039 took
-# 0.3-0.4 s (48 MB) and F = 2,999 0.6-0.7 s (85 MB).
+# generators and small elements: Theta(F^2) numbers, and F masks of F bits.  Budget: every accepted
+# listing finishes within 2 s.  At F = 1,499 (1,497 members) `arfsg rank-one` as json (5.8 MB out)
+# took 0.2-0.4 s and 33 MB, the table 0.2-0.3 s and 34 MB (fresh process, CPython 3.11, shared
+# 2-core Xeon); as json, F = 2,039 took 0.3-0.4 s (48 MB) and F = 2,999 0.6-0.7 s (85 MB).
 _RANK_ONE_LIMIT = 1500
+
+# `count_rank_one` factors F by trial division up to sqrt F, the worst case a prime.  Budget: every
+# accepted count finishes within 2 s.  In process (CPython 3.11, shared 2-core Xeon) the largest
+# prime below the limit, 2^44 - 17, took 0.22 s; 2^46 - 21 took 0.41-1.05 s and 2^48 - 59 0.8-1.6 s
+# as the machine's load varied, and 10^18 would take minutes.  2^31 - 1, the CLI's input cap, takes
+# 2 ms.
+_COUNT_LIMIT = 1 << 44
 
 
 class ClosureResult(_Value):
@@ -60,11 +66,7 @@ class ClosureResult(_Value):
 
     def __init__(self, frobenius: int, input_set: tuple[int, ...], is_ar_set: bool, closure: NumericalSemigroup | None,
                  stages: tuple[range, ...]):
-        object.__setattr__(self, "frobenius", frobenius)
-        object.__setattr__(self, "input_set", input_set)
-        object.__setattr__(self, "is_ar_set", is_ar_set)
-        object.__setattr__(self, "closure", closure)
-        object.__setattr__(self, "stages", stages)
+        self._setfields(frobenius, tuple(input_set), is_ar_set, closure, tuple(stages))
 
 
 def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
@@ -86,6 +88,8 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
     ``stages`` holds one ``range`` per round that adds a running sum up to F, its step that round's
     multiplicity, so the steps fall strictly.  Joined, the stages are the running sums up to F in
     order: the hull's positive small elements on an accepted set, ending at F on a refused one.
+    The hull is read off the stages, one arithmetic-progression mask each, so a refused set builds
+    no mask.
     """
     _check_frobenius(frobenius)
     if frobenius > _HULL_LIMIT:
@@ -94,7 +98,6 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
     if any(x < 1 or x > frobenius for x in xs):
         return ClosureResult(frobenius, xs, False, None, ())
     F = frobenius
-    digits = bytearray(b"1" + b"0" * F)  # digit s is 1 for 0 and each running sum s up to F
     gens, run, stages = xs, 0, []
     while run < F:
         c = F - run
@@ -103,15 +106,14 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
         kept = {g % m: g for g in sorted(gens, reverse=True) if g % m}  # the least of each class
         k = min(kept.values()) // m if kept else c // m + 1
         n = min(k, c // m)  # the sums run + m, ..., run + k m that are at most F
-        digits[run + m : run + n * m + 1 : m] = b"1" * n
         if n:
             stages.append(range(run + m, run + n * m + 1, m))
         run += k * m
         gens = [m, *(g - k * m for g in kept.values())]
-    hull = int(digits[::-1], 2)
-    if (hull >> F) & 1:
-        return ClosureResult(F, xs, False, None, tuple(stages))
-    return ClosureResult(F, xs, True, _closed(F, hull | (1 << (F + 1))), tuple(stages))
+    if stages and stages[-1][-1] == F:
+        return ClosureResult(F, xs, False, None, stages)
+    hull = sum(int("1".rjust(r.step, "0") * len(r), 2) << r.start for r in stages)  # disjoint progressions
+    return ClosureResult(F, xs, True, _closed(F, 1 | hull | 1 << (F + 1)), stages)
 
 
 def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:
@@ -142,9 +144,7 @@ def rank_one_catalog(frobenius: int) -> list[NumericalSemigroup]:
     ``_RANK_ONE_LIMIT`` raises ``ScaleLimitError`` before any is built."""
     _check_frobenius(frobenius, least=2)
     if frobenius > _RANK_ONE_LIMIT:
-        raise ScaleLimitError(
-            f"rank-one listing for Frobenius number {frobenius} refused (limit {_RANK_ONE_LIMIT}; the count has none)"
-        )
+        raise ScaleLimitError(f"rank-one listing for Frobenius number {frobenius} refused (limit {_RANK_ONE_LIMIT})")
     top = 1 << (frobenius + 1)  # the multiples of m up to F miss F and are closed
     return [_closed(frobenius, _closure_mask(1 << m, top - 1) | top) for m in range(2, frobenius) if frobenius % m]
 
@@ -169,6 +169,9 @@ def _divisor_count(n: int) -> int:
 
 def count_rank_one(frobenius: int) -> int:
     """Size of the rank-one catalog without building it: F minus the number
-    of divisors of F, counted from the factorisation of F."""
+    of divisors of F, counted from the factorisation of F.  F above
+    ``_COUNT_LIMIT`` raises ``ScaleLimitError``."""
     _check_frobenius(frobenius, least=2)
+    if frobenius > _COUNT_LIMIT:
+        raise ScaleLimitError(f"rank-one count for Frobenius number {frobenius} refused (limit {_COUNT_LIMIT})")
     return frobenius - _divisor_count(frobenius)

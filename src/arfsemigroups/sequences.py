@@ -51,7 +51,7 @@ class ArfSequence(_Value):
     __match_args__ = ("terms",)
 
     def __init__(self, terms: Iterable[int]):
-        object.__setattr__(self, "terms", _as_terms(terms))
+        self._setfields(_as_terms(terms))
         if not validate_sequence(self):
             raise InvalidSequenceError(f"{','.join(map(str, self.terms))} violates the sequence axioms")
 

@@ -40,9 +40,7 @@ class CovarietyTree(_Value):
     __match_args__ = ("frobenius", "masks", "parents")
 
     def __init__(self, frobenius: int, masks: tuple[int, ...], parents: tuple[int, ...]):
-        object.__setattr__(self, "frobenius", frobenius)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "parents", parents)
+        self._setfields(frobenius, tuple(masks), tuple(parents))
 
     def __len__(self) -> int:
         return len(self.masks)

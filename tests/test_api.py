@@ -188,6 +188,11 @@ VALUES = {
     "{0, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, ->}), stages=(range(6, 7, 6), range(8, 29, 2)))":
     lambda: ar_closure([6, 8], 29),
     "NumericalSemigroup.natural()": NumericalSemigroup.natural,
+    # built from lists, stored as tuples, so hashable
+    "CovarietyTree(frobenius=5, masks=(65, 73, 81, 85), parents=(-1, 0, 0, 2))":
+    lambda: CovarietyTree(5, [65, 73, 81, 85], [-1, 0, 0, 2]),
+    "ClosureResult(frobenius=4, input_set=(2,), is_ar_set=False, closure=None, stages=(range(2, 5, 2),))":
+    lambda: ClosureResult(4, [2], False, None, [range(2, 5, 2)]),
 }
 
 

@@ -21,7 +21,7 @@ from arfsemigroups import (
     minimal_ar_generators,
     rank_one_catalog,
 )
-from arfsemigroups.closure import _HULL_LIMIT
+from arfsemigroups.closure import _COUNT_LIMIT, _HULL_LIMIT
 from full_check import assert_checked
 from pair_fixpoint import pair_fixpoint
 
@@ -314,14 +314,24 @@ class TestRankOne:
             count_rank_one(1)
 
     def test_listing_limit_is_checked_by_the_catalog(self):
-        # the catalog holds about F masks of F bits; the count has no limit
+        # the catalog holds about F masks of F bits; the count goes much further
         assert len(rank_one_catalog(1500)) == count_rank_one(1500)
         for F in (1501, 2**31 - 1):
             started = time.perf_counter()
-            message = f"^rank-one listing for Frobenius number {F} refused \\(limit 1500; the count has none\\)$"
+            message = f"^rank-one listing for Frobenius number {F} refused \\(limit 1500\\)$"
             with pytest.raises(ScaleLimitError, match=message):
                 rank_one_catalog(F)
             assert time.perf_counter() - started < 0.1  # refused before any member is built
+
+    def test_count_limit(self):
+        # trial division runs up to sqrt F; every CLI input, up to 2^31 - 1, is counted
+        assert _COUNT_LIMIT == 1 << 44 and count_rank_one(_COUNT_LIMIT) == _COUNT_LIMIT - 45
+        for F in (_COUNT_LIMIT + 1, 10**18 + 3):
+            started = time.perf_counter()
+            message = f"^rank-one count for Frobenius number {F} refused \\(limit {1 << 44}\\)$"
+            with pytest.raises(ScaleLimitError, match=message):
+                count_rank_one(F)
+            assert time.perf_counter() - started < 0.1  # refused before any trial division
 
 
 @given(st.data())
