@@ -173,6 +173,15 @@ def _closure_mask(A: int, limit: int) -> int:
     return reach
 
 
+def _mask_of(points: Iterable[int], width: int) -> int:
+    """The mask with a bit at each of ``points``, every one in 0..width-1 (unchecked): one byte per
+    8 positions, read as one int, so linear in the points plus the width."""
+    bits = bytearray((width + 7) >> 3)
+    for p in points:
+        bits[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(bits, "little")
+
+
 def _integer(x: object) -> int:
     """An element of an input list as an int: integer strings and integral numbers as ``int()`` reads
     them, and ``ValueError`` for a fractional part (2.5, Fraction(5, 2)), which it would truncate."""
@@ -380,21 +389,22 @@ class NumericalSemigroup(_Value):
         bound = gs[0] * gs[-1]  # exceeds the Frobenius number of <min, max>
         if bound > _SIEVE_LIMIT:
             raise ScaleLimitError(f"membership sieve would need {bound} bits (limit {_SIEVE_LIMIT})")
-        return _read_off(_closure_mask(sum(1 << g for g in gs), (2 << bound) - 1), bound)
+        return _read_off(_closure_mask(_mask_of(gs, gs[-1] + 1), (2 << bound) - 1), bound)
 
     @classmethod
     def from_small_elements(cls, frobenius: int, smalls: Iterable[int]) -> NumericalSemigroup:
         """Build from the members below the Frobenius number.
 
-        The closure check shifts the mask once per small element, so it is quadratic in F.  The
-        worst shape, every number above F/2, took 0.24-0.27 s at F = 64,001 and about 1 s at
-        128,001 (in process, CPython 3.11, shared 2-core Xeon): the 2 s budget holds to about
-        F = 128,000, and there is no limit.
+        Elements are read by the element-list rule (``core._integer``), and one outside 0..F+1
+        raises ``ValueError``.  The closure check shifts the mask once per small element, so it is
+        quadratic in F.  The worst shape, every number above F/2, took 0.26-0.28 s at F = 64,001
+        and 1.1-1.4 s at 128,001 (in process, CPython 3.11, shared 2-core Xeon): the 2 s budget
+        holds to about F = 128,000, and there is no limit.
         """
-        mask = 1 << (frobenius + 1)
-        for s in smalls:
-            mask |= 1 << s
-        return cls(frobenius, mask)
+        ss = [*map(_integer, smalls)]
+        if ss and not 0 <= min(ss) <= max(ss) <= frobenius + 1:
+            raise ValueError(f"small elements must lie in 0..{frobenius + 1}, got {min(ss)}..{max(ss)}")
+        return cls(frobenius, _mask_of(ss, frobenius + 2) | 1 << (frobenius + 1))
 
     # -- membership and element views --------------------------------------
 

@@ -17,7 +17,8 @@ from arfsemigroups.closure import _COUNT_LIMIT
 
 # the call, and what it must return; each input is at its limit or at the size its docstring states
 WORST = {
-    # 65,534 generators through the sieve
+    # 65,534 generators through the sieve, their mask written in one linear pass (``core._mask_of``):
+    # one shift per generator would copy the growing mask each time, 62 ms of 67 here
     "from_generators(range(2, 65_536))": (
         lambda: NumericalSemigroup.from_generators(range(2, 65_536)).frobenius, 1),
     # the quadratic closure check with the most small elements: every number above F/2

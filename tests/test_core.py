@@ -27,7 +27,7 @@ from arfsemigroups import (
     brute_all_semigroups,
     enumerate_ar,
 )
-from arfsemigroups.core import _DENSE, _canonical_key, _closure_mask, _iter_bits, _read_off, _selector
+from arfsemigroups.core import _DENSE, _canonical_key, _closure_mask, _iter_bits, _mask_of, _read_off, _selector
 import member_shifts
 from pair_fixpoint import sums_of
 from full_check import assert_checked, count_full_checks, full_check_accepts
@@ -91,6 +91,22 @@ class TestConstruction:
     def test_from_small_elements(self):
         S = NumericalSemigroup.from_small_elements(13, [0, 5, 7, 9, 10, 12])
         assert S == sg(5, 7, 9)
+
+    def test_small_elements_follow_the_element_list_rule(self):
+        # integer strings and integral numbers are read as their ints, as for generators
+        assert NumericalSemigroup.from_small_elements(5, ["0", 3.0, Int(4), Fraction(4)]) == sg(3, 4)
+        assert NumericalSemigroup.from_small_elements(5, iter([0, 3, 4])) == sg(3, 4)
+        with pytest.raises(ValueError, match=r"^2\.5 is not an integer$"):
+            NumericalSemigroup.from_small_elements(5, [0, 2.5])
+
+    def test_small_elements_outside_the_range_are_refused(self):
+        # the mask writer checks no range: -1 would wrap to the top bit of its last byte, which is F+1 at
+        # F = 6 (so Delta(6) would come back), and 7 would set a bit beyond F+1; F+1 is always a member
+        for F, smalls, got in ((6, [0, -1], "-1..0"), (5, [0, -1], "-1..0"), (5, [0, 7], "0..7"),
+                               (5, [-3, 0, 9], "-3..9")):
+            with pytest.raises(ValueError, match=rf"^small elements must lie in 0\.\.{F + 1}, got {got}$"):
+                NumericalSemigroup.from_small_elements(F, smalls)
+        assert NumericalSemigroup.from_small_elements(5, [0, 6]) == NumericalSemigroup.delta(5)
 
     def test_mask_validation(self):
         for frobenius, mask, message in [
@@ -351,6 +367,26 @@ class TestIterBits:
         for _ in range(100):
             assert list(_iter_bits(mask)) == [0, 30_000, (1 << 16) - 1]
         assert time.perf_counter() - started < 0.1
+
+
+# widths up to 3,000, with the byte boundaries 8k and 8k + 1 drawn on purpose
+_WIDTHS = st.one_of(
+    st.integers(1, 3_000), st.integers(1, 375).map(lambda k: 8 * k), st.integers(0, 374).map(lambda k: 8 * k + 1))
+
+
+class TestMaskOf:
+    @given(st.data())
+    def test_matches_one_shift_per_distinct_point(self, data):
+        width = data.draw(_WIDTHS)
+        ends = st.sampled_from((0, width - 1, (width - 1) & ~7))  # the last byte's first position
+        points = data.draw(st.lists(st.one_of(st.integers(0, width - 1), ends), max_size=40))
+        form = data.draw(st.sampled_from((list, set, iter)))  # a one-shot iterator too
+        assert _mask_of(form(points), width) == sum(1 << p for p in set(points))
+
+    def test_every_position_of_a_width(self):
+        for width in (1, 7, 8, 9, 16, 17, 3_000):
+            assert _mask_of(range(width), width) == (1 << width) - 1
+            assert _mask_of((), width) == 0
 
 
 def _sums_loop(A, k):

@@ -229,6 +229,13 @@ class TestConversion:
         assert time.perf_counter() - started < 0.25
         assert (S.frobenius, S.multiplicity()) == (799_999, 2)
 
+    def test_sparse_sequences_convert_in_time_linear_in_the_total(self):
+        # a bit per position, not a digit: a byte per position and its reversed copy took 0.6-0.7 s here
+        started = time.perf_counter()
+        S = semigroup_of_sequence((2, 10**8))
+        assert time.perf_counter() - started < 0.25
+        assert (S.frobenius, S.mask.bit_count()) == (10**8 + 1, 3)
+
     def test_round_trip_exhaustive_small_totals(self):
         for total in range(2, 21):
             for q in arf_sequences_with_total(total):
