@@ -100,13 +100,10 @@ def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> 
         wall = time.perf_counter() - started
     # the one maximal route, the pruned walk, refuses F as the tree walk does
     maximal = _refinement_free_masks(F) if stats or maximal_only else None
-    # the walk yields the maximal members in the order of their sequences
-    masks = sorted(maximal, key=_canonical_key) if maximal_only else tree.masks
-    if fmt == "json":
-        print(serialize.members_json(F, masks) if maximal_only else serialize.nodes_json(tree))
-    else:  # a tree's generator masks are read off the parents, a list's from each mask
-        gens = serialize.generator_masks(F, masks) if maximal_only else serialize.tree_generator_masks(tree)
-        print(serialize.tree_table(F, masks, gens) if fmt == "table" else serialize.tree_csv(F, masks, gens))
+    # the walk yields the maximal members in the order of their sequences, a list with no parents
+    masks, parents = (sorted(maximal, key=_canonical_key), None) if maximal_only else (tree.masks, tree.parents)
+    render = {"json": serialize.semigroups_json, "table": serialize.tree_table, "csv": serialize.tree_csv}[fmt]
+    print(render(F, masks, parents))
     if stats:
         print(
             serialize.render_pairs(
@@ -218,7 +215,7 @@ def cmd_rank_one(frobenius: str, count_only: bool, fmt: str) -> None:
         print(serialize.dumps({"F": F, "count": n}) if fmt == "json" else str(n))
         return
     masks = [S.mask for S in rank_one_catalog(F)]
-    print(serialize.members_json(F, masks) if fmt == "json" else serialize.rank_one_table(F, masks))
+    print(serialize.semigroups_json(F, masks) if fmt == "json" else serialize.rank_one_table(F, masks))
 
 
 def seq_validate(terms: str, fmt: str) -> int | None:

@@ -395,16 +395,20 @@ class NumericalSemigroup(_Value):
     def from_small_elements(cls, frobenius: int, smalls: Iterable[int]) -> NumericalSemigroup:
         """Build from the members below the Frobenius number.
 
-        Elements are read by the element-list rule (``core._integer``), and one outside 0..F+1
-        raises ``ValueError``.  The closure check shifts the mask once per small element, so it is
-        quadratic in F.  The worst shape, every number above F/2, took 0.26-0.28 s at F = 64,001
+        F and the elements are read by the element-list rule (``core._integer``).  F must be -1 or
+        at least 1, as for the constructor, and an element outside 0..F+1 raises ``ValueError``,
+        both before any element is placed.  The closure check shifts the mask once per small
+        element, so it is quadratic in F.  The worst shape, every number above F/2, took 0.26-0.28 s at F = 64,001
         and 1.1-1.4 s at 128,001 (in process, CPython 3.11, shared 2-core Xeon): the 2 s budget
         holds to about F = 128,000, and there is no limit.
         """
+        F = _integer(frobenius)
+        if F == 0 or F < -1:
+            raise ValueError(f"frobenius must be -1 or >= 1, got {F}")
         ss = [*map(_integer, smalls)]
-        if ss and not 0 <= min(ss) <= max(ss) <= frobenius + 1:
-            raise ValueError(f"small elements must lie in 0..{frobenius + 1}, got {min(ss)}..{max(ss)}")
-        return cls(frobenius, _mask_of(ss, frobenius + 2) | 1 << (frobenius + 1))
+        if ss and not 0 <= min(ss) <= max(ss) <= F + 1:
+            raise ValueError(f"small elements must lie in 0..{F + 1}, got {min(ss)}..{max(ss)}")
+        return cls(F, _mask_of(ss, F + 2) | 1 << (F + 1))
 
     # -- membership and element views --------------------------------------
 

@@ -13,21 +13,24 @@ the general minimal generators and never calls ``semigroup_dict``.
 
 Lists of semigroups (the nodes of ``enumerate`` and ``tree``, the maximal
 members of ``enumerate --maximal-only``, the ``rank-one`` catalog) are rows
-read off each member's (F, mask) and generator mask, with no object per
-row: m is the lowest positive bit, the genus F + 2 minus the bit count, a
-depth the bit count minus 2.  A tree node is its parent and its
-multiplicity e, so a tree's rows read e and the generator mask off the
-parent's in one pass (``_inherited``), and the small elements are 0, e and
-then the parent's positive ones; a list with no tree reads each generator
-mask off its own mask (``generator_masks``).  Either way one table join
-per render writes the cells: the texts of the 16 values of each hex digit
-of the widest mask (``_digit_tables``), one per digit of a mask
+read off each member's (F, mask) and generator mask, with no object per row:
+m is the lowest positive bit, the genus F + 2 minus the bit count, a depth
+the bit count minus 2.  Every list render takes (F, masks, parents),
+``parents`` None for a list that is not a tree.  A tree node is its parent
+and its multiplicity e, so a tree's generator masks are read off the
+parents' in one pass (``_inherited``), and its small elements are 0, e and
+then the parent's positive ones; a list with no parents reads each generator
+mask off its own mask.  No caller chooses between the two:
+``generator_masks`` and ``semigroups_json`` read it off ``parents``.  One
+table join per render writes the cells: the texts of the 16 values of each
+hex digit of the widest mask (``_digit_tables``), one per digit of a mask
 (``_cells``).  ``_node_rows`` is the one source of table and csv rows;
-``tree_csv`` joins them without ``render_table``.  The lists' JSON is
-written as text by one row writer.  Each command that prints one object
-builds it once, from its table rows or with ``semigroup_dict`` and the
-other ``*_obj`` helpers, and renders it with ``dumps``, which writes a
-tuple as an array.
+``tree_csv`` joins them without ``render_table``.  ``semigroups_json``
+writes every list's JSON as text, its small elements off the parent chain
+or, with no parents, through the tables of its generators.  Each command
+that prints one object builds it once, from its table rows or with
+``semigroup_dict`` and the other ``*_obj`` helpers, and renders it with
+``dumps``, which writes a tuple as an array.
 """
 
 from __future__ import annotations
@@ -103,20 +106,14 @@ def _generator_cells(gens: Sequence[int], sep: str) -> list[str]:
     return _cells(gens, _digit_tables(max(gens, default=0).bit_length(), sep))
 
 
-def generator_masks(F: int, masks: Sequence[int]) -> list[int]:
-    """The generator mask of each Arf semigroup (F, mask), F >= 1, of a list with no tree."""
-    return [_med_generator_mask(F, mask) for mask in masks]
-
-
-def _inherited(tree: CovarietyTree) -> tuple[list[int], list[int]]:
-    """Each node's multiplicity e and generator mask, read off its parent's in one pass.
+def _inherited(F: int, masks: Sequence[int], parents: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Each tree node's multiplicity e and generator mask, read off its parent's in one pass.
 
     e is the one bit by which the node's mask and its parent's differ, a special gap of the
     parent, so the node's minimal generators are e and those g of its parent's for which
     g - e is no positive member of the node.  The root {0, F+1, ->} has m = F+1 and the
     generators F+1..2F+1; ``fill``, the members F+2..2F+2, reaches above every g - e.
     """
-    F, masks, parents = tree.frobenius, tree.masks, tree.parents
     fill = ((1 << (F + 1)) - 1) << (F + 2)
     mults, gens = [F + 1], [((1 << (F + 1)) - 1) << (F + 1)]
     for mask, p in zip(masks[1:], parents[1:]):
@@ -126,20 +123,34 @@ def _inherited(tree: CovarietyTree) -> tuple[list[int], list[int]]:
     return mults, gens
 
 
-def tree_generator_masks(tree: CovarietyTree) -> list[int]:
-    """The generator mask of each node of ``tree``, read off its parent's."""
-    return _inherited(tree)[1]
+def generator_masks(F: int, masks: Sequence[int], parents: Sequence[int] | None = None) -> list[int]:
+    """The generator mask of each Arf semigroup (F, mask), F >= 1: read off its parent's when
+    ``parents`` are a tree's, off its own mask when the list has none."""
+    if parents is None:
+        return [_med_generator_mask(F, mask) for mask in masks]
+    return _inherited(F, masks, parents)[1]
 
 
-def semigroups_json(F: int, masks: Sequence[int], cells: Sequence[str], smalls: Sequence[str]) -> str:
-    """The JSON list of ``semigroup_dict`` objects of the Arf semigroups (F, mask),
-    F >= 1, written as text: ``dumps`` of that list, byte for byte.
+def semigroups_json(F: int, masks: Sequence[int], parents: Sequence[int] | None = None) -> str:
+    """The JSON list of the Arf semigroups (F, mask), F >= 1, written as text: ``dumps`` of
+    their ``semigroup_dict`` objects, byte for byte; ``parents`` as for ``generator_masks``.
 
-    ``cells`` holds each semigroup's minimal generators comma-joined, and
-    ``smalls`` its positive small elements as text, each after a comma.  A row
-    reads m and the genus off the membership mask (F + 2 minus the members up
-    to F+1).
+    A row reads m and the genus off the membership mask (F + 2 minus the members up to F+1).
     """
+    if parents is None:  # one table set joins both the generators and the small elements
+        gens = generator_masks(F, masks)
+        tables = _digit_tables(max(gens, default=0).bit_length(), ",")  # F + m is a generator, above F
+        cells = _cells(gens, tables)
+        # 0 is a member, so each joined list starts with ",0": the text after it is the positive ones
+        top = 1 << (F + 1)
+        smalls = _cells([mask ^ top for mask in masks], tables, 2)
+    else:  # a node's positive small elements are its multiplicity e and then its parent's
+        mults, gens = _inherited(F, masks, parents)
+        cells = _generator_cells(gens, ",")
+        commas = [f",{e}" for e in range(F + 1)]
+        smalls = [""]
+        for e, p in zip(mults[1:], parents[1:]):
+            smalls.append(commas[e] + smalls[p])
     rows = []
     for mask, cell, small in zip(masks, cells, smalls):
         m = _multiplicity(mask)  # Arf, so MED: the type is m - 1
@@ -148,32 +159,6 @@ def semigroups_json(F: int, masks: Sequence[int], cells: Sequence[str], smalls: 
             f'"min_generators":[{cell}],"small_elements":[0{small}]}}'
         )
     return "[" + ",".join(rows) + "]"
-
-
-def _small_texts(tree: CovarietyTree, mults: Sequence[int]) -> list[str]:
-    """Each node's positive small elements as text, each after a comma: ``,e`` and
-    then its parent's, where e is its multiplicity.  The root's is empty."""
-    commas = [f",{e}" for e in range(tree.frobenius + 1)]
-    texts = [""]
-    for e, p in zip(mults[1:], tree.parents[1:]):
-        texts.append(commas[e] + texts[p])
-    return texts
-
-
-def nodes_json(tree: CovarietyTree) -> str:
-    """The JSON list of the nodes of ``tree``."""
-    mults, gens = _inherited(tree)
-    return semigroups_json(tree.frobenius, tree.masks, _generator_cells(gens, ","), _small_texts(tree, mults))
-
-
-def members_json(F: int, masks: Sequence[int]) -> str:
-    """The JSON list of the Arf semigroups (F, mask) of a list with no tree: one table set
-    joins both their generators and their small elements."""
-    gens = generator_masks(F, masks)
-    tables = _digit_tables(max(gens, default=0).bit_length(), ",")  # F + m is a generator, above F
-    top = 1 << (F + 1)
-    # 0 is a member, so each joined list starts with ",0": the text after it is the positive ones
-    return semigroups_json(F, masks, _cells(gens, tables), _cells([mask ^ top for mask in masks], tables, 2))
 
 
 def render_table(header: Sequence[str], rows: Iterable[tuple[object, ...]]) -> str:
@@ -205,29 +190,28 @@ def render_pairs(pairs: Iterable[tuple[str, object]]) -> str:
 
 
 def _node_rows(
-    F: int, masks: Sequence[int], gens: Sequence[int], sep: str
+    F: int, masks: Sequence[int], parents: Sequence[int] | None, sep: str
 ) -> Iterator[tuple[int, int, int, int, int, str]]:
-    """The rows of the Arf semigroups (F, mask) under ``_NODE_COLUMNS``, the generator
-    masks ``gens`` joined by ``sep``."""
-    for mask, cell in zip(masks, _generator_cells(gens, sep)):
+    """The rows of the Arf semigroups (F, mask) under ``_NODE_COLUMNS``, the generators
+    joined by ``sep``; ``parents`` as for ``generator_masks``."""
+    for mask, cell in zip(masks, _generator_cells(generator_masks(F, masks, parents), sep)):
         depth, m = mask.bit_count() - 2, _multiplicity(mask)
         yield depth, F, m, F - depth, m - 1, cell  # Arf, so MED: type m - 1
 
 
-def tree_table(F: int, masks: Sequence[int], gens: Sequence[int]) -> str:
-    """The table of the Arf semigroups (F, mask) with the generator masks ``gens``: a tree's
-    from ``tree_generator_masks``, a list's from ``generator_masks``."""
-    return render_table(_NODE_COLUMNS, _node_rows(F, masks, gens, ","))
+def tree_table(F: int, masks: Sequence[int], parents: Sequence[int] | None) -> str:
+    """The table of the Arf semigroups (F, mask): a tree's nodes, or a list's with no ``parents``."""
+    return render_table(_NODE_COLUMNS, _node_rows(F, masks, parents, ","))
 
 
 def rank_one_table(F: int, masks: Sequence[int]) -> str:
-    rows = _node_rows(F, masks, generator_masks(F, masks), ",")
+    rows = _node_rows(F, masks, None, ",")
     return render_table(("multiplicity", "genus", "generators"), map(itemgetter(2, 3, 5), rows))
 
 
-def tree_csv(F: int, masks: Sequence[int], gens: Sequence[int]) -> str:
+def tree_csv(F: int, masks: Sequence[int], parents: Sequence[int] | None) -> str:
     line = ",".join(["%s"] * len(_NODE_COLUMNS))
-    return "\n".join([CSV_HEADER, *map(line.__mod__, _node_rows(F, masks, gens, ";"))])
+    return "\n".join([CSV_HEADER, *map(line.__mod__, _node_rows(F, masks, parents, ";"))])
 
 
 def tree_json_obj(tree: CovarietyTree) -> dict[str, object]:
@@ -242,13 +226,15 @@ def tree_json_obj(tree: CovarietyTree) -> dict[str, object]:
 
 def tree_json(tree: CovarietyTree) -> str:
     """``dumps(tree_json_obj(tree))``, written as text."""
+    nodes = semigroups_json(tree.frobenius, tree.masks, tree.parents)
     edges = ",".join([f"[{child},{parent}]" for child, parent in tree.edges()])
-    return f'{{"frobenius":{tree.frobenius},"root":0,"nodes":{nodes_json(tree)},"edges":[{edges}]}}'
+    return f'{{"frobenius":{tree.frobenius},"root":0,"nodes":{nodes},"edges":[{edges}]}}'
 
 
 def tree_dot(tree: CovarietyTree) -> str:
     lines = [f"digraph arf_tree_{tree.frobenius} {{", "  node [shape=box];"]
-    for i, cell in enumerate(_generator_cells(tree_generator_masks(tree), ",")):
+    gens = generator_masks(tree.frobenius, tree.masks, tree.parents)
+    for i, cell in enumerate(_generator_cells(gens, ",")):
         lines.append(f'  n{i} [label="<{cell}>"];')
     for child, parent in tree.edges():
         lines.append(f"  n{child} -> n{parent};")

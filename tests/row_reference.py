@@ -40,29 +40,17 @@ def generator_label(S):
     return "<" + ",".join(str(g) for g in S.minimal_generators()) + ">"
 
 
-def generator_masks(F, masks):
+def generator_masks(F, masks, parents=None):
     # the package's rows hand these only to generator_cells below, so they need not be masks
     return [NumericalSemigroup(F, mask).minimal_generators() for mask in masks]
-
-
-def tree_generator_masks(tree):
-    return generator_masks(tree.frobenius, tree.masks)
 
 
 def generator_cells(gens, sep):
     return [sep.join(map(str, g)) for g in gens]
 
 
-def semigroups_json(F, masks):
+def semigroups_json(F, masks, parents=None):
     return json.dumps([semigroup_dict(NumericalSemigroup(F, mask)) for mask in masks], separators=(",", ":"))
-
-
-def nodes_json(tree):
-    return semigroups_json(tree.frobenius, tree.masks)
-
-
-def members_json(F, masks):
-    return semigroups_json(F, masks)
 
 
 @functools.lru_cache(maxsize=1)  # the formats of one F in turn
@@ -93,10 +81,8 @@ def install(monkeypatch):
     monkeypatch.setattr(serialize, "semigroup_dict", semigroup_dict)
     monkeypatch.setattr(serialize, "generator_label", generator_label)
     monkeypatch.setattr(serialize, "generator_masks", generator_masks)
-    monkeypatch.setattr(serialize, "tree_generator_masks", tree_generator_masks)
     monkeypatch.setattr(serialize, "_generator_cells", generator_cells)
     monkeypatch.setattr(serialize, "render_table", render_table)
-    monkeypatch.setattr(serialize, "nodes_json", nodes_json)
-    monkeypatch.setattr(serialize, "members_json", members_json)
+    monkeypatch.setattr(serialize, "semigroups_json", semigroups_json)
     monkeypatch.setattr(cli, "_refinement_free_masks", refinement_free_masks)
     monkeypatch.setattr(serialize, "tree_json", tree_json)

@@ -108,6 +108,18 @@ class TestConstruction:
                 NumericalSemigroup.from_small_elements(F, smalls)
         assert NumericalSemigroup.from_small_elements(5, [0, 6]) == NumericalSemigroup.delta(5)
 
+    def test_small_elements_read_their_frobenius_number_first(self):
+        # F is read by the element-list rule and refused as the constructor refuses it, before
+        # any element is range-checked or placed
+        for F, smalls in ((-2, []), (-3, [0]), (0, []), (0, [0]), (-7, [0, 9])):
+            with pytest.raises(ValueError, match=rf"^frobenius must be -1 or >= 1, got {F}$"):
+                NumericalSemigroup.from_small_elements(F, smalls)
+        with pytest.raises(ValueError, match=r"^5\.5 is not an integer$"):
+            NumericalSemigroup.from_small_elements(5.5, [0, 6])
+        assert NumericalSemigroup.from_small_elements(5.0, [0, 6]) == NumericalSemigroup.delta(5)
+        assert NumericalSemigroup.from_small_elements("5", [0, 6]) == NumericalSemigroup.delta(5)
+        assert NumericalSemigroup.from_small_elements(-1, [0]) == NumericalSemigroup.natural()
+
     def test_mask_validation(self):
         for frobenius, mask, message in [
             (5, 0b1000001 | (1 << 5), "mask must contain 0 and frobenius"),  # frobenius bit set

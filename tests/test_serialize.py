@@ -14,11 +14,22 @@ def test_inherited_masks_on_every_node():
     nodes = 0
     for F in range(1, _TREE_LIMIT + 1):
         tree = enumerate_ar(F)
-        mults, gens = serialize._inherited(tree)
+        mults, gens = serialize._inherited(F, tree.masks, tree.parents)
         assert mults == list(map(_multiplicity, tree.masks)), F
         assert gens == [_med_generator_mask(F, mask) for mask in tree.masks], F
         nodes += len(tree)
     assert nodes == 256_410
+
+
+def test_the_parent_chain_and_the_table_join_write_the_same_json():
+    # a tree node's small elements are its multiplicity and then its parent's, its generators read
+    # off its parent's; with no parents both are joined off the node's own masks
+    nodes = 0
+    for F in range(1, 71):
+        tree = enumerate_ar(F)
+        assert serialize.semigroups_json(F, tree.masks, tree.parents) == serialize.semigroups_json(F, tree.masks), F
+        nodes += len(tree)
+    assert nodes == 72_073
 
 
 def joined(mask, sep):
