@@ -31,9 +31,10 @@ import os
 import sys
 import time
 from functools import cache, partial
+from itertools import chain
 
 from . import serialize
-from .closure import ar_closure, count_rank_one, minimal_ar_generators, rank_one_catalog
+from .closure import ClosureResult, ar_closure, count_rank_one, minimal_ar_generators, rank_one_catalog
 from .core import NumericalSemigroup, _canonical_key, _refinement_free_masks
 from .errors import InvalidSequenceError, NotInCovarietyError, SemigroupError
 from .sequences import (
@@ -90,6 +91,28 @@ def _build_semigroup(gens_text: str) -> NumericalSemigroup:
         return NumericalSemigroup.from_generators(_int_list(gens_text, "generator"))
     except ValueError as exc:  # a generator below 1
         raise CliError(str(exc))
+
+
+def _hull_lists(result: ClosureResult) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """An accepted hull's small elements, minimal generators and minimal system, read off its stages.
+
+    The small elements are 0 and the joined stages.  The hull is Arf, so MED: its minimal generators
+    are m = m_0 and the members s with s - m a gap, the small ones and those of the window
+    F+1..F+m, where s - m is a gap unless it is a small element above F - m.  Consecutive members
+    u < v differ by the step of v's stage, so the 2v - u are the stages each shifted by its own
+    step, and the minimal system is the generators below F that are none of them (as in
+    ``minimal_ar_generators``).  Delta(F), the hull of the empty set, has no stage: m = F + 1.
+    """
+    F, stages = result.frobenius, result.stages
+    if not stages:
+        return (0,), tuple(range(F + 1, 2 * F + 2)), ()
+    small = (0, *chain.from_iterable(stages))
+    m = stages[0].step
+    members = set(small)
+    low = [s for s in small[2:] if s - m not in members]  # small[1] is m
+    gens = (m, *low, *[g for g in range(F + 1, F + m + 1) if g - m not in members])
+    mirrors = {v + r.step for r in stages for v in r}
+    return small, gens, tuple(x for x in (m, *low) if x not in mirrors)
 
 
 def cmd_enumerate(frobenius: str, fmt: str, stats: bool, maximal_only: bool) -> None:
@@ -161,22 +184,19 @@ def cmd_check(generators: str, fmt: str) -> None:
 def cmd_closure(frobenius: str, elements: str, fmt: str) -> int | None:
     F = _to_int(frobenius, "frobenius")
     result = ar_closure(_int_list(elements, "element"), F)
-    if result.is_ar_set:
-        minimal = minimal_ar_generators(result.closure)
-        rank = len(minimal)
-    else:
-        minimal = rank = None
+    lists = _hull_lists(result) if result.is_ar_set else None  # read off the chain's stages
     if fmt == "json":
-        print(serialize.dumps(serialize.closure_obj(result, rank)))
+        print(serialize.dumps(serialize.closure_obj(result, lists)))
     else:
+        small, gens, minimal = lists or (None, None, None)
         rows = [
             ("F", result.frobenius),
             ("X", result.input_set),
             ("is_ar_set", result.is_ar_set),
-            ("closure", serialize.generator_label(result.closure) if result.closure else None),
-            ("small_elements", result.closure.small_elements() if result.closure else None),
+            ("closure", f"<{','.join(map(str, gens))}>" if lists else None),
+            ("small_elements", small),
             ("minimal_system", minimal),
-            ("rank", rank),
+            ("rank", len(minimal) if lists else None),
         ]
         print(serialize.render_pairs(rows))
     if not result.is_ar_set:

@@ -13,6 +13,11 @@ running sums.  The chain runs on generator sets: if T_i = <G> with everything ab
 T_{i+1} = <m_i, g - m_i for g in G> with everything above c - m_i, as every t - m_i is one g - m_i
 plus generators.
 
+The chain's rounds are kept as ranges of running sums, its stages.  The hull mask is written off
+them by doubling shifts, one arithmetic progression per stage, and the ``closure`` command reads an
+accepted hull's small elements, minimal generators and minimal system off them
+(``cli._hull_lists``), with no pass over the mask.
+
 The module also computes the minimal generating data of a member S relative
 to this hull operator: the unique minimal set X with hull X = S, its size
 (the rank), and the classification and count of the rank-one members.
@@ -88,8 +93,9 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
     ``stages`` holds one ``range`` per round that adds a running sum up to F, its step that round's
     multiplicity, so the steps fall strictly.  Joined, the stages are the running sums up to F in
     order: the hull's positive small elements on an accepted set, ending at F on a refused one.
-    The hull is read off the stages, one arithmetic-progression mask each, so a refused set builds
-    no mask.
+    The hull mask is written off the stages, one arithmetic progression each by doubling shifts
+    (``ap |= ap << k * step`` for k = 1, 2, 4, ..., cut to the stage's terms), so a refused set
+    builds no mask; ``cli._hull_lists`` reads the hull's lists off them.
     """
     _check_frobenius(frobenius)
     if frobenius > _HULL_LIMIT:
@@ -112,8 +118,14 @@ def ar_closure(X: Iterable[int], frobenius: int) -> ClosureResult:
         gens = [m, *(g - k * m for g in kept.values())]
     if stages and stages[-1][-1] == F:
         return ClosureResult(F, xs, False, None, stages)
-    hull = sum(int("1".rjust(r.step, "0") * len(r), 2) << r.start for r in stages)  # disjoint progressions
-    return ClosureResult(F, xs, True, _closed(F, 1 | hull | 1 << (F + 1)), stages)
+    hull = 1 | 1 << (F + 1)
+    for r in stages:  # disjoint progressions
+        ap, k = 1, 1
+        while k < len(r):
+            ap |= ap << k * r.step
+            k *= 2
+        hull |= (ap & ((1 << len(r) * r.step) - 1)) << r.start
+    return ClosureResult(F, xs, True, _closed(F, hull), stages)
 
 
 def minimal_ar_generators(S: NumericalSemigroup) -> tuple[int, ...]:

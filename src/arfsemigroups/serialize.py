@@ -9,7 +9,8 @@ sequences, the rank-one catalog, a ``minimal-gens`` input once verified),
 so MED.  Its minimal generators are therefore its multiplicity m and the
 nonzero Apery elements modulo m, the bits of one mask with no sums to
 remove.  ``check``, whose input is arbitrary, writes its rows itself from
-the general minimal generators and never calls ``semigroup_dict``.
+the general minimal generators and never calls ``semigroup_dict``; a hull's
+rows are the lists read off its chain's stages (``cli._hull_lists``).
 
 Lists of semigroups (the nodes of ``enumerate`` and ``tree``, the maximal
 members of ``enumerate --maximal-only``, the ``rank-one`` catalog) are rows
@@ -242,14 +243,20 @@ def tree_dot(tree: CovarietyTree) -> str:
     return "\n".join(lines)
 
 
-def closure_obj(result: ClosureResult, rank: int | None) -> dict[str, object]:
-    return {
-        "F": result.frobenius,
-        "X": result.input_set,
-        "is_ar_set": result.is_ar_set,
-        "closure": semigroup_dict(result.closure) if result.closure is not None else None,
-        "rank": rank,
-    }
+def closure_obj(result: ClosureResult, lists: tuple[tuple[int, ...], ...] | None) -> dict[str, object]:
+    """The record of a hull query: ``lists`` are an accepted hull's small elements, minimal
+    generators and minimal system (``cli._hull_lists``), None for a refused set.  The hull
+    object is its ``semigroup_dict``: m is the least generator, the genus F + 1 less the small
+    elements."""
+    closure = rank = None
+    if lists is not None:
+        small, gens, minimal = lists
+        F, m = result.frobenius, gens[0]
+        closure = {"frobenius": F, "multiplicity": m, "genus": F + 1 - len(small), "type": m - 1,
+                   "min_generators": gens, "small_elements": small}
+        rank = len(minimal)
+    return {"F": result.frobenius, "X": result.input_set, "is_ar_set": result.is_ar_set, "closure": closure,
+            "rank": rank}
 
 
 def sequence_obj(terms: Sequence[int], refinement_free: bool, semigroup: NumericalSemigroup) -> dict[str, object]:

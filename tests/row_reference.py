@@ -10,6 +10,10 @@ Apery elements and so assumes nothing of the semigroup, each is turned into
 text by ``str``, tables are padded one cell at a time, and JSON lists of
 semigroups go through ``json.dumps`` over one dict per semigroup, whose
 small elements come from the semigroup itself, not from a tree parent.
+A hull's small elements, generators and minimal system, which the package
+reads off the stages of its multiplicity chain, come from its mask by the
+same checked constructor, ``minimal_generators()`` and
+``minimal_ar_generators``, and so does its JSON record.
 The maximal members of ``enumerate --maximal-only`` are the nodes of the
 whole tree, in its order, in which the rescan of ``mask_rescan`` finds no
 term that splits, not the masks of the pruned walk.  ``install`` puts these
@@ -20,7 +24,7 @@ output compared byte for byte.
 import functools
 import json
 
-from arfsemigroups import NumericalSemigroup, cli, enumerate_ar, serialize
+from arfsemigroups import NumericalSemigroup, cli, enumerate_ar, minimal_ar_generators, serialize
 from mask_rescan import maximal_by_rescan
 
 
@@ -38,6 +42,21 @@ def semigroup_dict(S):
 
 def generator_label(S):
     return "<" + ",".join(str(g) for g in S.minimal_generators()) + ">"
+
+
+def hull_lists(result):
+    S = NumericalSemigroup(result.frobenius, result.closure.mask)
+    return S.small_elements(), S.minimal_generators(), minimal_ar_generators(S)
+
+
+def closure_obj(result, lists):
+    return {
+        "F": result.frobenius,
+        "X": result.input_set,
+        "is_ar_set": result.is_ar_set,
+        "closure": semigroup_dict(NumericalSemigroup(result.frobenius, result.closure.mask)) if lists else None,
+        "rank": len(lists[2]) if lists else None,  # hull_lists above, once installed
+    }
 
 
 def generator_masks(F, masks, parents=None):
@@ -85,4 +104,6 @@ def install(monkeypatch):
     monkeypatch.setattr(serialize, "render_table", render_table)
     monkeypatch.setattr(serialize, "semigroups_json", semigroups_json)
     monkeypatch.setattr(cli, "_refinement_free_masks", refinement_free_masks)
+    monkeypatch.setattr(cli, "_hull_lists", hull_lists)
+    monkeypatch.setattr(serialize, "closure_obj", closure_obj)
     monkeypatch.setattr(serialize, "tree_json", tree_json)

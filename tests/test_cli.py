@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arfsemigroups import NumericalSemigroup, cli, core, sequences, serialize
-from arfsemigroups.cli import _SEQ_LIMIT
-from arfsemigroups.closure import _HULL_LIMIT, _RANK_ONE_LIMIT, rank_one_catalog
+from arfsemigroups import NumericalSemigroup, ar_closure, cli, core, sequences, serialize
+from arfsemigroups.cli import _SEQ_LIMIT, _hull_lists
+from arfsemigroups.closure import _HULL_LIMIT, _RANK_ONE_LIMIT, minimal_ar_generators, rank_one_catalog
 from arfsemigroups.core import _SIEVE_LIMIT, _TREE_LIMIT, _med_generator_mask
 from arfsemigroups.tree import CovarietyTree, enumerate_ar
 from cli_runner import leaf_commands, run
@@ -323,17 +323,20 @@ class TestClosure:
         assert got["closure"] == "<6,7,8,9,10,11>"
         assert got["rank"] == "0"
 
-    # minimal_ar_generators reads the hull's generators off its mask, so the rendering builds
-    # the generators, off the MED generator mask as the hull is Arf, and the small elements,
-    # each once; the general minimal_generators is never called
+    # closure reads the hull's small elements, generators and minimal system off the chain's
+    # stages, so it builds no generator mask, lists no member of the hull mask and neither reads
+    # nor tests its difference sequence; minimal-gens reads its generators off the MED generator
+    # mask, as its input is Arf once verified, and the general minimal_generators is never called
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_hull_invariants_are_built_once(self, monkeypatch, fmt):
-        counts = Counter()
+        counts, mask_reads = Counter(), Counter()
         count_calls(monkeypatch, counts, NumericalSemigroup, "minimal_generators", "small_elements")
         count_function(monkeypatch, counts, _med_generator_mask)
+        count_function(monkeypatch, mask_reads, minimal_ar_generators)
+        count_function(monkeypatch, mask_reads, core._difference_sequence)
         res = run("closure", "29", "--set", "6,8", "--format", fmt)
         assert res.exit_code == 0 and "6,8" in res.stdout
-        assert counts == {"_med_generator_mask": 1, "small_elements": 1}
+        assert counts == mask_reads == {}
         counts.clear()
         assert run("minimal-gens", "6,8,10,31,33,35", "--format", fmt).exit_code == 0
         assert counts == Counter(_med_generator_mask=1, small_elements=fmt == "json")  # json lists them
@@ -349,6 +352,47 @@ class TestClosure:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert "hull chain over 65537 bits refused (limit 65536)" in res.stderr
+
+
+def assert_lists_read_off_the_stages(X, F):
+    """An accepted hull's lists, read off its stages, are those of its mask by the general route."""
+    res = ar_closure(X, F)
+    if res.is_ar_set:
+        S = res.closure
+        want = (S.small_elements(), S.minimal_generators(), minimal_ar_generators(S))
+        assert _hull_lists(res) == want, (X, F)
+    return res
+
+
+class TestHullLists:
+    def test_the_empty_set(self):
+        # Delta(F) has no stage: m = F + 1, the generators F+1..2F+1, and no minimal system
+        for F in (1, 2, 5, 40, _HULL_LIMIT):
+            res = assert_lists_read_off_the_stages([], F)
+            assert res.stages == ()
+            assert _hull_lists(res) == ((0,), tuple(range(F + 1, 2 * F + 2)), ())
+
+    def test_single_stage_hulls(self):
+        # the multiples of m up to F: one stage, m its minimal system; the densest at F = 2^16 - 1
+        for X, F in (([2], 3), ([3], 29), ([7], 8), ([2], _HULL_LIMIT - 1), ([3], _HULL_LIMIT),
+                     ([30_000], _HULL_LIMIT), ([6, 12], 29)):
+            res = assert_lists_read_off_the_stages(X, F)
+            assert res.is_ar_set and len(res.stages) == 1 and _hull_lists(res)[2] == (X[0],), (X, F)
+
+    def test_tree_nodes_and_their_subsets_up_to_f40(self):
+        for F in range(1, 41):
+            for S in enumerate_ar(F).semigroups():
+                positive = S.small_elements()[1:]
+                for X in (positive, positive[::2], positive[1::2]):
+                    assert_lists_read_off_the_stages(X, F)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_random_hulls_read_their_lists_off_the_stages(data):
+    F = data.draw(st.integers(min_value=1, max_value=_HULL_LIMIT))
+    X = data.draw(st.lists(st.integers(min_value=1, max_value=F), max_size=4))
+    assert_lists_read_off_the_stages(X, F)
 
 
 class TestMinimalGens:
@@ -692,7 +736,7 @@ class TestRowsMatchTheReference:
         }
         kept = {name for name in reads if getattr(serialize, name).__module__ != row_reference.__name__}
         assert kept == {
-            "dumps", "render_pairs", "closure_obj", "sequence_obj",  # through semigroup_dict, render_table
+            "dumps", "render_pairs", "sequence_obj",  # through semigroup_dict, render_table
             "tree_table", "rank_one_table",  # through _generator_cells, render_table
             "tree_csv", "tree_dot",  # through _generator_cells
         }
@@ -705,6 +749,20 @@ class TestRowsMatchTheReference:
 
         for name in ("_med_generator_mask", "_inherited", "_digit_tables", "_cells", "_iter_bits"):
             monkeypatch.setattr(serialize, name, unused)
+
+        # nor may a closure command read the hull's lists off the chain's stages, which here no
+        # renderer can read
+        def unread(*args):
+            raise AssertionError("a closure command read the chain's stages past row_reference.install")
+
+        stages = type("Unread", (), dict.fromkeys(("__iter__", "__len__", "__getitem__", "__bool__"), unread))
+
+        def unstaged(X, F, _hull=cli.ar_closure):
+            result = _hull(X, F)
+            object.__setattr__(result, "stages", stages())
+            return result
+
+        monkeypatch.setattr(cli, "ar_closure", unstaged)
         commands = [("enumerate", "12", "--format", fmt, *flag)
                     for fmt in ("table", "csv", "json") for flag in ((), ("--maximal-only",))]
         commands += [("tree", "12", "--format", fmt) for fmt in ("dot", "json")]
